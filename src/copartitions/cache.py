@@ -1,8 +1,11 @@
 """Disk cache for parity series, keyed by (a, b, m, n).
 
-One JSON file per key, carrying a format version and a checksum over the
-key plus the packed bits; anything that fails validation is treated as a
-miss and recomputed.
+One JSON file per key, carrying a format version, the version of the GF(2)
+kernel that computed it and a checksum over both versions, the key and the
+packed bits; anything that fails validation is treated as a miss and
+recomputed.  Writers go through a temporary file of their own in the cache
+directory and an atomic rename, so concurrent writers of one key never
+collide.
 """
 
 from __future__ import annotations
@@ -10,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .params import CpParams
 from .series import ParitySeries, copartition_parity
 
 CACHE_VERSION = 1
+KERNEL_VERSION = 2          # bump whenever expand_factors_mod2 changes algorithm
 CACHE_DIR_ENV = "COPARTITIONS_CACHE_DIR"
 
 
@@ -24,12 +29,13 @@ def default_cache_dir() -> str | None:
 
 
 def _entry_path(cache_dir, params: CpParams, n: int) -> Path:
-    name = f"parity-v{CACHE_VERSION}-a{params.a}-b{params.b}-m{params.m}-n{n}.json"
+    name = f"parity-v{CACHE_VERSION}-k{KERNEL_VERSION}-a{params.a}-b{params.b}-m{params.m}-n{n}.json"
     return Path(cache_dir) / name
 
 
 def _digest(params: CpParams, n: int, bits_hex: str) -> str:
-    payload = f"{params.a}:{params.b}:{params.m}:{n}:{bits_hex}"
+    payload = (f"{CACHE_VERSION}:{KERNEL_VERSION}:"
+               f"{params.a}:{params.b}:{params.m}:{n}:{bits_hex}")
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -40,7 +46,7 @@ def load_parity(cache_dir, params: CpParams, n: int) -> ParitySeries | None:
     except (OSError, ValueError):
         return None
     try:
-        if entry["version"] != CACHE_VERSION:
+        if (entry["version"], entry["kernel"]) != (CACHE_VERSION, KERNEL_VERSION):
             return None
         if (entry["a"], entry["b"], entry["m"], entry["n"]) != (params.a, params.b, params.m, n):
             return None
@@ -60,6 +66,7 @@ def store_parity(cache_dir, params: CpParams, n: int, series: ParitySeries):
     bits_hex = format(series.bits, "x")
     entry = {
         "version": CACHE_VERSION,
+        "kernel": KERNEL_VERSION,
         "a": params.a,
         "b": params.b,
         "m": params.m,
@@ -67,9 +74,14 @@ def store_parity(cache_dir, params: CpParams, n: int, series: ParitySeries):
         "bits_hex": bits_hex,
         "sha256": _digest(params, n, bits_hex),
     }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry), "ascii")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as out:
+            out.write(json.dumps(entry))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cached_copartition_parity(params: CpParams, n: int, cache_dir=None) -> ParitySeries:

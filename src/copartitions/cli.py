@@ -67,6 +67,13 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copartitions",
@@ -108,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--Nmax", type=int)
     p.add_argument("--family", choices=("cp314", "cp516"))
-    p.add_argument("--amax", type=int)
-    p.add_argument("--bmax", type=int)
-    p.add_argument("--mmax", type=int)
+    p.add_argument("--amax", type=_positive_int)
+    p.add_argument("--bmax", type=_positive_int)
+    p.add_argument("--mmax", type=_positive_int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--witness-min", type=int)
     p.add_argument("--sizes", help="comma-separated crank sizes, e.g. 4,9,14")
@@ -536,10 +543,7 @@ def main(argv=None) -> int:
             code, doc, header = _cmd_tables(args)
         _write_output(args, doc, header)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:   # OSError: --out or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

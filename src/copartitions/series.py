@@ -5,9 +5,24 @@ Two coefficient representations back everything else:
 * ``ExactSeries`` keeps one Python int per exponent, so coefficients never
   overflow no matter how fast a family grows.
 * ``ParitySeries`` packs coefficient-mod-2 bits into a single int (bit n is
-  the coefficient of q^n).  Multiplying packed bits by (1 + q^e) is one
-  shift-XOR pass, and 1/(1 - q^e) factors as (1+q^e)(1+q^2e)(1+q^4e)...,
-  so the deep parity scans (n around 32000) stay cheap.
+  the coefficient of q^n).  Multiplying packed bits by (1 + q^k) is one
+  shift-XOR pass.
+
+Mod 2 every factor is a product of such passes: (q^c;q^m) and (-q^c;q^m)
+give one pass per term, and 1/(1 - q^e) factors as (1+q^e)(1+q^2e)(1+q^4e)...
+The GF(2) expander first brings the whole product to a normal form
+(``mod2_passes``), in three steps:
+
+1. Count: how often each pass exponent k occurs, kept as bit-planes over
+   (n+1)-bit ints, one progression indicator per factor or chain level.
+2. Carry: (1 + q^k)^2 = 1 + q^(2k) over GF(2), so every pair at k is
+   carried to 2k (a bit spread) until each count is 0 or 1; exponents
+   above n drop out.
+3. Pass: one shift-XOR pass per surviving exponent.
+
+This is the identity behind the paper's parity results: it folds repeated
+exponents and cancels numerator passes against reciprocal chains, so the
+(a, a, 2a) families need one pass per multiple of 4a.
 
 The same binary-split factorization of 1/(1 - q^e) is valid over the
 integers (every multiple of e has a unique binary decomposition), so the
@@ -22,6 +37,7 @@ extended silently.  Shortening is spelled ``truncate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .params import CpParams
@@ -92,6 +108,24 @@ class ExactSeries:
         return ExactSeries(n, self.coeffs[: n + 1])
 
 
+_WALK_BYTES = 128
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_OFFSETS = tuple(range(8 * _WALK_BYTES))     # iterating it allocates no ints
+
+
+def _bit_chunks(x: int):
+    """Yield (base, flags) for each nonzero chunk of at most 1024 bits of x,
+    where flags[i] is 1 exactly when bit base + i of x is set; the set bits
+    are base + i for i in ``compress(_OFFSETS, flags)``."""
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    for start in range(0, len(raw), _WALK_BYTES):
+        chunk = raw[start:start + _WALK_BYTES]
+        word = int.from_bytes(chunk, "little")
+        if word:
+            flags = format(word, f"0{8 * len(chunk)}b")[::-1].encode("ascii")
+            yield 8 * start, flags.translate(_BIT_VALUES)
+
+
 @dataclass(frozen=True)
 class ParitySeries:
     """GF(2) power series on exponents 0..trunc; bit n of ``bits`` is the
@@ -127,10 +161,8 @@ class ParitySeries:
 
     def odd_exponents(self) -> list[int]:
         """Exponents with odd coefficient, increasing."""
-        if self.bits == 0:
-            return []
-        low_first = bin(self.bits)[:1:-1]
-        return [i for i, ch in enumerate(low_first) if ch == "1"]
+        return [base + i for base, flags in _bit_chunks(self.bits)
+                for i in compress(_OFFSETS, flags)]
 
     def count_odd(self, lo: int = 0, hi: int | None = None) -> int:
         """Number of odd coefficients with exponent in [lo, hi] inclusive."""
@@ -180,25 +212,87 @@ def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
     return ExactSeries(n, tuple(coeffs))
 
 
-def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """Parity of ``expand_factors(factors, n)`` computed natively on packed bits.
+def _progression(c: int, m: int, n: int) -> int:
+    """Indicator of the exponents c, c+m, c+2m, ... <= n, built by doubling."""
+    if c > n:
+        return 0
+    span = n - c
+    x, width = 1, m                 # x holds bits 0, m, 2m, ... below width
+    while width <= span:
+        x |= x << width
+        width <<= 1
+    return (x & ((1 << (span + 1)) - 1)) << c
 
-    Mod 2 the sign of a Pochhammer factor is invisible, so (q^c;q^m) and
-    (-q^c;q^m) run the same passes.
+
+def _add_indicator(planes: list, x: int):
+    """planes[i] is bit i of every exponent's count; add 1 at each bit of x."""
+    for i, plane in enumerate(planes):
+        if not x:
+            return
+        planes[i] = plane ^ x
+        x &= plane
+    if x:
+        planes.append(x)
+
+
+# _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
+# 4, 6; a nibble's binary digits read in base 4 are its spread
+_NIBBLE_SPREAD = bytes(int(f"{i:b}", 4) for i in range(16))
+_SPREAD_LOW = _NIBBLE_SPREAD * 16
+_SPREAD_HIGH = bytes(s for s in _NIBBLE_SPREAD for _ in range(16))
+
+
+def _spread(x: int, n: int) -> int:
+    """Move bit k of x to bit 2k, dropping every bit that would land above n."""
+    x &= (1 << (n // 2 + 1)) - 1
+    if not x:
+        return 0
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
+
+
+def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
+    """Normal form of the mod-2 product: bit k is set when the product equals,
+    through q^n, the product of (1 + q^k) over the set bits k.
+
+    Counts the passes of every factor in bit-planes, then carries pairs from
+    k to 2k until each count is 0 or 1 (see the module docstring).
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
+    planes: list = []
+    for f in factors:
+        c, m = f.c, f.m
+        while c <= n:
+            _add_indicator(planes, _progression(c, m, n))
+            if f.sign != RECIPROCAL:
+                break
+            c, m = 2 * c, 2 * m
+    while len(planes) > 1:
+        low = planes[0]
+        planes = [_spread(plane, n) for plane in planes[1:]]
+        _add_indicator(planes, low)
+        while planes and not planes[-1]:
+            planes.pop()
+    return planes[0] if planes else 0
+
+
+def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """Parity of ``expand_factors(factors, n)`` computed natively on packed bits.
+
+    Runs one shift-XOR pass per set bit of ``mod2_passes(factors, n)``, in
+    increasing order.  Mod 2 the sign of a Pochhammer factor is invisible, so
+    (q^c;q^m) and (-q^c;q^m) have the same passes.
+    """
+    passes = mod2_passes(factors, n)
     mask = (1 << (n + 1)) - 1
     bits = 1
-    for f in factors:
-        for e in range(f.c, n + 1, f.m):
-            if f.sign == RECIPROCAL:
-                k = e
-                while k <= n:
-                    bits = (bits ^ (bits << k)) & mask
-                    k <<= 1
-            else:
-                bits = (bits ^ (bits << e)) & mask
+    for base, flags in _bit_chunks(passes):
+        for i in compress(_OFFSETS, flags):
+            bits = (bits ^ (bits << (base + i))) & mask
     return ParitySeries(n, bits)
 
 
@@ -298,12 +392,9 @@ def mul(x, y, n: int):
             a, b = b, a
         mask = (1 << (n + 1)) - 1
         acc = 0
-        if a:
-            for i, ch in enumerate(bin(a)[:1:-1]):
-                if ch == "1":
-                    if i > n:
-                        break
-                    acc ^= b << i
+        for base, flags in _bit_chunks(a & mask):
+            for i in compress(_OFFSETS, flags):
+                acc ^= b << (base + i)
         return ParitySeries(n, acc & mask)
     out = [0] * (n + 1)
     sparse = [(i, c) for i, c in enumerate(x.coeffs[: n + 1]) if c]

@@ -69,3 +69,25 @@ def expand_factors_reference(factors, n):
                 for j in range(n, e - 1, -1):
                     coeffs[j] += coeffs[j - e]
     return coeffs
+
+
+def expand_factors_mod2_reference(factors, n):
+    """The per-pass GF(2) loop on packed bits: one shift-XOR pass for every
+    Pochhammer term and for every level of every reciprocal's binary-split
+    chain, with no folding of repeated exponents."""
+    from copartitions.series import ParitySeries
+
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    mask = (1 << (n + 1)) - 1
+    bits = 1
+    for f in factors:
+        for e in range(f.c, n + 1, f.m):
+            if f.sign == "reciprocal":
+                k = e
+                while k <= n:
+                    bits = (bits ^ (bits << k)) & mask
+                    k <<= 1
+            else:
+                bits = (bits ^ (bits << e)) & mask
+    return ParitySeries(n, bits)

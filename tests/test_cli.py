@@ -57,6 +57,21 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "0", "1", "2", "--n", "5")
         assert code == 2
 
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "coeffs", "2", "1", "3", "--n", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cache_dir_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        code, _, err = run(capsys, "coeffs", "3", "1", "4", "--n", "50", "--mode", "parity",
+                           "--cache-dir", str(blocker))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_worked_example_listing(self, capsys):
@@ -92,7 +107,7 @@ class TestEnumerate:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "1", "1", "2", "100")
         assert code == 2 and "100" in err
-        code, _, _ = run(capsys, "enumerate", "1", "1", "2", "61", "--cap", "61")
+        code, _, _ = run(capsys, "enumerate", "5", "6", "11", "61", "--cap", "61")
         assert code == 0
 
 
@@ -145,6 +160,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--amax", "--bmax", "--mmax"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_ranges_are_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "oracle", flag, value, "--nmax", "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_csv_not_offered(self, capsys):
         code, _, err = run(capsys, "verify", "lemma13", "--Nmax", "6", "--format", "csv")

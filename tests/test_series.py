@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,12 @@ from copartitions import (
     self_conjugate_series,
     triple_product_theta,
 )
+from copartitions.series import copartition_factors, mod2_passes
 
 from oracles import (
     count_distinct_restricted,
     count_restricted,
+    expand_factors_mod2_reference,
     expand_factors_reference,
     progression,
     signed_product_coefficient,
@@ -36,6 +40,20 @@ factor_strategy = st.builds(
     m=st.integers(1, 6),
     sign=st.sampled_from(["pochhammer", "reciprocal", "negated-pochhammer"]),
 )
+
+
+
+@st.composite
+def colliding_factors(draw):
+    """Factor lists whose pass exponents collide: one factor repeated up to
+    8 times (so counts carry through 3 or more bit-planes), and reciprocal
+    chains paired with a Pochhammer factor starting at a multiple of c."""
+    repeated = [draw(factor_strategy)] * draw(st.integers(1, 8))
+    c, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    j, scale = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 4]))
+    paired = [reciprocal(c, m), pochhammer(c * j, m * scale)]
+    extra = draw(st.lists(factor_strategy, max_size=3))
+    return draw(st.permutations(repeated + paired + extra))
 
 
 class TestExpandFactors:
@@ -89,6 +107,11 @@ class TestExpandFactors:
     def test_packed_parity_expansion_matches_exact(self, factors, n):
         assert expand_factors_mod2(factors, n) == reduce_mod2(expand_factors(factors, n))
 
+    @given(colliding_factors(), st.integers(0, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
+        assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 80))
     @settings(max_examples=30, deadline=None)
     def test_pochhammer_signed_enumeration(self, c, m, n):
@@ -120,6 +143,45 @@ class TestCountingSeries:
         for a, b, m in [(2, 1, 3), (3, 1, 4), (1, 1, 2)]:
             params = CpParams(a, b, m)
             assert copartition_parity(params, 300) == reduce_mod2(copartition_series(params, 300))
+
+
+def pass_set(factors, n):
+    return ParitySeries(n, mod2_passes(factors, n)).odd_exponents()
+
+
+class TestMod2NormalForm:
+    @pytest.mark.parametrize("a", [1, 2, 3, 5])
+    def test_lacunary_family_passes_are_multiples_of_4a(self, a):
+        n = 3000
+        factors = copartition_factors(CpParams(a, a, 2 * a))
+        assert pass_set(factors, n) == list(range(4 * a, n + 1, 4 * a))
+
+    def test_self_conjugate_product_has_the_same_passes(self):
+        n = 1500
+        for a in range(1, 4):
+            for m in range(1, 7):
+                own = pass_set(copartition_factors(CpParams(a, a, m)), n)
+                assert own == pass_set([negated_pochhammer(m + 2 * a, 2 * m)], n), (a, m)
+
+    @pytest.mark.parametrize("abm, count", [((1, 1, 2), 8000), ((1, 1, 1), 15999),
+                                            ((1, 13, 14), 11427)])
+    def test_pass_counts_at_32000(self, abm, count):
+        assert mod2_passes(copartition_factors(CpParams(*abm)), 32000).bit_count() == count
+
+    def test_cancelled_product_has_no_passes(self):
+        assert mod2_passes([reciprocal(2, 3), pochhammer(2, 3)] * 3, 500) == 0
+        assert mod2_passes([negated_pochhammer(1, 1)] * 2, 500) == mod2_passes(
+            [pochhammer(2, 2)], 500)
+        assert mod2_passes([], 10) == 0
+
+    def test_peak_allocation_at_depth(self):
+        tracemalloc.start()
+        try:
+            copartition_parity(CpParams(1, 2, 3), 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
 
 
 class TestSelfConjugateSeries:
