@@ -32,9 +32,9 @@ from .enumeration import (
     hooks_to_distinct_parts,
 )
 from .parity import (
+    CheckResult,
     DensityReport,
     Factorization,
-    ProgressionCheck,
     ProgressionFamily,
     TWO_SQUARES,
     X2_PLUS_3Y2,
@@ -44,71 +44,24 @@ from .parity import (
     density_report,
     even_guarantee_314,
     even_guarantee_516,
+    even_guarantee_check,
     factorize,
     form_equivalence_check,
+    form_equivalence_sweep_check,
     format_proportion,
     is_prime,
     is_sum_of_two_squares,
     is_x2_plus_3y2,
     lacunary_odd_support_check,
+    merge_checks,
     odd_term_count_check,
+    oracle_check,
+    parity_gf_check,
+    progression_check,
     progression_family,
+    self_conjugate_check,
     theta_product_identity_check,
     verify_even_progression,
 )
 from .cache import cached_copartition_parity, CACHE_DIR_ENV
 from .tables import TableData, generate_table
-
-__all__ = [
-    "CpParams",
-    "ExactSeries",
-    "FactorSpec",
-    "ParitySeries",
-    "Copartition",
-    "DensityReport",
-    "Factorization",
-    "ProgressionCheck",
-    "ProgressionFamily",
-    "TableData",
-    "TWO_SQUARES",
-    "X2_PLUS_3Y2",
-    "CACHE_DIR_ENV",
-    "andrews_mod5_check",
-    "both_parities_prefix_check",
-    "brute_force_representable",
-    "cached_copartition_parity",
-    "copartition_factors",
-    "copartition_parity",
-    "copartition_series",
-    "count_copartitions",
-    "crank_distribution",
-    "density_report",
-    "distinct_parts_to_hooks",
-    "enumerate_copartitions",
-    "even_guarantee_314",
-    "even_guarantee_516",
-    "expand_factors",
-    "expand_factors_mod2",
-    "factorize",
-    "form_equivalence_check",
-    "format_proportion",
-    "generate_table",
-    "hooks_to_distinct_parts",
-    "is_prime",
-    "is_sum_of_two_squares",
-    "is_x2_plus_3y2",
-    "lacunary_odd_support_check",
-    "mul",
-    "negated_pochhammer",
-    "odd_term_count_check",
-    "pentagonal_support",
-    "pochhammer",
-    "progression_family",
-    "reciprocal",
-    "reduce_mod2",
-    "self_conjugate_parity",
-    "self_conjugate_series",
-    "theta_product_identity_check",
-    "triple_product_theta",
-    "verify_even_progression",
-]

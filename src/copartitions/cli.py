@@ -17,50 +17,27 @@ from pathlib import Path
 
 from . import __version__
 from .cache import cached_copartition_parity, default_cache_dir
-from .enumeration import (
-    crank_distribution,
-    distinct_parts_to_hooks,
-    enumerate_copartitions,
-    hooks_to_distinct_parts,
-)
+from .enumeration import enumerate_copartitions
 from .params import CpParams
 from .parity import (
     andrews_mod5_check,
     both_parities_prefix_check,
-    brute_force_representable,
-    even_guarantee_314,
-    even_guarantee_516,
-    form_equivalence_check,
-    is_sum_of_two_squares,
-    is_x2_plus_3y2,
+    even_guarantee_check,
+    form_equivalence_sweep_check,
     lacunary_odd_support_check,
-    progression_family,
+    merge_checks,
+    oracle_check,
+    parity_gf_check,
+    progression_check,
+    self_conjugate_check,
     theta_product_identity_check,
-    verify_even_progression,
-    TWO_SQUARES,
-    X2_PLUS_3Y2,
 )
-from .series import (
-    copartition_parity,
-    copartition_series,
-    mul,
-    pentagonal_support,
-    reduce_mod2,
-    self_conjugate_parity,
-    self_conjugate_series,
-    triple_product_theta,
-    ParitySeries,
-)
+from .series import copartition_series
 from .tables import generate_table
 
 EXACT_CAP = 2000
 PARITY_CAP = 32000
 ENUMERATE_CAP = 60
-
-VERIFY_TARGETS = (
-    "selfconj", "parity-gf", "eq4", "lacunary", "progression", "lemma13",
-    "guarantees-314", "guarantees-516", "both-parities", "andrews", "oracle",
-)
 
 
 class UsageError(Exception):
@@ -108,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
 
     p = sub.add_parser("verify", help="run one verification target")
-    p.add_argument("target", choices=VERIFY_TARGETS)
+    p.add_argument("target", choices=TARGETS)
     p.add_argument("--a", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)
@@ -127,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate a density table from scratch")
     p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers across family columns")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers across family columns")
     p.add_argument("--cache-dir", default=default_cache_dir())
     add_io(p)
 
@@ -138,8 +116,8 @@ def _fmt_parts(parts) -> str:
     return "{" + ",".join(map(str, parts)) + "}"
 
 
-def _fmt_triple(cp) -> str:
-    return f"({_fmt_parts(cp.ground)}, {_fmt_parts(cp.rectangle)}, {_fmt_parts(cp.sky)})"
+def _triple(cp) -> dict:
+    return {"ground": list(cp.ground), "rectangle": list(cp.rectangle), "sky": list(cp.sky)}
 
 
 def _cmd_coeffs(args):
@@ -174,20 +152,11 @@ def _cmd_enumerate(args):
         raise UsageError(f"enumeration guard is {cap} (requested {args.n}); pass --cap to override")
     rows = []
     for cp in enumerate_copartitions(params, args.n):
-        row = {
-            "ground": list(cp.ground),
-            "rectangle": list(cp.rectangle),
-            "sky": list(cp.sky),
-        }
+        row = _triple(cp)
         if args.show_crank:
             row["crank"] = cp.crank()
         if args.show_conjugate:
-            conj = cp.conjugate()
-            row["conjugate"] = {
-                "ground": list(conj.ground),
-                "rectangle": list(conj.rectangle),
-                "sky": list(conj.sky),
-            }
+            row["conjugate"] = _triple(cp.conjugate())
         rows.append(row)
     doc = {
         "subcommand": "enumerate",
@@ -203,241 +172,65 @@ def _cmd_enumerate(args):
     return 0, doc, tuple(header)
 
 
-def _first_difference(x: ParitySeries, y: ParitySeries):
-    diff = x.bits ^ y.bits
-    if diff == 0:
-        return None
-    return (diff & -diff).bit_length() - 1
+def _pairs(o):
+    """The (a, m) pair given by --a and --m, or every coprime pair up to --mmax."""
+    if o.a is not None and o.m is not None:
+        return [(o.a, o.m)]
+    return [(a, m) for m in range(2, o.mmax + 1) for a in range(1, m) if gcd(a, m) == 1]
 
 
-def _coprime_pairs(mmax):
-    return [(a, m) for m in range(2, mmax + 1) for a in range(1, m) if gcd(a, m) == 1]
+def _grid(o):
+    return [(a, m) for a in range(1, o.amax + 1) for m in range(2, o.mmax + 1)]
 
 
-def _verify_selfconj(args):
-    amax = args.amax or 3
-    mmax = args.mmax or 5
-    nmax = args.nmax if args.nmax is not None else 40
-    rows = []
-    for a in range(1, amax + 1):
-        for m in range(2, mmax + 1):
-            series = self_conjugate_series(a, m, nmax)
-            bad = None
-            for n in range(nmax + 1):
-                found = [cp for cp in enumerate_copartitions(CpParams(a, a, m), n)
-                         if cp.is_self_conjugate()]
-                for cp in found:
-                    hooks = hooks_to_distinct_parts(cp)
-                    if sum(hooks) != n or distinct_parts_to_hooks(hooks, a, m) != cp:
-                        bad = n
-                        break
-                if bad is None and len(found) != series[n]:
-                    bad = n
-                if bad is not None:
-                    break
-            rows.append({"a": a, "m": m, "n_max": nmax,
-                         "status": "pass" if bad is None else "fail",
-                         "counterexample": bad})
-    return all(r["status"] == "pass" for r in rows), rows
-
-
-def _verify_parity_gf(args):
-    amax = args.amax or 3
-    mmax = args.mmax or 6
-    n = args.N if args.N is not None else 2000
-    rows = []
-    for a in range(1, amax + 1):
-        for m in range(2, mmax + 1):
-            left = reduce_mod2(copartition_series(CpParams(a, a, m), n))
-            right = self_conjugate_parity(a, m, n)
-            bad = _first_difference(left, right)
-            rows.append({"a": a, "m": m, "n": n,
-                         "status": "pass" if bad is None else "fail",
-                         "counterexample": bad})
-    return all(r["status"] == "pass" for r in rows), rows
-
-
-def _verify_eq4(args):
-    n = args.N if args.N is not None else 2000
-    if args.a is not None and args.m is not None:
-        pairs = [(args.a, args.m)]
-    else:
-        pairs = _coprime_pairs(args.mmax or 12)
-    rows = []
-    for a, m in pairs:
-        ok = theta_product_identity_check(a, m, n)
-        bad = None
-        if not ok:
-            left = mul(copartition_parity(CpParams(a, m - a, m), n),
-                       reduce_mod2(triple_product_theta(a, m, n)), n)
-            right = ParitySeries.from_support(pentagonal_support(m, n), n)
-            bad = _first_difference(left, right)
-        rows.append({"a": a, "m": m, "n": n,
-                     "status": "pass" if ok else "fail", "counterexample": bad})
-    return all(r["status"] == "pass" for r in rows), rows
-
-
-def _verify_lacunary(args):
-    n = args.N if args.N is not None else 5000
-    scales = [args.a] if args.a is not None else [1, 3, 5]
-    rows = []
-    for a in scales:
-        ok = lacunary_odd_support_check(a, n)
-        bad = None
-        if not ok:
-            observed = set(copartition_parity(CpParams(a, a, 2 * a), n).odd_exponents())
-            bad = min(observed ^ pentagonal_support(2 * a, n))
-        rows.append({"a": a, "n": n, "status": "pass" if ok else "fail",
-                     "counterexample": bad})
-    return all(r["status"] == "pass" for r in rows), rows
-
-
-def _verify_progression(args):
-    if args.family is None or args.p is None:
-        raise UsageError("progression needs --family and --p")
-    n = args.N if args.N is not None else 12100
-    fam = progression_family(args.family, args.p)
-    parity = copartition_parity(fam.params, n)
-    rows = [{"family": fam.family, "p": fam.p, "modulus": fam.modulus,
-             "delta": fam.delta, "residues": list(fam.residues)}]
-    ok = True
-    for r in fam.residues:
-        check = verify_even_progression(fam.params, fam.modulus, r, n, parity)
-        status = "vacuous" if check.vacuous else ("pass" if check.passed else "fail")
-        ok = ok and check.passed
-        rows.append({"residue": r, "n": n, "status": status,
-                     "counterexample": check.counterexample})
-    return ok, rows
-
-
-def _verify_lemma13(args):
-    top = args.Nmax if args.Nmax is not None else 10000
-    checked = 0
-    bad = None
-    for n in range(1, top + 1, 6):
-        checked += 1
-        if not form_equivalence_check(n):
-            bad = n
-            break
-    rows = [{"n_max": top, "checked": checked,
-             "status": "pass" if bad is None else "fail", "counterexample": bad}]
-    return bad is None, rows
-
-
-def _verify_guarantees(args, which):
-    n = args.N if args.N is not None else 5000
-    if which == "314":
-        params, guarantee = CpParams(3, 1, 4), even_guarantee_314
-        predicate, form, image = is_sum_of_two_squares, TWO_SQUARES, lambda k: 24 * k + 5
-    else:
-        params, guarantee = CpParams(5, 1, 6), even_guarantee_516
-        predicate, form, image = is_x2_plus_3y2, X2_PLUS_3Y2, lambda k: 6 * k + 1
-    parity = copartition_parity(params, n)
-    guaranteed = 0
-    bad = None
-    for k in range(n + 1):
-        if guarantee(k):
-            guaranteed += 1
-            if parity.bit(k):
-                bad = k
-                break
-    rows = [{"n": n, "guaranteed_even": guaranteed,
-             "status": "pass" if bad is None else "fail", "counterexample": bad}]
-    ok = bad is None
-    if args.brute_max:
-        agree = None
-        k = 0
-        while (value := image(k)) <= args.brute_max:
-            if predicate(value) != brute_force_representable(value, form):
-                agree = value
-                break
-            k += 1
-        rows.append({"brute_max": args.brute_max,
-                     "status": "pass" if agree is None else "fail",
-                     "counterexample": agree})
-        ok = ok and agree is None
-    return ok, rows
-
-
-def _verify_both_parities(args):
-    n = args.N if args.N is not None else 2000
-    witness = args.witness_min if args.witness_min is not None else 10
-    if args.a is not None and args.m is not None:
-        pairs = [(args.a, args.m)]
-    else:
-        pairs = _coprime_pairs(args.mmax or 12)
-    rows = []
-    for a, m in pairs:
-        ok = both_parities_prefix_check(a, m, n, witness)
-        rows.append({"a": a, "m": m, "n": n, "witness_min": witness,
-                     "status": "pass" if ok else "fail"})
-    return all(r["status"] == "pass" for r in rows), rows
-
-
-def _verify_andrews(args):
-    n = args.N if args.N is not None else 504
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else (4, 9, 14)
-    ok = andrews_mod5_check(n, sizes)
-    series = copartition_series(CpParams(1, 1, 2), n)
-    bad = next((k for k in range(4, n + 1, 5) if series[k] % 5), None)
-    rows = [{"n": n, "status": "pass" if bad is None else "fail", "counterexample": bad}]
-    for s in sizes:
-        dist = crank_distribution(CpParams(1, 1, 2), s, 5)
-        uniform = set(dist) == set(range(5)) and len(set(dist.values())) == 1
-        rows.append({"size": s, "distribution": {str(k): v for k, v in dist.items()},
-                     "status": "pass" if uniform else "fail"})
-    return ok, rows
-
-
-def _verify_oracle(args):
-    from .enumeration import count_copartitions
-    amax = args.amax or 4
-    bmax = args.bmax or 4
-    mmax = args.mmax or 5
-    nmax = args.nmax if args.nmax is not None else 25
-    rows = []
-    for a in range(1, amax + 1):
-        for b in range(1, bmax + 1):
-            for m in range(1, mmax + 1):
-                params = CpParams(a, b, m)
-                series = copartition_series(params, nmax)
-                bad = next((n for n in range(nmax + 1)
-                            if count_copartitions(params, n) != series[n]), None)
-                rows.append({"a": a, "b": b, "m": m, "n_max": nmax,
-                             "status": "pass" if bad is None else "fail",
-                             "counterexample": bad})
-    return all(r["status"] == "pass" for r in rows), rows
+# target -> (defaults of the flags it reads, the library checks it runs)
+TARGETS = {
+    "selfconj": ({"amax": 3, "mmax": 5, "nmax": 40},
+                 lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
+    "parity-gf": ({"amax": 3, "mmax": 6, "N": 2000},
+                  lambda o: (parity_gf_check(a, m, o.N) for a, m in _grid(o))),
+    "eq4": ({"mmax": 12, "N": 2000},
+            lambda o: (theta_product_identity_check(a, m, o.N) for a, m in _pairs(o))),
+    "lacunary": ({"N": 5000},
+                 lambda o: (lacunary_odd_support_check(a, o.N)
+                            for a in ([o.a] if o.a is not None else [1, 3, 5]))),
+    "progression": ({"N": 12100}, lambda o: [progression_check(o.family, o.p, o.N)]),
+    "lemma13": ({"Nmax": 10000}, lambda o: [form_equivalence_sweep_check(o.Nmax)]),
+    "guarantees-314": ({"N": 5000},
+                       lambda o: [even_guarantee_check("cp314", o.N, o.brute_max)]),
+    "guarantees-516": ({"N": 5000},
+                       lambda o: [even_guarantee_check("cp516", o.N, o.brute_max)]),
+    "both-parities": ({"mmax": 12, "N": 2000, "witness_min": 10},
+                      lambda o: (both_parities_prefix_check(a, m, o.N, o.witness_min)
+                                 for a, m in _pairs(o))),
+    "andrews": ({"N": 504, "sizes": "4,9,14"},
+                lambda o: [andrews_mod5_check(o.N, map(int, o.sizes.split(",")))]),
+    "oracle": ({"amax": 4, "bmax": 4, "mmax": 5, "nmax": 25},
+               lambda o: (oracle_check(CpParams(a, b, m), o.nmax) for a in range(1, o.amax + 1)
+                          for b in range(1, o.bmax + 1) for m in range(1, o.mmax + 1))),
+}
 
 
 def _cmd_verify(args):
-    handlers = {
-        "selfconj": _verify_selfconj,
-        "parity-gf": _verify_parity_gf,
-        "eq4": _verify_eq4,
-        "lacunary": _verify_lacunary,
-        "progression": _verify_progression,
-        "lemma13": _verify_lemma13,
-        "guarantees-314": lambda a: _verify_guarantees(a, "314"),
-        "guarantees-516": lambda a: _verify_guarantees(a, "516"),
-        "both-parities": _verify_both_parities,
-        "andrews": _verify_andrews,
-        "oracle": _verify_oracle,
-    }
-    passed, rows = handlers[args.target](args)
+    if args.target == "progression" and (args.family is None or args.p is None):
+        raise UsageError("progression needs --family and --p")
+    defaults, checks = TARGETS[args.target]
     given = {k: v for k, v in vars(args).items()
              if k not in ("subcommand", "format", "out", "target") and v is not None}
+    # an empty --sizes also means the default
+    unset = {k: v for k, v in defaults.items() if getattr(args, k) in (None, "")}
+    result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
+    verdict = "fail" if not result.passed else "vacuous" if result.vacuous else "pass"
     doc = {
         "subcommand": "verify",
         "params": {"target": args.target, **given},
-        "rows": rows,
-        "verdict": "pass" if passed else "fail",
+        "rows": list(result.rows),
+        "verdict": verdict,
     }
-    return (0 if passed else 1), doc, None
+    return (0 if result.passed else 1), doc, None
 
 
 def _cmd_tables(args):
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     data = generate_table(args.which, jobs=args.jobs, cache_dir=args.cache_dir)
     doc = {
         "subcommand": "tables",
@@ -533,14 +326,9 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify" and args.format == "csv":
             raise UsageError("verify reports are text or json only")
-        if args.subcommand == "coeffs":
-            code, doc, header = _cmd_coeffs(args)
-        elif args.subcommand == "enumerate":
-            code, doc, header = _cmd_enumerate(args)
-        elif args.subcommand == "verify":
-            code, doc, header = _cmd_verify(args)
-        else:
-            code, doc, header = _cmd_tables(args)
+        commands = {"coeffs": _cmd_coeffs, "enumerate": _cmd_enumerate,
+                    "verify": _cmd_verify, "tables": _cmd_tables}
+        code, doc, header = commands[args.subcommand](args)
         _write_output(args, doc, header)
         return code
     except (UsageError, ValueError, OSError) as exc:   # OSError: --out or --cache-dir

@@ -12,7 +12,13 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .enumeration import crank_distribution
+from .enumeration import (
+    count_copartitions,
+    crank_distribution,
+    distinct_parts_to_hooks,
+    enumerate_copartitions,
+    hooks_to_distinct_parts,
+)
 from .params import CpParams
 from .series import (
     ParitySeries,
@@ -21,11 +27,90 @@ from .series import (
     mul,
     pentagonal_support,
     reduce_mod2,
+    self_conjugate_parity,
+    self_conjugate_series,
     triple_product_theta,
 )
 
 TWO_SQUARES = "two_squares"
 X2_PLUS_3Y2 = "x2_3y2"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one verification.
+
+    ``checked`` counts the indices the check actually tested; a check that
+    tested none passes vacuously.  On failure ``counterexample`` is the
+    first failing index and ``left`` and ``right`` are the values the two
+    sides of the claim take there.  ``rows`` are the report rows, one per
+    check, in the shape the CLI prints them.
+    """
+
+    passed: bool
+    vacuous: bool = False
+    checked: int = 0
+    counterexample: int | None = None
+    left: object = None
+    right: object = None
+    rows: tuple[dict, ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None,
+          count_key: str | None = None) -> CheckResult:
+    """Result of a scan that tested ``checked`` indices and failed at ``bad``
+    (None when all passed); its one row is ``row``, then ``checked`` under
+    ``count_key`` if given, then the status and the counterexample."""
+    if count_key:
+        row[count_key] = checked
+    row.update(status="fail" if bad is not None else "pass" if checked else "vacuous",
+               counterexample=bad)
+    return CheckResult(bad is None, checked == 0, checked, bad, left, right, (row,))
+
+
+def _compare(left: ParitySeries, right: ParitySeries, row: dict) -> CheckResult:
+    """Bit-for-bit comparison; the counterexample is the lowest exponent at
+    which the two series differ."""
+    diff = left.bits ^ right.bits
+    if not diff:
+        return _scan(row, left.trunc + 1)
+    k = (diff & -diff).bit_length() - 1
+    return _scan(row, k + 1, k, left.bit(k), right.bit(k))
+
+
+def _sweep(row: dict, indices: Iterable[int], left, right,
+           count_key: str | None = None) -> CheckResult:
+    """Compares ``left(k)`` with ``right(k)`` at each index in turn; fails at
+    the first k where they differ."""
+    checked = 0
+    for k in indices:
+        checked += 1
+        lv, rv = left(k), right(k)
+        if lv != rv:
+            return _scan(row, checked, k, lv, rv, count_key)
+    return _scan(row, checked, count_key=count_key)
+
+
+def _parity_through(params: CpParams, n: int, parity: ParitySeries | None) -> ParitySeries:
+    if parity is None:
+        return copartition_parity(params, n)
+    if parity.trunc < n:
+        raise ValueError(f"supplied parity series stops at {parity.trunc} < {n}")
+    return parity
+
+
+def merge_checks(results: Iterable[CheckResult]) -> CheckResult:
+    """One result for a sweep: it passes when all pass, reports the first
+    counterexample, concatenates the rows, and is vacuous when nothing was
+    checked."""
+    results = list(results)
+    first = next((r for r in results if r.counterexample is not None), CheckResult(True))
+    checked = sum(r.checked for r in results)
+    return CheckResult(all(results), checked == 0, checked, first.counterexample,
+                       first.left, first.right, tuple(row for r in results for row in r.rows))
 
 
 def is_prime(n: int) -> bool:
@@ -133,15 +218,9 @@ def brute_force_representable(n: int, form: str) -> bool:
     return False
 
 
-def form_equivalence_check(n: int) -> bool:
-    """For n congruent to 1 mod 6: n = A^2 + 3B^2 is solvable exactly when
-    4n = u^2 + 3v^2 is solvable with u and v both coprime to 6.  Both sides
-    are decided by brute search; returns whether they agree."""
-    if n < 1 or n % 6 != 1:
-        raise ValueError("needs n >= 1 with n congruent to 1 mod 6")
-    direct = brute_force_representable(n, X2_PLUS_3Y2)
+def _restricted_form(n: int) -> bool:
+    # 4n = u^2 + 3v^2 with u and v both coprime to 6
     target = 4 * n
-    restricted = False
     u = 1
     while u * u <= target:
         if u % 6 in (1, 5):
@@ -149,10 +228,29 @@ def form_equivalence_check(n: int) -> bool:
             if r == 0:
                 v = isqrt(q)
                 if v * v == q and v % 6 in (1, 5):
-                    restricted = True
-                    break
+                    return True
         u += 1
-    return direct == restricted
+    return False
+
+
+def _direct_form(n: int) -> bool:
+    return brute_force_representable(n, X2_PLUS_3Y2)
+
+
+def form_equivalence_check(n: int) -> CheckResult:
+    """For n congruent to 1 mod 6: n = A^2 + 3B^2 is solvable exactly when
+    4n = u^2 + 3v^2 is solvable with u and v both coprime to 6.  Both sides
+    are decided by brute search; passes when they agree."""
+    if n < 1 or n % 6 != 1:
+        raise ValueError("needs n >= 1 with n congruent to 1 mod 6")
+    return _sweep({"n": n}, (n,), _direct_form, _restricted_form)
+
+
+def form_equivalence_sweep_check(n_max: int) -> CheckResult:
+    """``form_equivalence_check`` at every n congruent to 1 mod 6 up to
+    n_max, stopping at the first disagreement."""
+    return _sweep({"n_max": n_max}, range(1, n_max + 1, 6), _direct_form, _restricted_form,
+                  "checked")
 
 
 def even_guarantee_314(n: int) -> bool:
@@ -171,11 +269,32 @@ def even_guarantee_516(n: int) -> bool:
     return not is_x2_plus_3y2(6 * n + 1)
 
 
-# family tag -> (unit to invert mod p^2, shift multiplying delta, parameters)
+# family tag -> (unit, shift, parameters, predicate, form): the count at k is
+# forced even when unit*k + shift fails the predicate; delta inverts unit mod p^2.
 _FAMILIES = {
-    "cp314": (24, 5, CpParams(3, 1, 4)),
-    "cp516": (6, 1, CpParams(5, 1, 6)),
+    "cp314": (24, 5, CpParams(3, 1, 4), is_sum_of_two_squares, TWO_SQUARES),
+    "cp516": (6, 1, CpParams(5, 1, 6), is_x2_plus_3y2, X2_PLUS_3Y2),
 }
+
+
+def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
+                         parity: ParitySeries | None = None) -> CheckResult:
+    """The family's count is even at every k <= n its guarantee covers
+    (``even_guarantee_314`` or ``even_guarantee_516``); ``checked`` counts
+    those k.  With ``brute_max``, also compares the factorization predicate
+    with brute search on every value unit*k + shift <= brute_max; a
+    disagreement's counterexample is that value."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    unit, shift, params, predicate, form = _FAMILIES[family]
+    parity = _parity_through(params, n, parity)
+    covered = (k for k in range(n + 1) if not predicate(unit * k + shift))
+    scan = _sweep({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
+    if not brute_max:
+        return scan
+    return merge_checks([scan, _sweep(
+        {"brute_max": brute_max}, range(shift, brute_max + 1, unit), predicate,
+        lambda value: brute_force_representable(value, form))])
 
 
 @dataclass(frozen=True)
@@ -185,27 +304,36 @@ class ProgressionFamily:
 
     family: str
     p: int
-    modulus: int
-    delta: int
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        unit, _, _ = _FAMILIES[self.family]
-        if self.modulus != self.p * self.p:
-            raise ValueError("modulus must be p^2")
-        if not 0 <= self.delta < self.modulus or (unit * self.delta) % self.modulus != 1:
-            raise ValueError(f"delta must invert {unit} mod {self.modulus}")
-        rs = self.residues
-        if len(rs) != self.p - 1 or len(set(rs)) != len(rs):
-            raise ValueError(f"expected {self.p - 1} distinct residues")
-        if list(rs) != sorted(rs) or not all(0 <= r < self.modulus for r in rs):
-            raise ValueError("residues must be sorted and reduced mod p^2")
+        if self.residues != _progression_residues(self.family, self.p):
+            raise ValueError(f"residues are not the {self.family} classes mod {self.p}^2")
+
+    @property
+    def modulus(self) -> int:
+        return self.p * self.p
+
+    @property
+    def delta(self) -> int:
+        return pow(_FAMILIES[self.family][0], -1, self.modulus)
 
     @property
     def params(self) -> CpParams:
         return _FAMILIES[self.family][2]
+
+
+def _progression_residues(family: str, p: int) -> tuple[int, ...]:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    unit, shift = _FAMILIES[family][:2]
+    if family == "cp314" and (p <= 3 or p % 4 != 3 or not is_prime(p)):
+        raise ValueError(f"cp314 needs a prime p > 3 with p = 3 mod 4, got {p}")
+    if family == "cp516" and (p <= 2 or p % 3 != 2 or not is_prime(p)):
+        raise ValueError(f"cp516 needs a prime p > 2 with p = 2 mod 3, got {p}")
+    modulus = p * p
+    delta = pow(unit, -1, modulus)
+    return tuple(sorted((p * t - shift * delta) % modulus for t in range(1, p)))
 
 
 def progression_family(family: str, p: int) -> ProgressionFamily:
@@ -215,42 +343,32 @@ def progression_family(family: str, p: int) -> ProgressionFamily:
     p > 2 with p congruent to 2 mod 3.  In both cases 24n+5 (resp. 6n+1) is
     then divisible by p exactly once on the emitted classes.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    unit, shift, _ = _FAMILIES[family]
-    if family == "cp314" and (p <= 3 or p % 4 != 3 or not is_prime(p)):
-        raise ValueError(f"cp314 needs a prime p > 3 with p = 3 mod 4, got {p}")
-    if family == "cp516" and (p <= 2 or p % 3 != 2 or not is_prime(p)):
-        raise ValueError(f"cp516 needs a prime p > 2 with p = 2 mod 3, got {p}")
-    modulus = p * p
-    delta = pow(unit, -1, modulus)
-    residues = tuple(sorted((p * t - shift * delta) % modulus for t in range(1, p)))
-    return ProgressionFamily(family, p, modulus, delta, residues)
-
-
-@dataclass(frozen=True)
-class ProgressionCheck:
-    passed: bool
-    vacuous: bool = False
-    counterexample: int | None = None
+    return ProgressionFamily(family, p, _progression_residues(family, p))
 
 
 def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int,
-                            parity: ParitySeries | None = None) -> ProgressionCheck:
+                            parity: ParitySeries | None = None) -> CheckResult:
     """Confirm the parity bit is 0 at every index congruent to ``residue``
     mod ``modulus`` up to n.  A range with no such index reports vacuous."""
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
+    row = {"residue": residue, "n": n}
     if n < residue:
-        return ProgressionCheck(passed=True, vacuous=True)
-    if parity is None:
-        parity = copartition_parity(params, n)
-    elif parity.trunc < n:
-        raise ValueError(f"supplied parity series stops at {parity.trunc} < {n}")
-    for k in range(residue, n + 1, modulus):
-        if parity.bit(k):
-            return ProgressionCheck(passed=False, counterexample=k)
-    return ProgressionCheck(passed=True)
+        return _scan(row, 0)
+    parity = _parity_through(params, n, parity)
+    return _sweep(row, range(residue, n + 1, modulus), parity.bit, lambda k: 0)
+
+
+def progression_check(family: str, p: int, n: int) -> CheckResult:
+    """``verify_even_progression`` on every residue class of
+    ``progression_family(family, p)`` up to n, after a row describing the
+    family."""
+    fam = progression_family(family, p)
+    parity = copartition_parity(fam.params, n)
+    header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,
+              "delta": fam.delta, "residues": list(fam.residues)}
+    return merge_checks([CheckResult(True, True, rows=(header,))] + [
+        verify_even_progression(fam.params, fam.modulus, r, n, parity) for r in fam.residues])
 
 
 def format_proportion(num: int, den: int, places: int = 3) -> str:
@@ -261,6 +379,13 @@ def format_proportion(num: int, den: int, places: int = 3) -> str:
     scale = 10 ** places
     q = (2 * num * scale + den) // (2 * den)
     return f"{q // scale}.{q % scale:0{places}d}"
+
+
+def _increasing_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
+    cs = tuple(checkpoints)
+    if not cs or list(cs) != sorted(set(cs)) or cs[0] < 1:
+        raise ValueError("checkpoints must be increasing and >= 1")
+    return cs
 
 
 @dataclass(frozen=True)
@@ -275,42 +400,34 @@ class DensityReport:
     params: CpParams
     checkpoints: tuple[int, ...]
     even_counts: tuple[int, ...]
-    proportions: tuple[Fraction, ...]
-    rounded: tuple[str, ...]
 
     def __post_init__(self):
-        cs, es = self.checkpoints, self.even_counts
-        if not cs or list(cs) != sorted(set(cs)) or cs[0] < 1:
-            raise ValueError("checkpoints must be increasing and >= 1")
-        if len(es) != len(cs) or len(self.proportions) != len(cs) or len(self.rounded) != len(cs):
+        cs, es = _increasing_checkpoints(self.checkpoints), self.even_counts
+        if len(es) != len(cs):
             raise ValueError("per-checkpoint sequences must align")
         if any(e1 > e2 for e1, e2 in zip(es, es[1:])):
             raise ValueError("even counts cannot decrease")
         if any(not 0 <= e <= n for e, n in zip(es, cs)):
             raise ValueError("even counts must lie in [0, n]")
 
+    @property
+    def proportions(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.even_counts, self.checkpoints))
+
+    @property
+    def rounded(self) -> tuple[str, ...]:
+        return tuple(map(format_proportion, self.even_counts, self.checkpoints))
+
 
 def density_report(params: CpParams, checkpoints: Sequence[int],
                    parity: ParitySeries | None = None) -> DensityReport:
     """Proportion of even counts among indices 1..n at each checkpoint n."""
-    cs = tuple(checkpoints)
-    if not cs or list(cs) != sorted(set(cs)) or cs[0] < 1:
-        raise ValueError("checkpoints must be increasing and >= 1")
-    top = cs[-1]
-    if parity is None:
-        parity = copartition_parity(params, top)
-    elif parity.trunc < top:
-        raise ValueError(f"supplied parity series stops at {parity.trunc} < {top}")
-    evens, fracs, shown = [], [], []
-    for n in cs:
-        even = n - parity.count_odd(1, n)
-        evens.append(even)
-        fracs.append(Fraction(even, n))
-        shown.append(format_proportion(even, n))
-    return DensityReport(params, cs, tuple(evens), tuple(fracs), tuple(shown))
+    cs = _increasing_checkpoints(checkpoints)
+    parity = _parity_through(params, cs[-1], parity)
+    return DensityReport(params, cs, tuple(n - parity.count_odd(1, n) for n in cs))
 
 
-def lacunary_odd_support_check(a: int, n: int) -> bool:
+def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
     """For odd a: the odd values of the (a, a, 2a) family up to n sit exactly
     on {2a * k * (3k - 1)}, the pentagonal exponents scaled by 2a."""
     if a < 1 or a % 2 == 0:
@@ -319,10 +436,10 @@ def lacunary_odd_support_check(a: int, n: int) -> bool:
         raise ValueError("needs n >= 0")
     observed = copartition_parity(CpParams(a, a, 2 * a), n)
     expected = ParitySeries.from_support(pentagonal_support(2 * a, n), n)
-    return observed == expected
+    return _compare(observed, expected, {"a": a, "n": n})
 
 
-def theta_product_identity_check(a: int, m: int, n: int) -> bool:
+def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     """Mod 2, the (a, m-a, m) counting series times the signed theta series
     of its denominator equals the indicator of {m * k * (3k - 1)} through n."""
     if not 1 <= a < m:
@@ -333,7 +450,38 @@ def theta_product_identity_check(a: int, m: int, n: int) -> bool:
     theta = reduce_mod2(triple_product_theta(a, m, n))
     left = mul(counting, theta, n)
     right = ParitySeries.from_support(pentagonal_support(m, n), n)
-    return left == right
+    return _compare(left, right, {"a": a, "m": m, "n": n})
+
+
+def parity_gf_check(a: int, m: int, n: int) -> CheckResult:
+    """The exact (a, a, m) counting series reduced mod 2 equals the parity of
+    the self-conjugate series (-q^(m+2a); q^(2m)) through n."""
+    left = reduce_mod2(copartition_series(CpParams(a, a, m), n))
+    return _compare(left, self_conjugate_parity(a, m, n), {"a": a, "m": m, "n": n})
+
+
+def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
+    """At every size k <= n, the self-conjugate (a, a, m)-copartitions are
+    as many as the self-conjugate series says, and each one survives the
+    round trip through its hook sizes.  At a counterexample ``left`` is the
+    enumerated count and ``right`` the coefficient."""
+    series = self_conjugate_series(a, m, n)
+    params = CpParams(a, a, m)
+    for k in range(n + 1):
+        found = [cp for cp in enumerate_copartitions(params, k) if cp.is_self_conjugate()]
+        round_trips = all(sum(hooks := hooks_to_distinct_parts(cp)) == k
+                          and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found)
+        if not round_trips or len(found) != series[k]:
+            return _scan({"a": a, "m": m, "n_max": n}, k + 1, k, len(found), series[k])
+    return _scan({"a": a, "m": m, "n_max": n}, n + 1)
+
+
+def oracle_check(params: CpParams, n: int) -> CheckResult:
+    """Brute-force enumeration counts equal the counting-series coefficients
+    at every size up to n."""
+    series = copartition_series(params, n)
+    return _sweep({"a": params.a, "b": params.b, "m": params.m, "n_max": n},
+                  range(n + 1), lambda k: count_copartitions(params, k), lambda k: series[k])
 
 
 def _geometric_block(n: int, a: int, m: int) -> tuple[int, int]:
@@ -343,19 +491,22 @@ def _geometric_block(n: int, a: int, m: int) -> tuple[int, int]:
     return start, a * (2 * n + 1)
 
 
-def odd_term_count_check(a: int, m: int, n_max: int) -> bool:
+def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     """Quantitative check on the theta series divided by (1 - q), mod 2.
 
     The quotient expands into non-overlapping blocks of consecutive odd
     exponents (block j has a*(2j+1) of them starting at -a*j + m*j*(j+1)/2).
     Verifies that expansion bit for bit against the series product, then
     checks that exponents 0..floor(m*N^2/2) hold exactly a*N^2 odd terms for
-    every N <= n_max.  Requires 1 <= a <= m/2.
+    every N <= n_max.  Requires 1 <= a <= m/2.  The counterexample is the
+    first exponent where the expansion fails, or else the first N whose
+    count is off (``left`` the count, ``right`` a*N^2).
     """
     if not (1 <= a and 2 * a <= m):
         raise ValueError(f"needs 1 <= a <= m/2, got a={a}, m={m}")
     if n_max < 1:
         raise ValueError("needs n_max >= 1")
+    row = {"a": a, "m": m, "n_max": n_max}
     top = m * n_max * n_max // 2
     blocks = 0
     prev_end = -1
@@ -365,24 +516,24 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> bool:
         if start > top:
             break
         if start <= prev_end:
-            return False
+            return _scan(row, start, start)
         prev_end = start + length - 1
         clipped = min(length, top - start + 1)
         blocks |= ((1 << clipped) - 1) << start
         j += 1
     theta = reduce_mod2(triple_product_theta(a, m, top))
     ones = ParitySeries(top, (1 << (top + 1)) - 1)
-    quotient = mul(theta, ones, top)
-    if quotient.bits != blocks:
-        return False
+    expansion = _compare(mul(theta, ones, top), ParitySeries(top, blocks), dict(row))
+    if not expansion:
+        return expansion
     for n in range(1, n_max + 1):
-        cutoff = m * n * n // 2
-        if (blocks & ((1 << (cutoff + 1)) - 1)).bit_count() != a * n * n:
-            return False
-    return True
+        odd = (blocks & ((1 << (m * n * n // 2 + 1)) - 1)).bit_count()
+        if odd != a * n * n:
+            return _scan(row, top + 1 + n, n, odd, a * n * n)
+    return _scan(row, top + 1 + n_max)
 
 
-def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> bool:
+def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> CheckResult:
     """Both parities occur at least ``witness_min`` times among the
     (a, m-a, m) counts at indices 0..n."""
     if not 1 <= a < m:
@@ -392,27 +543,31 @@ def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> bool
     parity = copartition_parity(CpParams(a, m - a, m), n)
     odd = parity.bits.bit_count()
     even = (n + 1) - odd
-    return odd >= witness_min and even >= witness_min
+    passed = odd >= witness_min and even >= witness_min
+    row = {"a": a, "m": m, "n": n, "witness_min": witness_min,
+           "status": "pass" if passed else "fail"}
+    return CheckResult(passed, False, n + 1, rows=(row,))
 
 
 ENUMERABLE_CRANK_SIZES = (4, 9, 14, 19, 24)
 
 
-def andrews_mod5_check(n: int, enum_sizes: Iterable[int] = (4, 9, 14)) -> bool:
+def andrews_mod5_check(n: int, enum_sizes: Iterable[int] = (4, 9, 14)) -> CheckResult:
     """The (1, 1, 2) count at 5k+4 is divisible by 5 for all 5k+4 <= n
     (checked on the exact path), and the crank is equidistributed mod 5 at
-    each requested enumerable size."""
+    each requested enumerable size.  A congruence counterexample carries the
+    count mod 5 as ``left``; a crank one is the size."""
     sizes = tuple(enum_sizes)
     if not set(sizes) <= set(ENUMERABLE_CRANK_SIZES):
         raise ValueError(f"enumerable sizes are {ENUMERABLE_CRANK_SIZES}, got {sizes}")
     if n < 0:
         raise ValueError("needs n >= 0")
     series = copartition_series(CpParams(1, 1, 2), n)
-    for k in range(4, n + 1, 5):
-        if series[k] % 5:
-            return False
+    results = [_sweep({"n": n}, range(4, n + 1, 5), lambda k: series[k] % 5, lambda k: 0)]
     for s in sizes:
         dist = crank_distribution(CpParams(1, 1, 2), s, 5)
-        if set(dist) != set(range(5)) or len(set(dist.values())) != 1:
-            return False
-    return True
+        uniform = set(dist) == set(range(5)) and len(set(dist.values())) == 1
+        row = {"size": s, "distribution": {str(k): v for k, v in dist.items()},
+               "status": "pass" if uniform else "fail"}
+        results.append(CheckResult(uniform, False, 1, None if uniform else s, rows=(row,)))
+    return merge_checks(results)

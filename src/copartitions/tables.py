@@ -11,7 +11,6 @@ Three tables, regenerated from scratch on the packed parity path:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cache import cached_copartition_parity
@@ -54,8 +53,8 @@ class TableData:
         return report.rounded[report.checkpoints.index(n)]
 
     def rows(self) -> list[list]:
-        return [[n] + [r.rounded[i] for r in self.reports]
-                for i, n in enumerate(self.checkpoints)]
+        columns = [r.rounded for r in self.reports]
+        return [[n, *cells] for n, *cells in zip(self.checkpoints, *columns)]
 
 
 def _table_plan(which: int):
@@ -80,6 +79,8 @@ def generate_table(which: int, jobs: int = 1, cache_dir=None) -> TableData:
     checkpoints, families = _table_plan(which)
     work = [(params, checkpoints, cache_dir) for params in families]
     if jobs > 1:
+        # imported here: loading the pool costs every CLI process about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = tuple(pool.map(_column_report, work))
     else:

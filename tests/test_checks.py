@@ -1,0 +1,195 @@
+"""The CheckResult contract: what each check tested, where it failed, the
+rows the CLI prints, and the vacuous verdict of runs that tested nothing."""
+
+import json
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import copartitions
+from copartitions import (
+    CheckResult,
+    CpParams,
+    ParitySeries,
+    andrews_mod5_check,
+    both_parities_prefix_check,
+    cli,
+    copartition_parity,
+    even_guarantee_314,
+    even_guarantee_check,
+    form_equivalence_sweep_check,
+    lacunary_odd_support_check,
+    merge_checks,
+    oracle_check,
+    parity_gf_check,
+    progression_check,
+    self_conjugate_check,
+    theta_product_identity_check,
+    verify_even_progression,
+)
+
+
+def run_json(capsys, *argv):
+    code = cli.main(["verify", *argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def flipped(parity: ParitySeries, k: int) -> ParitySeries:
+    return ParitySeries(parity.trunc, parity.bits ^ (1 << k))
+
+
+class TestCheckResult:
+    def test_truth_is_the_verdict(self):
+        assert CheckResult(passed=True, checked=3)
+        assert not CheckResult(passed=False, checked=3, counterexample=2)
+
+    def test_merge_keeps_the_first_counterexample(self):
+        ok = CheckResult(True, checked=4, rows=({"x": 1},))
+        bad1 = CheckResult(False, checked=2, counterexample=7, left=1, right=0, rows=({"x": 2},))
+        bad2 = CheckResult(False, checked=5, counterexample=3, left=0, right=1, rows=({"x": 3},))
+        merged = merge_checks([ok, bad1, bad2])
+        assert not merged.passed and not merged.vacuous
+        assert (merged.counterexample, merged.left, merged.right) == (7, 1, 0)
+        assert merged.checked == 11
+        assert merged.rows == ({"x": 1}, {"x": 2}, {"x": 3})
+
+    def test_merge_of_nothing_is_vacuous(self):
+        merged = merge_checks([])
+        assert merged.passed and merged.vacuous and merged.checked == 0
+        merged = merge_checks([CheckResult(True, True, 0), CheckResult(True, True, 0)])
+        assert merged.passed and merged.vacuous
+
+
+class TestCounterexamples:
+    def test_flipped_bit_in_a_progression(self):
+        params, n = CpParams(3, 1, 4), 2500
+        k = 3 + 49 * 10
+        check = verify_even_progression(params, 49, 3, n, flipped(copartition_parity(params, n), k))
+        assert not check.passed and not check.vacuous
+        assert (check.counterexample, check.left, check.right) == (k, 1, 0)
+        assert check.checked == 11
+        assert check.rows[0]["status"] == "fail"
+
+    def test_progression_counts_its_indices(self):
+        check = verify_even_progression(CpParams(3, 1, 4), 49, 3, 2500)
+        assert check.passed and check.checked == len(range(3, 2501, 49))
+        check = verify_even_progression(CpParams(3, 1, 4), 49, 45, 10)
+        assert check.vacuous and check.checked == 0
+        assert check.rows[0]["status"] == "vacuous"
+
+    def test_flipped_bit_under_a_guarantee(self):
+        n = 400
+        k = [j for j in range(n + 1) if even_guarantee_314(j)][5]
+        parity = flipped(copartition_parity(CpParams(3, 1, 4), n), k)
+        check = even_guarantee_check("cp314", n, parity=parity)
+        assert not check.passed
+        assert (check.counterexample, check.left, check.right) == (k, 1, 0)
+        assert check.checked == 6
+
+    def test_guarantee_counts_the_guaranteed_indices(self):
+        check = even_guarantee_check("cp314", 400)
+        assert check.passed
+        assert check.checked == sum(map(even_guarantee_314, range(401)))
+
+    def test_both_parities_failure_has_no_index(self):
+        check = both_parities_prefix_check(1, 2, 28, 6)
+        assert not check.passed and check.counterexample is None and check.checked == 29
+
+
+coprime = st.integers(2, 16).flatmap(
+    lambda m: st.sampled_from([a for a in range(1, m) if gcd(a, m) == 1]).map(lambda a: (a, m)))
+
+
+@given(coprime, st.integers(0, 600))
+@settings(max_examples=25, deadline=None)
+def test_identities_hold_on_random_coprime_pairs(pair, n):
+    a, m = pair
+    for check in (theta_product_identity_check(a, m, n), parity_gf_check(a, m, n)):
+        assert check.passed and not check.vacuous
+        assert check.checked == n + 1
+
+
+CLI_VS_LIBRARY = [
+    (["selfconj", "--amax", "1", "--mmax", "2", "--nmax", "12"],
+     lambda: self_conjugate_check(1, 2, 12)),
+    (["parity-gf", "--amax", "1", "--mmax", "2", "--N", "200"],
+     lambda: parity_gf_check(1, 2, 200)),
+    (["eq4", "--a", "1", "--m", "4", "--N", "400"], lambda: theta_product_identity_check(1, 4, 400)),
+    (["lacunary", "--a", "3", "--N", "500"], lambda: lacunary_odd_support_check(3, 500)),
+    (["progression", "--family", "cp314", "--p", "7", "--N", "3000"],
+     lambda: progression_check("cp314", 7, 3000)),
+    (["lemma13", "--Nmax", "600"], lambda: form_equivalence_sweep_check(600)),
+    (["guarantees-314", "--N", "400", "--brute-max", "2000"],
+     lambda: even_guarantee_check("cp314", 400, 2000)),
+    (["guarantees-516", "--N", "300"], lambda: even_guarantee_check("cp516", 300)),
+    (["both-parities", "--a", "1", "--m", "4", "--N", "200"],
+     lambda: both_parities_prefix_check(1, 4, 200, 10)),
+    (["andrews", "--N", "104", "--sizes", "4,9"], lambda: andrews_mod5_check(104, (4, 9))),
+    (["oracle", "--amax", "1", "--bmax", "1", "--mmax", "1", "--nmax", "10"],
+     lambda: oracle_check(CpParams(1, 1, 1), 10)),
+]
+
+
+@pytest.mark.parametrize("argv,library", CLI_VS_LIBRARY, ids=[c[0][0] for c in CLI_VS_LIBRARY])
+def test_cli_rows_are_the_library_rows(capsys, argv, library):
+    code, doc = run_json(capsys, *argv)
+    result = library()
+    assert code == 0 and result.passed
+    assert doc["rows"] == list(result.rows)
+
+
+VACUOUS_RUNS = [
+    ["selfconj", "--mmax", "1"],
+    ["parity-gf", "--mmax", "1"],
+    ["eq4", "--mmax", "1"],
+    ["both-parities", "--mmax", "1"],
+    ["lemma13", "--Nmax", "0"],
+    ["progression", "--family", "cp314", "--p", "7", "--N", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", VACUOUS_RUNS, ids=[" ".join(a) for a in VACUOUS_RUNS])
+class TestVacuousRuns:
+    def test_json_verdict(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["verdict"] == "vacuous"
+        assert all(row["status"] == "vacuous" for row in doc["rows"] if "status" in row)
+
+    def test_text_verdict(self, capsys, argv):
+        code = cli.main(["verify", *argv])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "VACUOUS"
+
+
+def test_lemma13_without_indices(capsys):
+    code, doc = run_json(capsys, "lemma13", "--Nmax", "0")
+    assert doc["rows"] == [{"n_max": 0, "checked": 0, "status": "vacuous", "counterexample": None}]
+
+
+def test_partly_vacuous_progression_passes(capsys):
+    code, doc = run_json(capsys, "progression", "--family", "cp516", "--p", "5", "--N", "20")
+    assert code == 0 and doc["verdict"] == "pass"
+    assert [row["status"] for row in doc["rows"][1:]] == ["pass", "pass", "pass", "vacuous"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = str(Path(copartitions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, copartitions.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_non_positive_jobs_are_rejected_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", "1", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
