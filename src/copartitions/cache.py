@@ -10,7 +10,6 @@ collide.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -34,6 +33,7 @@ def _entry_path(cache_dir, params: CpParams, n: int) -> Path:
 
 
 def _digest(params: CpParams, n: int, bits_hex: str) -> str:
+    import hashlib      # here: a CLI process that never reads the cache would pay 4 ms
     payload = (f"{CACHE_VERSION}:{KERNEL_VERSION}:"
                f"{params.a}:{params.b}:{params.m}:{n}:{bits_hex}")
     return hashlib.sha256(payload.encode("ascii")).hexdigest()

@@ -20,6 +20,7 @@ from .cache import cached_copartition_parity, default_cache_dir
 from .enumeration import enumerate_copartitions
 from .params import CpParams
 from .parity import (
+    FAMILIES,
     andrews_mod5_check,
     both_parities_prefix_check,
     even_guarantee_check,
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--Nmax", type=int)
-    p.add_argument("--family", choices=("cp314", "cp516"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--amax", type=_positive_int)
     p.add_argument("--bmax", type=_positive_int)
     p.add_argument("--mmax", type=_positive_int)
@@ -183,24 +184,26 @@ def _grid(o):
     return [(a, m) for a in range(1, o.amax + 1) for m in range(2, o.mmax + 1)]
 
 
-# target -> (defaults of the flags it reads, the library checks it runs)
+# target -> (every flag it reads with its default, None for no default;
+# the library checks it runs)
 TARGETS = {
     "selfconj": ({"amax": 3, "mmax": 5, "nmax": 40},
                  lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
     "parity-gf": ({"amax": 3, "mmax": 6, "N": 2000},
                   lambda o: (parity_gf_check(a, m, o.N) for a, m in _grid(o))),
-    "eq4": ({"mmax": 12, "N": 2000},
+    "eq4": ({"a": None, "m": None, "mmax": 12, "N": 2000},
             lambda o: (theta_product_identity_check(a, m, o.N) for a, m in _pairs(o))),
-    "lacunary": ({"N": 5000},
+    "lacunary": ({"a": None, "N": 5000},
                  lambda o: (lacunary_odd_support_check(a, o.N)
                             for a in ([o.a] if o.a is not None else [1, 3, 5]))),
-    "progression": ({"N": 12100}, lambda o: [progression_check(o.family, o.p, o.N)]),
+    "progression": ({"family": None, "p": None, "N": 12100},
+                    lambda o: [progression_check(o.family, o.p, o.N)]),
     "lemma13": ({"Nmax": 10000}, lambda o: [form_equivalence_sweep_check(o.Nmax)]),
-    "guarantees-314": ({"N": 5000},
-                       lambda o: [even_guarantee_check("cp314", o.N, o.brute_max)]),
-    "guarantees-516": ({"N": 5000},
-                       lambda o: [even_guarantee_check("cp516", o.N, o.brute_max)]),
-    "both-parities": ({"mmax": 12, "N": 2000, "witness_min": 10},
+    **{f"guarantees-{family.removeprefix('cp')}": (
+        {"N": 5000, "brute_max": None},
+        lambda o, family=family: [even_guarantee_check(family, o.N, o.brute_max)])
+       for family in FAMILIES},
+    "both-parities": ({"a": None, "m": None, "mmax": 12, "N": 2000, "witness_min": 10},
                       lambda o: (both_parities_prefix_check(a, m, o.N, o.witness_min)
                                  for a, m in _pairs(o))),
     "andrews": ({"N": 504, "sizes": "4,9,14"},
@@ -212,13 +215,20 @@ TARGETS = {
 
 
 def _cmd_verify(args):
-    if args.target == "progression" and (args.family is None or args.p is None):
-        raise UsageError("progression needs --family and --p")
-    defaults, checks = TARGETS[args.target]
+    flags, checks = TARGETS[args.target]
     given = {k: v for k, v in vars(args).items()
              if k not in ("subcommand", "format", "out", "target") and v is not None}
+    stray = ["--" + k.replace("_", "-") for k in given if k not in flags]
+    if stray:
+        raise UsageError(f"verify {args.target} does not read {', '.join(stray)}")
+    if "m" in flags and ("a" in given) != ("m" in given):
+        raise UsageError(f"verify {args.target} takes --a and --m together")
+    if "m" in given and "mmax" in given:
+        raise UsageError(f"verify {args.target} takes --a and --m or --mmax, not both")
+    if args.target == "progression" and (args.family is None or args.p is None):
+        raise UsageError("progression needs --family and --p")
     # an empty --sizes also means the default
-    unset = {k: v for k, v in defaults.items() if getattr(args, k) in (None, "")}
+    unset = {k: v for k, v in flags.items() if getattr(args, k) in (None, "")}
     result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
     verdict = "fail" if not result.passed else "vacuous" if result.vacuous else "pass"
     doc = {
@@ -266,8 +276,6 @@ def _render_csv(doc, header) -> str:
                 out.append("(" + "|".join(" ".join(map(str, c[k]))
                                           for k in ("ground", "rectangle", "sky")) + ")")
             writer.writerow(out)
-    else:
-        raise UsageError(f"no CSV schema for {sub}; use --format json or text")
     return buf.getvalue()
 
 

@@ -8,7 +8,6 @@ density reports' exact proportions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -115,11 +114,9 @@ def merge_checks(results: Iterable[CheckResult]) -> CheckResult:
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; fine at desk scale."""
-    if n < 2:
-        return False
     if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
+        return n > 1
+    if n % 6 not in (1, 5):         # divisible by 2 or 3
         return False
     d = 5
     while d * d <= n:
@@ -178,35 +175,43 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(out))
 
 
-def is_sum_of_two_squares(n: int) -> bool:
-    """Factorization criterion: n = A^2 + B^2 is solvable exactly when every
-    prime congruent to 3 mod 4 divides n with an even exponent."""
+# form tag -> (C, modulus, residue): n = A^2 + C*B^2 is solvable exactly
+# when every prime p with p % modulus == residue (the form's bad class)
+# divides n to an even power
+_FORMS = {
+    TWO_SQUARES: (1, 4, 3),
+    X2_PLUS_3Y2: (3, 3, 2),
+}
+
+
+def _represents(form: str, n: int) -> bool:
     if n < 1:
         raise ValueError("needs n >= 1")
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
+    _, modulus, residue = _FORMS[form]
+    return all(e % 2 == 0 for p, e in factorize(n).factors if p % modulus == residue)
+
+
+def is_sum_of_two_squares(n: int) -> bool:
+    """Factorization criterion: n = A^2 + B^2 is solvable exactly when every
+    prime of the form's bad class (``_FORMS``) divides n to an even power."""
+    return _represents(TWO_SQUARES, n)
 
 
 def is_x2_plus_3y2(n: int) -> bool:
-    """Factorization criterion used for n congruent to 1 mod 6: representable
-    as A^2 + 3B^2 exactly when every prime congruent to 2 mod 3 divides n
-    with an even exponent.  Defined for all n >= 1, but the representability
-    reading is only claimed on the 1 mod 6 class."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 3 == 2)
+    """The same criterion for A^2 + 3B^2, used for n congruent to 1 mod 6.
+    Defined for all n >= 1, but the representability reading is only
+    claimed on the 1 mod 6 class."""
+    return _represents(X2_PLUS_3Y2, n)
 
 
 def brute_force_representable(n: int, form: str) -> bool:
-    """Exhaustive search for n = A^2 + B^2 or n = A^2 + 3B^2 with A, B >= 0;
-    the independent check on the two factorization predicates."""
+    """Exhaustive search for n = A^2 + C*B^2 with A, B >= 0 (C from the form
+    table); the independent check on the two factorization predicates."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    if form == TWO_SQUARES:
-        coef = 1
-    elif form == X2_PLUS_3Y2:
-        coef = 3
-    else:
+    if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
+    coef = _FORMS[form][0]
     a = 0
     while a * a <= n:
         q, r = divmod(n - a * a, coef)
@@ -253,28 +258,38 @@ def form_equivalence_sweep_check(n_max: int) -> CheckResult:
                   "checked")
 
 
-def even_guarantee_314(n: int) -> bool:
-    """True when the (3,1,4) count at n is forced even: 24n+5 has some prime
-    congruent to 3 mod 4 with odd exponent.  Sufficient only."""
-    if n < 0:
+# family tag -> (unit, shift, parameters, form): the family's count at k is
+# forced even when the form does not represent unit*k + shift
+_FAMILIES = {
+    "cp314": (24, 5, CpParams(3, 1, 4), TWO_SQUARES),
+    "cp516": (6, 1, CpParams(5, 1, 6), X2_PLUS_3Y2),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str) -> tuple[int, int, CpParams, str]:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILIES[family]
+
+
+def _forced_even(family: str, k: int) -> bool:
+    if k < 0:
         raise ValueError("needs n >= 0")
-    return not is_sum_of_two_squares(24 * n + 5)
+    unit, shift, _, form = _FAMILIES[family]
+    return not _represents(form, unit * k + shift)
+
+
+def even_guarantee_314(n: int) -> bool:
+    """True when the (3,1,4) count at n is forced even: 24n+5 is not a sum
+    of two squares.  Sufficient only."""
+    return _forced_even("cp314", n)
 
 
 def even_guarantee_516(n: int) -> bool:
-    """True when the (5,1,6) count at n is forced even: 6n+1 has some prime
-    congruent to 2 mod 3 with odd exponent.  Sufficient only."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    return not is_x2_plus_3y2(6 * n + 1)
-
-
-# family tag -> (unit, shift, parameters, predicate, form): the count at k is
-# forced even when unit*k + shift fails the predicate; delta inverts unit mod p^2.
-_FAMILIES = {
-    "cp314": (24, 5, CpParams(3, 1, 4), is_sum_of_two_squares, TWO_SQUARES),
-    "cp516": (6, 1, CpParams(5, 1, 6), is_x2_plus_3y2, X2_PLUS_3Y2),
-}
+    """True when the (5,1,6) count at n is forced even: 6n+1 is not of the
+    form A^2 + 3B^2.  Sufficient only."""
+    return _forced_even("cp516", n)
 
 
 def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
@@ -284,31 +299,36 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
     those k.  With ``brute_max``, also compares the factorization predicate
     with brute search on every value unit*k + shift <= brute_max; a
     disagreement's counterexample is that value."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    unit, shift, params, predicate, form = _FAMILIES[family]
+    unit, shift, params, form = _family(family)
     parity = _parity_through(params, n, parity)
-    covered = (k for k in range(n + 1) if not predicate(unit * k + shift))
+    covered = (k for k in range(n + 1) if not _represents(form, unit * k + shift))
     scan = _sweep({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
     if not brute_max:
         return scan
     return merge_checks([scan, _sweep(
-        {"brute_max": brute_max}, range(shift, brute_max + 1, unit), predicate,
+        {"brute_max": brute_max}, range(shift, brute_max + 1, unit),
+        lambda value: _represents(form, value),
         lambda value: brute_force_representable(value, form))])
 
 
 @dataclass(frozen=True)
 class ProgressionFamily:
     """One prime's worth of guaranteed-even arithmetic progressions:
-    residues r mod p^2 with the family count even on r, r+p^2, r+2p^2, ..."""
+    residues r mod p^2 with the family count even on r, r+p^2, r+2p^2, ...
+
+    p must be a prime of the bad class of the family's form that does not
+    divide the unit, so that ``delta``, the inverse of the unit mod p^2,
+    exists; p then divides unit*k + shift exactly once on the residues."""
 
     family: str
     p: int
-    residues: tuple[int, ...]
 
     def __post_init__(self):
-        if self.residues != _progression_residues(self.family, self.p):
-            raise ValueError(f"residues are not the {self.family} classes mod {self.p}^2")
+        unit, _, _, form = _family(self.family)
+        _, modulus, residue = _FORMS[form]
+        if not (is_prime(self.p) and self.p % modulus == residue and unit % self.p):
+            raise ValueError(f"{self.family} needs a prime p = {residue} mod {modulus} "
+                             f"that does not divide {unit}, got {self.p}")
 
     @property
     def modulus(self) -> int:
@@ -322,28 +342,16 @@ class ProgressionFamily:
     def params(self) -> CpParams:
         return _FAMILIES[self.family][2]
 
-
-def _progression_residues(family: str, p: int) -> tuple[int, ...]:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    unit, shift = _FAMILIES[family][:2]
-    if family == "cp314" and (p <= 3 or p % 4 != 3 or not is_prime(p)):
-        raise ValueError(f"cp314 needs a prime p > 3 with p = 3 mod 4, got {p}")
-    if family == "cp516" and (p <= 2 or p % 3 != 2 or not is_prime(p)):
-        raise ValueError(f"cp516 needs a prime p > 2 with p = 2 mod 3, got {p}")
-    modulus = p * p
-    delta = pow(unit, -1, modulus)
-    return tuple(sorted((p * t - shift * delta) % modulus for t in range(1, p)))
+    @property
+    def residues(self) -> tuple[int, ...]:
+        shift, delta = _FAMILIES[self.family][1], self.delta
+        return tuple(sorted((self.p * t - shift * delta) % self.modulus for t in range(1, self.p)))
 
 
 def progression_family(family: str, p: int) -> ProgressionFamily:
-    """Residue classes mod p^2 on which the family's count is always even.
-
-    cp314 takes primes p > 3 with p congruent to 3 mod 4; cp516 takes primes
-    p > 2 with p congruent to 2 mod 3.  In both cases 24n+5 (resp. 6n+1) is
-    then divisible by p exactly once on the emitted classes.
-    """
-    return ProgressionFamily(family, p, _progression_residues(family, p))
+    """Residue classes mod p^2 on which the family's count is always even
+    (see ``ProgressionFamily`` for the primes each family takes)."""
+    return ProgressionFamily(family, p)
 
 
 def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int,
@@ -412,6 +420,7 @@ class DensityReport:
 
     @property
     def proportions(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction      # here: a CLI process would pay 3 ms to load it
         return tuple(map(Fraction, self.even_counts, self.checkpoints))
 
     @property
@@ -484,13 +493,6 @@ def oracle_check(params: CpParams, n: int) -> CheckResult:
                   range(n + 1), lambda k: count_copartitions(params, k), lambda k: series[k])
 
 
-def _geometric_block(n: int, a: int, m: int) -> tuple[int, int]:
-    # block n of the expanded theta/(1-q) series: a*(2n+1) consecutive
-    # exponents starting at -a*n + m*n*(n+1)/2
-    start = -a * n + m * n * (n + 1) // 2
-    return start, a * (2 * n + 1)
-
-
 def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     """Quantitative check on the theta series divided by (1 - q), mod 2.
 
@@ -512,7 +514,7 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     prev_end = -1
     j = 0
     while True:
-        start, length = _geometric_block(j, a, m)
+        start, length = -a * j + m * j * (j + 1) // 2, a * (2 * j + 1)
         if start > top:
             break
         if start <= prev_end:

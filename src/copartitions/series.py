@@ -8,13 +8,16 @@ Two coefficient representations back everything else:
   the coefficient of q^n).  Multiplying packed bits by (1 + q^k) is one
   shift-XOR pass.
 
-Mod 2 every factor is a product of such passes: (q^c;q^m) and (-q^c;q^m)
+Every factor is a product of (1 +- q^k) passes: (q^c;q^m) and (-q^c;q^m)
 give one pass per term, and 1/(1 - q^e) factors as (1+q^e)(1+q^2e)(1+q^4e)...
-The GF(2) expander first brings the whole product to a normal form
+over the integers (every multiple of e has a unique binary decomposition).
+``_pass_progressions`` states this factorization once, as progressions of
+pass exponents, for both expanders.  The exact one runs one pass per
+exponent; the GF(2) one first brings the whole product to a normal form
 (``mod2_passes``), in three steps:
 
 1. Count: how often each pass exponent k occurs, kept as bit-planes over
-   (n+1)-bit ints, one progression indicator per factor or chain level.
+   (n+1)-bit ints, one indicator per progression.
 2. Carry: (1 + q^k)^2 = 1 + q^(2k) over GF(2), so every pair at k is
    carried to 2k (a bit spread) until each count is 0 or 1; exponents
    above n drop out.
@@ -23,11 +26,6 @@ The GF(2) expander first brings the whole product to a normal form
 This is the identity behind the paper's parity results: it folds repeated
 exponents and cancels numerator passes against reciprocal chains, so the
 (a, a, 2a) families need one pass per multiple of 4a.
-
-The same binary-split factorization of 1/(1 - q^e) is valid over the
-integers (every multiple of e has a unique binary decomposition), so the
-exact expander uses it too; tests pin it against the one-coefficient-at-a-
-time recurrence.
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
@@ -38,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .params import CpParams
@@ -187,28 +186,33 @@ def _scaled_add(coeffs: list, k: int, sign: int):
         coeffs[k:] = [t - h for t, h in zip(coeffs[k:], coeffs[: upper - k])]
 
 
-def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
-    """Expand a product of infinite-product factors through exponent n.
+def _pass_progressions(factors: Sequence[FactorSpec], n: int):
+    """Yield (c, m, sign): the product of the factors through q^n is the
+    product of (1 + sign*q^k) over k = c, c+m, c+2m, ... <= n of every
+    progression.  A Pochhammer factor is one progression (sign -1, or +1
+    when negated); a reciprocal 1/(q^c;q^m) is its binary-split chain, the
+    levels (c*2^j, m*2^j) with sign +1."""
+    for f in factors:
+        c, m = f.c, f.m
+        sign = -1 if f.sign == POCHHAMMER else 1
+        while c <= n:
+            yield c, m, sign
+            if f.sign != RECIPROCAL:
+                break
+            c, m = 2 * c, 2 * m
 
-    Factors whose first exponent exceeds n contribute the identity.  Each
-    Pochhammer term is one (1 -+ q^e) pass; each reciprocal term applies the
-    binary-split geometric factorization of 1/(1 - q^e).
-    """
+
+def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
+    """Expand a product of infinite-product factors through exponent n, one
+    ``_scaled_add`` pass per exponent of ``_pass_progressions``; factors
+    whose first exponent exceeds n contribute the identity."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
     coeffs = [0] * (n + 1)
     coeffs[0] = 1
-    for f in factors:
-        for e in range(f.c, n + 1, f.m):
-            if f.sign == RECIPROCAL:
-                k = e
-                while k <= n:
-                    _scaled_add(coeffs, k, +1)
-                    k <<= 1
-            elif f.sign == POCHHAMMER:
-                _scaled_add(coeffs, e, -1)
-            else:
-                _scaled_add(coeffs, e, +1)
+    for c, m, sign in _pass_progressions(factors, n):
+        for k in range(c, n + 1, m):
+            _scaled_add(coeffs, k, sign)
     return ExactSeries(n, tuple(coeffs))
 
 
@@ -258,19 +262,14 @@ def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
     """Normal form of the mod-2 product: bit k is set when the product equals,
     through q^n, the product of (1 + q^k) over the set bits k.
 
-    Counts the passes of every factor in bit-planes, then carries pairs from
-    k to 2k until each count is 0 or 1 (see the module docstring).
+    Counts the passes of every progression in bit-planes, then carries pairs
+    from k to 2k until each count is 0 or 1 (see the module docstring).
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
     planes: list = []
-    for f in factors:
-        c, m = f.c, f.m
-        while c <= n:
-            _add_indicator(planes, _progression(c, m, n))
-            if f.sign != RECIPROCAL:
-                break
-            c, m = 2 * c, 2 * m
+    for c, m, _ in _pass_progressions(factors, n):
+        _add_indicator(planes, _progression(c, m, n))
     while len(planes) > 1:
         low = planes[0]
         planes = [_spread(plane, n) for plane in planes[1:]]
@@ -341,20 +340,11 @@ def triple_product_theta(a: int, m: int, n: int) -> ExactSeries:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     coeffs = [0] * (n + 1)
-    k = 0
-    while True:
+    top = isqrt(2 * n // m) + 2     # the exponent is >= m*|k|*(|k|-1)/2 > n once |k| >= top
+    for k in range(1 - top, top):
         e = a * k + m * k * (k - 1) // 2
-        if e > n:
-            break
-        coeffs[e] += -1 if k & 1 else 1
-        k += 1
-    j = 1
-    while True:
-        e = -a * j + m * j * (j + 1) // 2
-        if e > n:
-            break
-        coeffs[e] += -1 if j & 1 else 1
-        j += 1
+        if e <= n:
+            coeffs[e] += -1 if k & 1 else 1
     return ExactSeries(n, tuple(coeffs))
 
 
@@ -362,16 +352,8 @@ def pentagonal_support(scale: int, n: int) -> set[int]:
     """{scale * k * (3k - 1) : k any integer} intersected with [0, n]."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    out = set()
-    k = 0
-    while scale * k * (3 * k - 1) <= n:
-        out.add(scale * k * (3 * k - 1))
-        k += 1
-    j = 1
-    while scale * j * (3 * j + 1) <= n:        # k = -j
-        out.add(scale * j * (3 * j + 1))
-        j += 1
-    return out
+    top = isqrt(max(n, 0) // scale) + 1     # k * (3k - 1) >= 2k^2 > n / scale once |k| >= top
+    return {e for k in range(-top, top + 1) if (e := scale * k * (3 * k - 1)) <= n}
 
 
 def mul(x, y, n: int):

@@ -32,11 +32,22 @@ TABLE2_FAMILIES = (
 TABLE3_FAMILIES = tuple(CpParams(1, m - 1, m) for m in TABLE3_MODULI)
 
 
+_TABLE_PLANS = {
+    1: (TABLE1_CHECKPOINTS, TABLE1_FAMILIES),
+    2: (TABLE2_CHECKPOINTS, TABLE2_FAMILIES),
+    3: (TABLE3_CHECKPOINTS, TABLE3_FAMILIES),
+}
+
+
 @dataclass(frozen=True)
 class TableData:
-    which: int
-    checkpoints: tuple[int, ...]
+    """One density report per family column, all at the same checkpoints."""
+
     reports: tuple[DensityReport, ...]
+
+    @property
+    def checkpoints(self) -> tuple[int, ...]:
+        return self.reports[0].checkpoints
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -57,16 +68,6 @@ class TableData:
         return [[n, *cells] for n, *cells in zip(self.checkpoints, *columns)]
 
 
-def _table_plan(which: int):
-    if which == 1:
-        return TABLE1_CHECKPOINTS, TABLE1_FAMILIES
-    if which == 2:
-        return TABLE2_CHECKPOINTS, TABLE2_FAMILIES
-    if which == 3:
-        return TABLE3_CHECKPOINTS, TABLE3_FAMILIES
-    raise ValueError(f"no table {which}; choose 1, 2 or 3")
-
-
 def _column_report(args) -> DensityReport:
     params, checkpoints, cache_dir = args
     parity = cached_copartition_parity(params, checkpoints[-1], cache_dir)
@@ -76,7 +77,9 @@ def _column_report(args) -> DensityReport:
 def generate_table(which: int, jobs: int = 1, cache_dir=None) -> TableData:
     """Regenerate one table from scratch; ``jobs`` parallelizes across the
     independent family columns."""
-    checkpoints, families = _table_plan(which)
+    if which not in _TABLE_PLANS:
+        raise ValueError(f"no table {which}; choose 1, 2 or 3")
+    checkpoints, families = _TABLE_PLANS[which]
     work = [(params, checkpoints, cache_dir) for params in families]
     if jobs > 1:
         # imported here: loading the pool costs every CLI process about 20 ms
@@ -85,4 +88,4 @@ def generate_table(which: int, jobs: int = 1, cache_dir=None) -> TableData:
             reports = tuple(pool.map(_column_report, work))
     else:
         reports = tuple(_column_report(w) for w in work)
-    return TableData(which, checkpoints, reports)
+    return TableData(reports)

@@ -91,3 +91,24 @@ def expand_factors_mod2_reference(factors, n):
             else:
                 bits = (bits ^ (bits << e)) & mask
     return ParitySeries(n, bits)
+
+
+def copartition_series_by_log_derivative(a, b, m, n):
+    """Coefficients 0..n of the (a, b, m) counting series from the
+    log-derivative (Euler) recurrence n*f(n) = sum_{k=1..n} c(k)*f(n-k),
+    where c(N) sums d over the divisors d of N, with +d for d = a mod m and
+    d >= a, +d for d = b mod m and d >= b, and -d for d = a+b mod m and
+    d >= a+b."""
+    c = [0] * (n + 1)
+    for d in range(1, n + 1):
+        weight = sum(sign * d for sign, start in ((1, a), (1, b), (-1, a + b))
+                     if d >= start and (d - start) % m == 0)
+        if weight:
+            for multiple in range(d, n + 1, d):
+                c[multiple] += weight
+    f = [1] + [0] * n
+    for k in range(1, n + 1):
+        total = sum(c[j] * f[k - j] for j in range(1, k + 1))
+        f[k], rest = divmod(total, k)
+        assert rest == 0, (a, b, m, k)
+    return f

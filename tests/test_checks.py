@@ -182,10 +182,11 @@ def test_partly_vacuous_progression_passes(capsys):
 def test_cli_import_leaves_the_process_pool_unloaded():
     src = str(Path(copartitions.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, copartitions.cli; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, copartitions.cli; print([m for m in "
+            "('concurrent.futures.process', 'hashlib', 'fractions') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_non_positive_jobs_are_rejected_by_the_parser(capsys):

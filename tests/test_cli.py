@@ -184,6 +184,30 @@ class TestVerify:
                          "--N", "150")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["eq4", "--a", "3", "--N", "50"],
+        ["eq4", "--m", "5", "--N", "50"],
+        ["both-parities", "--a", "1", "--N", "50"],
+        ["both-parities", "--m", "4", "--N", "50"],
+        ["eq4", "--a", "1", "--m", "4", "--mmax", "3", "--N", "50"],
+        ["lacunary", "--m", "7"],
+        ["selfconj", "--a", "2", "--m", "3"],
+        ["guarantees-516", "--p", "5", "--N", "30"],
+        ["andrews", "--witness-min", "3"],
+        ["oracle", "--N", "10"],
+        ["lemma13", "--Nmax", "60", "--brute-max", "100"],
+    ], ids=" ".join)
+    def test_flags_the_target_does_not_read_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify ") and err.count("\n") == 1
+
+    def test_every_listed_flag_is_a_verify_option(self):
+        options = vars(cli.build_parser().parse_args(["verify", "lemma13"]))
+        for target, (flags, _) in cli.TARGETS.items():
+            assert set(flags) <= set(options), target
+
     def test_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "oracle", "--amax", "2", "--bmax", "2",
                            "--mmax", "2", "--nmax", "10", "--format", "json")

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from copartitions import (
     CpParams,
     Factorization,
+    ProgressionFamily,
     TWO_SQUARES,
     X2_PLUS_3Y2,
     andrews_mod5_check,
@@ -148,6 +150,19 @@ class TestProgressionFamilies:
             progression_family("cp516", 7)     # 7 = 1 mod 3
         with pytest.raises(ValueError):
             progression_family("cp400", 7)
+
+    def test_primes_dividing_the_unit_are_rejected(self):
+        with pytest.raises(ValueError, match="does not divide 24"):
+            progression_family("cp314", 3)     # 3 = 3 mod 4, but 3 | 24
+        with pytest.raises(ValueError, match="does not divide 6"):
+            progression_family("cp516", 2)     # 2 = 2 mod 3, but 2 | 6
+
+    def test_residues_are_derived_not_stored(self):
+        assert [f.name for f in fields(ProgressionFamily)] == ["family", "p"]
+        fam = ProgressionFamily("cp314", 19)
+        assert fam == progression_family("cp314", 19)
+        for r in fam.residues:
+            assert (24 * r + 5) % 19 == 0 and (24 * r + 5) % 361 != 0
 
     def test_verify_even_progression(self):
         n = 2500

@@ -1,0 +1,40 @@
+"""The experiment scripts run end to end and agree with the CLI."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from copartitions import CpParams, cli, copartition_parity, density_report
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_parity_scan_prints_the_density_report():
+    out = run_script("parity_scan.py", 1, 13, 14, "--top", 2000)
+    params = CpParams(1, 13, 14)
+    parity = copartition_parity(params, 2000)
+    report = density_report(params, (1000, 2000), parity)
+    lines = out.splitlines()
+    assert lines[0] == "family cp_1_13_14, even-value proportion over 1..n"
+    for line, n, even, shown in zip(lines[1:3], report.checkpoints, report.even_counts,
+                                    report.rounded):
+        assert line.replace(" ", "") == f"n={n}even={even}proportion={shown}"
+    assert lines[3].startswith(f"odd count up to 2000: {len(parity.odd_exponents())};")
+
+
+def test_regenerated_tables_match_the_cli(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    run_script("regenerate_tables.py", "--outdir", tmp_path / "out", "--cache-dir", cache_dir)
+    for which in (1, 2, 3):
+        assert cli.main(["tables", str(which), "--format", "csv",
+                         "--cache-dir", str(cache_dir)]) == 0
+        expected = capsys.readouterr().out
+        assert (tmp_path / "out" / f"table{which}.csv").read_text() == expected

@@ -11,6 +11,7 @@ from copartitions import (
     ParitySeries,
     copartition_parity,
     copartition_series,
+    count_copartitions,
     expand_factors,
     expand_factors_mod2,
     mul,
@@ -23,9 +24,10 @@ from copartitions import (
     self_conjugate_series,
     triple_product_theta,
 )
-from copartitions.series import copartition_factors, mod2_passes
+from copartitions.series import _pass_progressions, copartition_factors, mod2_passes
 
 from oracles import (
+    copartition_series_by_log_derivative,
     count_distinct_restricted,
     count_restricted,
     expand_factors_mod2_reference,
@@ -147,6 +149,27 @@ class TestCountingSeries:
 
 def pass_set(factors, n):
     return ParitySeries(n, mod2_passes(factors, n)).odd_exponents()
+
+
+class TestPassPlan:
+    def test_reciprocal_chain_levels_double(self):
+        assert list(_pass_progressions([reciprocal(3, 5)], 20)) == [(3, 5, 1), (6, 10, 1),
+                                                                   (12, 20, 1)]
+
+    def test_pochhammer_signs_and_start_beyond_truncation(self):
+        plan = [pochhammer(2, 3), negated_pochhammer(4, 1), pochhammer(9, 2)]
+        assert list(_pass_progressions(plan, 8)) == [(2, 3, -1), (4, 1, 1)]
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 9), st.integers(0, 300))
+@settings(max_examples=30, deadline=None)
+def test_three_paths_match_the_log_derivative_recurrence(a, b, m, n):
+    params = CpParams(a, b, m)
+    series = copartition_series(params, n)
+    assert list(series.coeffs) == copartition_series_by_log_derivative(a, b, m, n)
+    assert copartition_parity(params, n) == reduce_mod2(series)
+    for k in range(min(n, 25) + 1):
+        assert count_copartitions(params, k) == series[k], k
 
 
 class TestMod2NormalForm:

@@ -1,8 +1,9 @@
 import hashlib
 import json
 import os
+from dataclasses import fields
 
-from copartitions import CpParams, count_copartitions, generate_table
+from copartitions import CpParams, TableData, count_copartitions, generate_table
 from copartitions import cache
 from copartitions.cache import load_parity, store_parity
 from copartitions.series import ParitySeries, copartition_parity
@@ -51,6 +52,12 @@ class TestGeneration:
 
     def test_jobs_parallel_matches_serial(self):
         assert generate_table(1, jobs=2) == generate_table(1)
+
+    def test_checkpoints_are_derived_from_the_reports(self):
+        data = generate_table(1)
+        assert [f.name for f in fields(TableData)] == ["reports"]
+        assert data.checkpoints == TABLE1_CHECKPOINTS
+        assert all(r.checkpoints == TABLE1_CHECKPOINTS for r in data.reports)
 
     def test_unknown_table(self):
         import pytest
