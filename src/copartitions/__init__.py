@@ -30,6 +30,7 @@ from .enumeration import (
     distinct_parts_to_hooks,
     enumerate_copartitions,
     hooks_to_distinct_parts,
+    size_counts,
 )
 from .parity import (
     CheckResult,

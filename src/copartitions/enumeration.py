@@ -81,61 +81,60 @@ def _make(params: CpParams, ground: Parts, sky: Parts) -> Copartition:
     return Copartition(ground, _forced_rectangle(params, ground, sky), sky, params)
 
 
-def _progression_partitions(total: int, count: int, base: int, step: int,
-                            cap: int | None = None) -> Iterator[Parts]:
-    """Weakly decreasing count-tuples of parts from {base, base+step, ...}
-    summing to total, first parts largest first."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    hi = total - base * (count - 1)
-    if cap is not None:
-        hi = min(hi, cap)
-    if hi < base:
-        return
-    hi = base + (hi - base) // step * step
-    for first in range(hi, base - 1, -step):
-        for rest in _progression_partitions(total - first, count - 1, base, step, cap=first):
-            yield (first,) + rest
+def _partitions_upto(budget: int, base: int, step: int,
+                     extra: int) -> Iterator[tuple[int, Parts]]:
+    """Every weakly decreasing tuple of parts from {base, base+step, ...}
+    whose cost, the part total plus ``extra`` per part, is at most budget,
+    as (cost, parts), the empty tuple first.  An iterative depth-first walk:
+    each node extends its parent by one part no larger than the last, so
+    every node it visits is a partition and none is visited twice."""
+    stack = [(0, (), budget)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        cost, parts, top = pop()
+        yield cost, parts
+        hi = budget - cost - extra
+        if top < hi:
+            hi = top
+        for p in range(base, hi + 1, step):
+            push((cost + p + extra, parts + (p,), p))
 
 
-def _raw_triples(params: CpParams, n: int) -> Iterator[tuple[Parts, Parts]]:
-    # outer loop over the ground (by part count, then total), inner over the
-    # sky; the rectangle cost m*g*s prunes the sky budget early
+def _walk(params: CpParams, n: int) -> Iterator[tuple[int, Parts, Parts]]:
+    """(size, ground, sky) once for every copartition of size <= n: an outer
+    walk over the grounds, an inner one over the skies, where a sky part
+    also pays its rectangle row, m cells per ground part."""
+    if n < 0:
+        raise ValueError("size must be >= 0")
     a, b, m = params.a, params.b, params.m
-    g = 0
-    while a * g <= n:
-        ground_totals = (0,) if g == 0 else range(a * g, n + 1, m)
-        for gt in ground_totals:
-            for ground in _progression_partitions(gt, g, a, m):
-                rest = n - gt
-                s = 0
-                while s * (b + m * g) <= rest:
-                    for sky in _progression_partitions(rest - m * g * s, s, b, m):
-                        yield ground, sky
-                    s += 1
-        g += 1
+    for ground_total, ground in _partitions_upto(n, a, m, 0):
+        for sky_cost, sky in _partitions_upto(n - ground_total, b, m, m * len(ground)):
+            yield ground_total + sky_cost, ground, sky
+
+
+def size_counts(params: CpParams, n: int) -> list[int]:
+    """Number of copartitions of each size 0..n, by direct enumeration: one
+    walk visits each copartition of size <= n once.
+
+    This is the counting oracle the generating series is checked against;
+    it never touches the series code.
+    """
+    counts = [0] * (n + 1)
+    for size, _, _ in _walk(params, n):
+        counts[size] += 1
+    return counts
 
 
 def enumerate_copartitions(params: CpParams, n: int) -> list[Copartition]:
     """All copartitions of size exactly n, in descending lexicographic
     (ground, sky) order."""
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    triples = sorted(_raw_triples(params, n), reverse=True)
+    triples = sorted(((g, s) for size, g, s in _walk(params, n) if size == n), reverse=True)
     return [_make(params, ground, sky) for ground, sky in triples]
 
 
 def count_copartitions(params: CpParams, n: int) -> int:
-    """Number of copartitions of size exactly n, by direct enumeration.
-
-    This is the counting oracle the generating series is checked against;
-    it never touches the series code.
-    """
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    return sum(1 for _ in _raw_triples(params, n))
+    """Number of copartitions of size exactly n, by direct enumeration."""
+    return size_counts(params, n)[n]
 
 
 def crank_distribution(params: CpParams, n: int, modulus: int) -> dict[int, int]:
@@ -145,9 +144,7 @@ def crank_distribution(params: CpParams, n: int, modulus: int) -> dict[int, int]
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    counts = Counter((len(g) - len(s)) % modulus for g, s in _raw_triples(params, n))
+    counts = Counter((len(g) - len(s)) % modulus for size, g, s in _walk(params, n) if size == n)
     return dict(sorted(counts.items()))
 
 

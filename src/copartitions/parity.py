@@ -12,11 +12,12 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .enumeration import (
-    count_copartitions,
+    _make,
+    _walk,
     crank_distribution,
     distinct_parts_to_hooks,
-    enumerate_copartitions,
     hooks_to_distinct_parts,
+    size_counts,
 )
 from .params import CpParams
 from .series import (
@@ -147,32 +148,27 @@ class Factorization:
             raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division (2, 3, then 6k+-1)."""
-    if n < 1:
-        raise ValueError("factorize needs n >= 1")
-    left = n
-    out = []
-    for p in (2, 3):
-        e = 0
-        while left % p == 0:
-            left //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    d = 5
-    while d * d <= left:
-        for p in (d, d + 2):
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    # the (prime, exponent) pairs of n >= 1, which Factorization would re-check
+    out, left, p = [], n, 2
+    while p * p <= left:
+        if left % p == 0:
             e = 0
             while left % p == 0:
                 left //= p
                 e += 1
-            if e:
-                out.append((p, e))
-        d += 6
+            out.append((p, e))
+        p += 1 if p == 2 else 4 if p % 6 == 1 else 2
     if left > 1:
         out.append((left, 1))
-    return Factorization(n, tuple(out))
+    return tuple(out)
+
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization by trial division (2, 3, then 6k+-1)."""
+    if n < 1:
+        raise ValueError("factorize needs n >= 1")
+    return Factorization(n, _prime_powers(n))
 
 
 # form tag -> (C, modulus, residue): n = A^2 + C*B^2 is solvable exactly
@@ -188,7 +184,7 @@ def _represents(form: str, n: int) -> bool:
     if n < 1:
         raise ValueError("needs n >= 1")
     _, modulus, residue = _FORMS[form]
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % modulus == residue)
+    return all(e % 2 == 0 for p, e in _prime_powers(n) if p % modulus == residue)
 
 
 def is_sum_of_two_squares(n: int) -> bool:
@@ -303,7 +299,7 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
     parity = _parity_through(params, n, parity)
     covered = (k for k in range(n + 1) if not _represents(form, unit * k + shift))
     scan = _sweep({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
-    if not brute_max:
+    if brute_max is None:
         return scan
     return merge_checks([scan, _sweep(
         {"brute_max": brute_max}, range(shift, brute_max + 1, unit),
@@ -476,21 +472,24 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     enumerated count and ``right`` the coefficient."""
     series = self_conjugate_series(a, m, n)
     params = CpParams(a, a, m)
+    found = [[] for _ in range(n + 1)]
+    for size, ground, sky in _walk(params, n):
+        if ground == sky:
+            found[size].append(_make(params, ground, sky))
     for k in range(n + 1):
-        found = [cp for cp in enumerate_copartitions(params, k) if cp.is_self_conjugate()]
-        round_trips = all(sum(hooks := hooks_to_distinct_parts(cp)) == k
-                          and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found)
-        if not round_trips or len(found) != series[k]:
-            return _scan({"a": a, "m": m, "n_max": n}, k + 1, k, len(found), series[k])
+        round_trips = all(cp.is_self_conjugate() and sum(hooks := hooks_to_distinct_parts(cp)) == k
+                          and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found[k])
+        if not round_trips or len(found[k]) != series[k]:
+            return _scan({"a": a, "m": m, "n_max": n}, k + 1, k, len(found[k]), series[k])
     return _scan({"a": a, "m": m, "n_max": n}, n + 1)
 
 
 def oracle_check(params: CpParams, n: int) -> CheckResult:
     """Brute-force enumeration counts equal the counting-series coefficients
     at every size up to n."""
-    series = copartition_series(params, n)
+    series, counts = copartition_series(params, n), size_counts(params, n)
     return _sweep({"a": params.a, "b": params.b, "m": params.m, "n_max": n},
-                  range(n + 1), lambda k: count_copartitions(params, k), lambda k: series[k])
+                  range(n + 1), counts.__getitem__, series.__getitem__)
 
 
 def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:

@@ -4,6 +4,12 @@ Everything here enumerates real objects or applies one-coefficient-at-a-time
 recurrences; none of it shares code with the expansion paths under test.
 """
 
+from __future__ import annotations
+
+from typing import Iterator
+
+Parts = tuple[int, ...]
+
 
 def restricted_partitions(n, allowed, cap=None):
     """Yield weakly decreasing tuples of parts drawn from ``allowed`` (any
@@ -112,3 +118,47 @@ def copartition_series_by_log_derivative(a, b, m, n):
         f[k], rest = divmod(total, k)
         assert rest == 0, (a, b, m, k)
     return f
+
+
+def _progression_partitions(total: int, count: int, base: int, step: int,
+                            cap: int | None = None) -> Iterator[Parts]:
+    """Weakly decreasing count-tuples of parts from {base, base+step, ...}
+    summing to total, first parts largest first."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    hi = total - base * (count - 1)
+    if cap is not None:
+        hi = min(hi, cap)
+    if hi < base:
+        return
+    hi = base + (hi - base) // step * step
+    for first in range(hi, base - 1, -step):
+        for rest in _progression_partitions(total - first, count - 1, base, step, cap=first):
+            yield (first,) + rest
+
+
+def _raw_triples(params: CpParams, n: int) -> Iterator[tuple[Parts, Parts]]:
+    # outer loop over the ground (by part count, then total), inner over the
+    # sky; the rectangle cost m*g*s prunes the sky budget early
+    a, b, m = params.a, params.b, params.m
+    g = 0
+    while a * g <= n:
+        ground_totals = (0,) if g == 0 else range(a * g, n + 1, m)
+        for gt in ground_totals:
+            for ground in _progression_partitions(gt, g, a, m):
+                rest = n - gt
+                s = 0
+                while s * (b + m * g) <= rest:
+                    for sky in _progression_partitions(rest - m * g * s, s, b, m):
+                        yield ground, sky
+                    s += 1
+        g += 1
+
+
+def reference_triples(params, n):
+    """The (ground, sky) pairs of every copartition of size exactly n,
+    sorted, from a recursive search of one size by part counts; it shares
+    nothing with the library's walk over all sizes."""
+    return sorted(_raw_triples(params, n))

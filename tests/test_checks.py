@@ -16,11 +16,14 @@ import copartitions
 from copartitions import (
     CheckResult,
     CpParams,
+    ExactSeries,
     ParitySeries,
     andrews_mod5_check,
     both_parities_prefix_check,
     cli,
     copartition_parity,
+    copartition_series,
+    enumerate_copartitions,
     even_guarantee_314,
     even_guarantee_check,
     form_equivalence_sweep_check,
@@ -30,6 +33,7 @@ from copartitions import (
     parity_gf_check,
     progression_check,
     self_conjugate_check,
+    self_conjugate_series,
     theta_product_identity_check,
     verify_even_progression,
 )
@@ -42,6 +46,12 @@ def run_json(capsys, *argv):
 
 def flipped(parity: ParitySeries, k: int) -> ParitySeries:
     return ParitySeries(parity.trunc, parity.bits ^ (1 << k))
+
+
+def bumped(series: ExactSeries, k: int) -> ExactSeries:
+    coeffs = list(series.coeffs)
+    coeffs[k] += 1
+    return ExactSeries(series.trunc, tuple(coeffs))
 
 
 class TestCheckResult:
@@ -96,6 +106,31 @@ class TestCounterexamples:
         check = even_guarantee_check("cp314", 400)
         assert check.passed
         assert check.checked == sum(map(even_guarantee_314, range(401)))
+
+    def test_self_conjugate_count_off_by_one(self, monkeypatch):
+        a, m, n, k = 1, 2, 20, 12
+        true = self_conjugate_series(a, m, n)
+        monkeypatch.setattr(copartitions.parity, "self_conjugate_series",
+                            lambda *args: bumped(true, k))
+        check = self_conjugate_check(a, m, n)
+        fixed = sum(cp.is_self_conjugate() for cp in enumerate_copartitions(CpParams(a, a, m), k))
+        assert not check.passed and not check.vacuous
+        assert (check.counterexample, check.checked) == (k, k + 1)
+        assert (check.left, check.right) == (fixed, fixed + 1)
+        assert check.rows == ({"a": a, "m": m, "n_max": n, "status": "fail",
+                               "counterexample": k},)
+
+    def test_oracle_count_off_by_one(self, monkeypatch):
+        params, n, k = CpParams(2, 1, 3), 18, 9
+        true = copartition_series(params, n)
+        monkeypatch.setattr(copartitions.parity, "copartition_series",
+                            lambda *args: bumped(true, k))
+        check = oracle_check(params, n)
+        assert not check.passed and not check.vacuous
+        assert (check.counterexample, check.checked) == (k, k + 1)
+        assert (check.left, check.right) == (7, 8)      # the 7 copartitions of size 9
+        assert check.rows == ({"a": 2, "b": 1, "m": 3, "n_max": n, "status": "fail",
+                               "counterexample": k},)
 
     def test_both_parities_failure_has_no_index(self):
         check = both_parities_prefix_check(1, 2, 28, 6)
@@ -171,6 +206,16 @@ class TestVacuousRuns:
 def test_lemma13_without_indices(capsys):
     code, doc = run_json(capsys, "lemma13", "--Nmax", "0")
     assert doc["rows"] == [{"n_max": 0, "checked": 0, "status": "vacuous", "counterexample": None}]
+
+
+def test_zero_brute_bound_reports_a_vacuous_row(capsys):
+    argv = ["guarantees-314", "--N", "20", "--brute-max", "0"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["rows"][1] == {"brute_max": 0, "status": "vacuous", "counterexample": None}
+    assert cli.main(["verify", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "brute_max=0  status=vacuous  counterexample=None", "PASS"]
 
 
 def test_partly_vacuous_progression_passes(capsys):

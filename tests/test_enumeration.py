@@ -12,9 +12,11 @@ from copartitions import (
     enumerate_copartitions,
     hooks_to_distinct_parts,
     self_conjugate_series,
+    size_counts,
 )
+from copartitions.enumeration import _walk
 
-from oracles import count_distinct_restricted, progression
+from oracles import count_distinct_restricted, progression, reference_triples
 
 WORKED_EXAMPLE = [
     ((5, 2, 2), (), ()),
@@ -66,6 +68,10 @@ class TestEnumerate:
             enumerate_copartitions(CpParams(1, 1, 2), -1)
         with pytest.raises(ValueError):
             count_copartitions(CpParams(1, 1, 2), -3)
+        with pytest.raises(ValueError):
+            size_counts(CpParams(1, 1, 2), -1)
+        with pytest.raises(ValueError):
+            crank_distribution(CpParams(1, 1, 2), -2, 5)
 
 
 class TestCount:
@@ -87,6 +93,28 @@ class TestCount:
             series = copartition_series(params, 16)
             for n in range(17):
                 assert count_copartitions(params, n) == series[n]
+
+
+class TestWalk:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 18))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_the_per_size_reference(self, a, b, m, n):
+        params = CpParams(a, b, m)
+        by_size = [[] for _ in range(n + 1)]
+        for size, ground, sky in _walk(params, n):
+            by_size[size].append((ground, sky))
+        for k in range(n + 1):
+            assert sorted(by_size[k]) == reference_triples(params, k), k
+        assert size_counts(params, n) == list(copartition_series(params, n).coeffs)
+
+    @pytest.mark.parametrize("a,b,m,n", [(1, 1, 1, 24), (1, 1, 2, 25), (2, 1, 3, 30),
+                                         (3, 3, 4, 36), (5, 1, 6, 40), (1, 6, 5, 28)])
+    def test_work_is_one_node_per_copartition(self, a, b, m, n):
+        # the walk yields once per node it visits: no dead ends, no repeats
+        params = CpParams(a, b, m)
+        nodes = sum(1 for _ in _walk(params, n))
+        assert nodes == sum(copartition_series(params, n).coeffs)
+        assert nodes == len(set(_walk(params, n)))
 
 
 class TestCopartitionType:
@@ -161,6 +189,13 @@ class TestSelfConjugate:
     def test_empty_is_fixed(self):
         cp = Copartition((), (), (), CpParams(3, 3, 4))
         assert cp.is_self_conjugate()
+
+    def test_fixed_exactly_when_ground_equals_sky(self):
+        for a in range(1, 4):
+            for m in range(1, 6):
+                for n in range(17):
+                    for cp in enumerate_copartitions(CpParams(a, a, m), n):
+                        assert (cp.ground == cp.sky) == cp.is_self_conjugate(), cp
 
     def test_counts_match_series_small(self):
         for a, m in [(1, 2), (2, 3), (1, 4)]:

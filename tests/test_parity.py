@@ -31,6 +31,7 @@ from copartitions import (
     theta_product_identity_check,
     verify_even_progression,
 )
+from copartitions.parity import _represents
 
 
 class TestFactorize:
@@ -79,6 +80,14 @@ class TestRepresentabilityPredicates:
         assert brute_force_representable(7, X2_PLUS_3Y2)
         with pytest.raises(ValueError):
             brute_force_representable(10, "x2_5y2")
+
+    def test_unvalidated_factors_agree_with_factorize(self):
+        # _represents reads the trial division directly, without the
+        # Factorization re-check of every prime it found
+        for n in range(1, 5001):
+            factors = factorize(n).factors
+            assert _represents(TWO_SQUARES, n) == all(e % 2 == 0 for p, e in factors if p % 4 == 3)
+            assert _represents(X2_PLUS_3Y2, n) == all(e % 2 == 0 for p, e in factors if p % 3 == 2)
 
     def test_agreement_on_residue_classes(self):
         # full 10^5 sweep lives in the acceptance suite
