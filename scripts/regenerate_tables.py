@@ -3,7 +3,7 @@
 them as CSV files (one per table, plus a metadata sidecar each).
 
 Usage:
-  python scripts/regenerate_tables.py --outdir results [--jobs 4] [--cache-dir .cache]
+  python scripts/regenerate_tables.py --outdir results
 """
 
 import argparse
@@ -17,18 +17,13 @@ from copartitions import cli
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cache-dir")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for which in (1, 2, 3):
         target = outdir / f"table{which}.csv"
-        argv = ["tables", str(which), "--format", "csv",
-                "--jobs", str(args.jobs), "--out", str(target)]
-        if args.cache_dir:
-            argv += ["--cache-dir", args.cache_dir]
+        argv = ["tables", str(which), "--format", "csv", "--out", str(target)]
         t0 = time.time()
         code = cli.main(argv)
         if code != 0:

@@ -16,7 +16,6 @@ from math import gcd
 from pathlib import Path
 
 from . import __version__
-from .cache import cached_copartition_parity, default_cache_dir
 from .enumeration import enumerate_copartitions
 from .params import CpParams
 from .parity import (
@@ -33,7 +32,7 @@ from .parity import (
     self_conjugate_check,
     theta_product_identity_check,
 )
-from .series import copartition_series
+from .series import copartition_parity, copartition_series
 from .tables import generate_table
 
 EXACT_CAP = 2000
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="last exponent to report")
     p.add_argument("--mode", choices=("exact", "parity"), default="exact")
     p.add_argument("--cap", type=int, help="override the capacity limit of the chosen mode")
-    p.add_argument("--cache-dir", default=default_cache_dir())
     add_io(p)
 
     p = sub.add_parser("enumerate", help="list the copartitions of one size")
@@ -105,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate a density table from scratch")
     p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers across family columns")
-    p.add_argument("--cache-dir", default=default_cache_dir())
     add_io(p)
 
     return parser
@@ -133,7 +128,7 @@ def _cmd_coeffs(args):
         series = copartition_series(params, args.n)
         rows = [[n, series[n]] for n in range(args.n + 1)]
     else:
-        series = cached_copartition_parity(params, args.n, args.cache_dir)
+        series = copartition_parity(params, args.n)
         rows = [[n, series.bit(n)] for n in range(args.n + 1)]
     doc = {
         "subcommand": "coeffs",
@@ -241,7 +236,7 @@ def _cmd_verify(args):
 
 
 def _cmd_tables(args):
-    data = generate_table(args.which, jobs=args.jobs, cache_dir=args.cache_dir)
+    data = generate_table(args.which)
     doc = {
         "subcommand": "tables",
         "params": {"which": args.which},
@@ -339,7 +334,7 @@ def main(argv=None) -> int:
         code, doc, header = commands[args.subcommand](args)
         _write_output(args, doc, header)
         return code
-    except (UsageError, ValueError, OSError) as exc:   # OSError: --out or --cache-dir
+    except (UsageError, ValueError, OSError) as exc:   # OSError: --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,14 @@ This is the identity behind the paper's parity results: it folds repeated
 exponents and cancels numerator passes against reciprocal chains, so the
 (a, a, 2a) families need one pass per multiple of 4a.
 
+The (a, m-a, m) families skip the passes: by the Jacobi triple product their
+generating function is (q^m;q^m)^2 / theta(a, m), where both sides are sparse
+theta series (``_theta_terms``).  Over the integers the quotient is solved one
+coefficient at a time; mod 2 the numerator is (q^(2m);q^(2m)) and, by the same
+Frobenius identity, 1/theta = theta(q) theta(q^2) theta(q^4) ... through q^n,
+one shift-XOR per term.  ``expand_factors`` and ``expand_factors_mod2`` stay
+the general kernels and the independent reference for these families.
+
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
 extended silently.  Shortening is spelled ``truncate``.
@@ -304,13 +312,78 @@ def copartition_factors(params: CpParams) -> list[FactorSpec]:
     ]
 
 
+def _theta_terms(a: int, m: int, n: int):
+    """Yield (exponent, sign) for the terms of sum_k (-1)^k q^(a*k + m*k*(k-1)/2)
+    over every integer k with exponent <= n; needs 0 <= a <= m so that no
+    exponent is negative.  By the Jacobi triple product the sum is
+    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m); Euler's (q^m;q^m) is the case (m, 3m).
+    Exponents repeat when 2a = m (a*k^2 for k and -k)."""
+    top = isqrt(2 * max(n, 0) // m) + 2     # the exponent is >= m*|k|*(|k|-1)/2 > n once |k| >= top
+    for k in range(1 - top, top):
+        e = a * k + m * k * (k - 1) // 2
+        if e <= n:
+            yield e, -1 if k & 1 else 1
+
+
+def _theta_quotient(a: int, m: int, n: int) -> ExactSeries:
+    """(q^m;q^m)^2 / theta(a, m) through q^n, for 1 <= a < m: solves
+    c * theta = (q^m;q^m)^2 by c[j] = E2[j] - sum_{e > 0} theta_e * c[j - e]."""
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    theta: dict[int, int] = {}
+    for e, sign in _theta_terms(a, m, n):
+        theta[e] = theta.get(e, 0) + sign
+    steps = sorted((e, t) for e, t in theta.items() if e and t)
+    euler = list(_theta_terms(m, 3 * m, n))
+    c = [0] * (n + 1)
+    for e, s in euler:
+        for f, t in euler:
+            if e + f <= n:
+                c[e + f] += s * t
+    for j in range(n + 1):
+        acc = c[j]
+        for e, t in steps:
+            if e > j:
+                break
+            acc -= t * c[j - e]
+        c[j] = acc
+    return ExactSeries(n, tuple(c))
+
+
+def _theta_quotient_mod2(a: int, m: int, n: int) -> ParitySeries:
+    """``_theta_quotient`` mod 2: (q^(2m);q^(2m)) times theta(q^(2^i)) for
+    every 2^i <= n, one shift-XOR per term of each factor."""
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    mask = (1 << (n + 1)) - 1
+    bits = ParitySeries.from_support(pentagonal_support(m, n), n).bits
+    odd: set[int] = set()
+    for e, _ in _theta_terms(a, m, n):
+        odd ^= {e}                  # terms that repeat an exponent cancel in pairs
+    steps = sorted(odd - {0})
+    step = 1
+    while step <= n:
+        acc = bits
+        for e in steps:
+            if e * step > n:
+                break
+            acc ^= bits << (e * step)
+        bits = acc & mask
+        step *= 2
+    return ParitySeries(n, bits)
+
+
 def copartition_series(params: CpParams, n: int) -> ExactSeries:
     """Exact counting series of the (a, b, m) copartition family through n."""
+    if params.a + params.b == params.m:
+        return _theta_quotient(params.a, params.m, n)
     return expand_factors(copartition_factors(params), n)
 
 
 def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     """Counting series of the (a, b, m) family reduced mod 2, through n."""
+    if params.a + params.b == params.m:
+        return _theta_quotient_mod2(params.a, params.m, n)
     return expand_factors_mod2(copartition_factors(params), n)
 
 
@@ -340,20 +413,17 @@ def triple_product_theta(a: int, m: int, n: int) -> ExactSeries:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     coeffs = [0] * (n + 1)
-    top = isqrt(2 * n // m) + 2     # the exponent is >= m*|k|*(|k|-1)/2 > n once |k| >= top
-    for k in range(1 - top, top):
-        e = a * k + m * k * (k - 1) // 2
-        if e <= n:
-            coeffs[e] += -1 if k & 1 else 1
+    for e, sign in _theta_terms(a, m, n):
+        coeffs[e] += sign
     return ExactSeries(n, tuple(coeffs))
 
 
 def pentagonal_support(scale: int, n: int) -> set[int]:
-    """{scale * k * (3k - 1) : k any integer} intersected with [0, n]."""
+    """{scale * k * (3k - 1) : k any integer} intersected with [0, n]: the
+    exponents of Euler's (q^(2 scale); q^(2 scale)), theta(2 scale, 6 scale)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    top = isqrt(max(n, 0) // scale) + 1     # k * (3k - 1) >= 2k^2 > n / scale once |k| >= top
-    return {e for k in range(-top, top + 1) if (e := scale * k * (3 * k - 1)) <= n}
+    return {e for e, _ in _theta_terms(2 * scale, 6 * scale, n)}
 
 
 def mul(x, y, n: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cache import cached_copartition_parity
 from .params import CpParams
 from .parity import DensityReport, density_report
 
@@ -68,24 +67,9 @@ class TableData:
         return [[n, *cells] for n, *cells in zip(self.checkpoints, *columns)]
 
 
-def _column_report(args) -> DensityReport:
-    params, checkpoints, cache_dir = args
-    parity = cached_copartition_parity(params, checkpoints[-1], cache_dir)
-    return density_report(params, checkpoints, parity)
-
-
-def generate_table(which: int, jobs: int = 1, cache_dir=None) -> TableData:
-    """Regenerate one table from scratch; ``jobs`` parallelizes across the
-    independent family columns."""
+def generate_table(which: int) -> TableData:
+    """Regenerate one table from scratch."""
     if which not in _TABLE_PLANS:
         raise ValueError(f"no table {which}; choose 1, 2 or 3")
     checkpoints, families = _TABLE_PLANS[which]
-    work = [(params, checkpoints, cache_dir) for params in families]
-    if jobs > 1:
-        # imported here: loading the pool costs every CLI process about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(_column_report, work))
-    else:
-        reports = tuple(_column_report(w) for w in work)
-    return TableData(reports)
+    return TableData(tuple(density_report(params, checkpoints) for params in families))

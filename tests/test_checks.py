@@ -232,10 +232,3 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
-
-
-def test_non_positive_jobs_are_rejected_by_the_parser(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tables", "1", "--jobs", "0"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err

@@ -11,6 +11,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv", [["tables", "1", "--jobs", "2"],
+                                  ["coeffs", "3", "1", "4", "--n", "5", "--mode", "parity",
+                                   "--cache-dir", "D"]])
+def test_removed_options_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCoeffs:
     def test_worked_example_text(self, capsys):
         code, out, _ = run(capsys, "coeffs", "2", "1", "3", "--n", "9", "--mode", "exact")
@@ -62,14 +72,6 @@ class TestCoeffs:
         code, out, err = run(capsys, "coeffs", "2", "1", "3", "--n", "3", "--out", str(target))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_cache_dir_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("")
-        code, _, err = run(capsys, "coeffs", "3", "1", "4", "--n", "50", "--mode", "parity",
-                           "--cache-dir", str(blocker))
-        assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -241,11 +243,6 @@ class TestTables:
         assert meta["which"] == 1
         assert "generated_at" in meta
         assert "generated_at" not in target.read_text()
-
-    def test_cache_dir_used(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "tables", "1", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert list(tmp_path.glob("parity-*.json"))
 
     def test_json_includes_exact_counts(self, capsys):
         code, out, _ = run(capsys, "tables", "1", "--format", "json")

@@ -31,7 +31,9 @@ from copartitions import (
     theta_product_identity_check,
     verify_even_progression,
 )
+from copartitions import parity
 from copartitions.parity import _represents
+from copartitions.series import ParitySeries
 
 
 class TestFactorize:
@@ -279,6 +281,22 @@ class TestThetaProductIdentity:
             theta_product_identity_check(4, 4, 100)
         with pytest.raises(ValueError):
             theta_product_identity_check(0, 3, 100)
+
+
+def test_identity_checks_read_the_pass_kernel(monkeypatch):
+    # the theta quotient builds on the same identities, so a check that read
+    # it would still pass with one bit of the pass kernel flipped
+    real = parity.expand_factors_mod2
+
+    def flipped(factors, n):
+        return ParitySeries(n, real(factors, n).bits ^ (1 << 450))
+
+    assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)
+    monkeypatch.setattr(parity, "expand_factors_mod2", flipped)
+    lacunary = lacunary_odd_support_check(3, 900)
+    eq4 = theta_product_identity_check(3, 8, 900)
+    assert not lacunary and lacunary.counterexample == 450
+    assert not eq4 and eq4.counterexample == 450
 
 
 class TestOddTermCount:

@@ -31,10 +31,8 @@ def test_parity_scan_prints_the_density_report():
 
 
 def test_regenerated_tables_match_the_cli(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    run_script("regenerate_tables.py", "--outdir", tmp_path / "out", "--cache-dir", cache_dir)
+    run_script("regenerate_tables.py", "--outdir", tmp_path / "out")
     for which in (1, 2, 3):
-        assert cli.main(["tables", str(which), "--format", "csv",
-                         "--cache-dir", str(cache_dir)]) == 0
+        assert cli.main(["tables", str(which), "--format", "csv"]) == 0
         expected = capsys.readouterr().out
         assert (tmp_path / "out" / f"table{which}.csv").read_text() == expected

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copartitions import (
@@ -161,15 +161,42 @@ class TestPassPlan:
         assert list(_pass_progressions(plan, 8)) == [(2, 3, -1), (4, 1, 1)]
 
 
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 9), st.integers(0, 300))
-@settings(max_examples=30, deadline=None)
-def test_three_paths_match_the_log_derivative_recurrence(a, b, m, n):
+@st.composite
+def complementary(draw, m_max):
+    """(a, m - a, m) with 1 <= a < m <= m_max, the families the theta quotient
+    computes; a = m/2 and a common factor of a and m are drawn often."""
+    d = draw(st.sampled_from([1, 1, 2, 3]))
+    m = d * draw(st.integers(2, m_max // d))
+    a = draw(st.sampled_from([m // 2, d * draw(st.integers(1, m // d - 1))]))
+    return a, m - a, m
+
+
+@given(st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 9)),
+                 complementary(20)),
+       st.integers(0, 400))
+@example((3, 3, 6), 400)        # a = m/2: theta repeats each exponent a*k^2 for +k and -k
+@example((4, 6, 10), 400)       # gcd(a, m) > 1
+@settings(max_examples=40, deadline=None)
+def test_three_paths_match_the_log_derivative_recurrence(abm, n):
+    a, b, m = abm
     params = CpParams(a, b, m)
     series = copartition_series(params, n)
     assert list(series.coeffs) == copartition_series_by_log_derivative(a, b, m, n)
+    assert series == expand_factors(copartition_factors(params), n)
     assert copartition_parity(params, n) == reduce_mod2(series)
     for k in range(min(n, 25) + 1):
         assert count_copartitions(params, k) == series[k], k
+
+
+@given(complementary(40), st.integers(0, 3000))
+@example((5, 5, 10), 3000)
+@example((6, 9, 15), 2999)
+@settings(max_examples=60, deadline=None)
+def test_theta_quotient_parity_matches_the_pass_kernels(abm, n):
+    factors = copartition_factors(CpParams(*abm))
+    parity = copartition_parity(CpParams(*abm), n)
+    assert parity == expand_factors_mod2(factors, n)
+    assert parity == expand_factors_mod2_reference(factors, n)
 
 
 class TestMod2NormalForm:
