@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from copartitions import CpParams, cli, copartition_parity, density_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +38,14 @@ def test_regenerated_tables_match_the_cli(tmp_path, capsys):
         assert cli.main(["tables", str(which), "--format", "csv"]) == 0
         expected = capsys.readouterr().out
         assert (tmp_path / "out" / f"table{which}.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--cache-dir", "cache"]])
+def test_regenerate_tables_rejects_the_removed_options(tmp_path, option):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "regenerate_tables.py"),
+                           "--outdir", str(tmp_path / "out"), *option],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "unrecognized arguments" in done.stderr
+    assert not (tmp_path / "out").exists()

@@ -24,6 +24,7 @@ from copartitions import (
     self_conjugate_series,
     triple_product_theta,
 )
+from copartitions import series as series_module
 from copartitions.series import _pass_progressions, copartition_factors, mod2_passes
 
 from oracles import (
@@ -199,6 +200,30 @@ def test_theta_quotient_parity_matches_the_pass_kernels(abm, n):
     assert parity == expand_factors_mod2_reference(factors, n)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 37, 400])
+def test_theta_quotient_matches_the_pass_kernels_on_every_small_family(n):
+    for m in range(2, 13):
+        for a in range(1, m):
+            params = CpParams(a, m - a, m)
+            factors = copartition_factors(params)
+            assert copartition_series(params, n) == expand_factors(factors, n), (a, m)
+            assert copartition_parity(params, n) == expand_factors_mod2(factors, n), (a, m)
+
+
+def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
+    def refuse(factors, n):
+        raise AssertionError("pass kernel called")
+
+    monkeypatch.setattr(series_module, "expand_factors", refuse)
+    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
+    assert copartition_series(CpParams(1, 13, 14), 50)[0] == 1
+    assert copartition_parity(CpParams(3, 3, 6), 50).bit(0) == 1
+    with pytest.raises(AssertionError, match="pass kernel"):
+        copartition_series(CpParams(2, 1, 4), 50)
+    with pytest.raises(AssertionError, match="pass kernel"):
+        copartition_parity(CpParams(2, 1, 4), 50)
+
+
 class TestMod2NormalForm:
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
     def test_lacunary_family_passes_are_multiples_of_4a(self, a):
@@ -281,6 +306,18 @@ class TestThetaSeries:
         with pytest.raises(ValueError):
             triple_product_theta(5, 2, 10)
 
+    @pytest.mark.parametrize("n", [59, 997, 2000])
+    def test_matches_the_defining_sum(self, n):
+        # every k with a*k + m*k*(k-1)/2 <= n lies in -2n-2 < k < n+2
+        for m in range(1, 25):
+            for a in range(1, m + 1):
+                coeffs = [0] * (n + 1)
+                for k in range(-2 * n - 2, n + 2):
+                    e = a * k + m * k * (k - 1) // 2
+                    if e <= n:
+                        coeffs[e] += -1 if k % 2 else 1
+                assert triple_product_theta(a, m, n) == ExactSeries(n, tuple(coeffs)), (a, m)
+
 
 class TestPentagonalSupport:
     def test_scale_two(self):
@@ -291,6 +328,13 @@ class TestPentagonalSupport:
 
     def test_scale_four(self):
         assert pentagonal_support(4, 60) == {0, 8, 16, 40, 56}
+
+    @pytest.mark.parametrize("n", [59, 997, 2000])
+    def test_matches_the_definition(self, n):
+        for scale in range(1, 30):
+            expected = {e for k in range(-n - 1, n + 2)
+                        if 0 <= (e := scale * k * (3 * k - 1)) <= n}
+            assert pentagonal_support(scale, n) == expected, scale
 
     def test_matches_scaled_pochhammer_parity(self):
         # odd coefficients of (q^(4a);q^(4a)) sit exactly on {2a*n*(3n-1)}
