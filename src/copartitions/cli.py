@@ -32,7 +32,7 @@ from .parity import (
     self_conjugate_check,
     theta_product_identity_check,
 )
-from .series import copartition_parity, copartition_series
+from .series import _BIT_VALUES, copartition_parity, copartition_series
 from .tables import generate_table
 
 EXACT_CAP = 2000
@@ -125,11 +125,10 @@ def _cmd_coeffs(args):
         raise UsageError(
             f"{args.mode} path capacity is {cap} (requested {args.n}); pass --cap to override")
     if args.mode == "exact":
-        series = copartition_series(params, args.n)
-        rows = [[n, series[n]] for n in range(args.n + 1)]
+        rows = [[n, c] for n, c in enumerate(copartition_series(params, args.n).coeffs)]
     else:
-        series = copartition_parity(params, args.n)
-        rows = [[n, series.bit(n)] for n in range(args.n + 1)]
+        bits = format(copartition_parity(params, args.n).bits, f"0{args.n + 1}b")[::-1]
+        rows = [[n, v] for n, v in enumerate(bits.encode().translate(_BIT_VALUES))]
     doc = {
         "subcommand": "coeffs",
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
@@ -257,8 +256,7 @@ def _render_csv(doc, header) -> str:
     writer.writerow(header)
     sub = doc["subcommand"]
     if sub in ("coeffs", "tables"):
-        for row in doc["rows"]:
-            writer.writerow(row)
+        writer.writerows(doc["rows"])
     elif sub == "enumerate":
         for row in doc["rows"]:
             out = [" ".join(map(str, row["ground"])),
@@ -278,8 +276,7 @@ def _render_text(doc) -> str:
     sub = doc["subcommand"]
     lines = []
     if sub == "coeffs":
-        for n, v in doc["rows"]:
-            lines.append(f"{n} {v}")
+        lines += (f"{n} {v}" for n, v in doc["rows"])
     elif sub == "enumerate":
         for row in doc["rows"]:
             piece = "(" + ", ".join(_fmt_parts(row[k]) for k in ("ground", "rectangle", "sky")) + ")"

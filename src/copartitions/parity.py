@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .enumeration import (
     _make,
-    _walk,
+    _partitions_upto,
     crank_distribution,
     distinct_parts_to_hooks,
     hooks_to_distinct_parts,
@@ -251,9 +251,14 @@ def form_equivalence_check(n: int) -> CheckResult:
 
 def form_equivalence_sweep_check(n_max: int) -> CheckResult:
     """``form_equivalence_check`` at every n congruent to 1 mod 6 up to
-    n_max, stopping at the first disagreement."""
-    return _sweep({"n_max": n_max}, range(1, n_max + 1, 6), _direct_form, _restricted_form,
-                  "checked")
+    n_max, stopping at the first disagreement; each side is one brute search
+    for the values its form represents (values above n_max are never read)."""
+    top = max(n_max, 0)
+    direct = {a * a + 3 * b * b for a in range(isqrt(top) + 1) for b in range(isqrt(top // 3) + 1)}
+    coprime = [u for u in range(isqrt(4 * top) + 1) if u % 6 in (1, 5)]
+    restricted = {(u * u + 3 * v * v) // 4 for u in coprime for v in coprime}
+    return _sweep({"n_max": n_max}, range(1, n_max + 1, 6), direct.__contains__,
+                  restricted.__contains__, "checked")
 
 
 # family tag -> (unit, shift, parameters, form): the family's count at k is
@@ -477,9 +482,9 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     series = self_conjugate_series(a, m, n)
     params = CpParams(a, a, m)
     found = [[] for _ in range(n + 1)]
-    for size, ground, sky in _walk(params, n):
-        if ground == sky:
-            found[size].append(_make(params, ground, sky))
+    for total, ground in _partitions_upto(n // 2, a, m, 0):     # ground == sky
+        if (size := 2 * total + m * len(ground) ** 2) <= n:
+            found[size].append(_make(params, ground, ground))
     for k in range(n + 1):
         round_trips = all(cp.is_self_conjugate() and sum(hooks := hooks_to_distinct_parts(cp)) == k
                           and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found[k])

@@ -8,13 +8,15 @@ Two coefficient representations back everything else:
   the coefficient of q^n).  Multiplying packed bits by (1 + q^k) is one
   shift-XOR pass.
 
-Every factor is a product of (1 +- q^k) passes: (q^c;q^m) and (-q^c;q^m)
-give one pass per term, and 1/(1 - q^e) factors as (1+q^e)(1+q^2e)(1+q^4e)...
-over the integers (every multiple of e has a unique binary decomposition).
-``_pass_progressions`` states this factorization once, as progressions of
-pass exponents, for both expanders.  The exact one runs one pass per
-exponent; the GF(2) one first brings the whole product to a normal form
-(``mod2_passes``), in three steps:
+The exact kernel folds the factors into one net count per exponent k: its
+reciprocal terms minus its Pochhammer terms.  Per unit of a positive count it
+divides by (1 - q^k) in place, a prefix sum along each residue class mod k; per
+unit of a negative one it multiplies by (1 - q^k).  Negated terms are (1 + q^k).
+
+Over GF(2) every factor is a product of (1 + q^k) passes: 1/(1 - q^e) is
+(1+q^e)(1+q^2e)(1+q^4e)... (every multiple of e has a unique binary
+decomposition).  ``_pass_progressions`` states these passes as progressions
+and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
 
 1. Count: how often each pass exponent k occurs, kept as bit-planes over
    (n+1)-bit ints, one indicator per progression.
@@ -43,8 +45,9 @@ extended silently.  Shortening is spelled ``truncate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from math import isqrt
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .params import CpParams
@@ -187,11 +190,18 @@ class ParitySeries:
 
 def _scaled_add(coeffs: list, k: int, sign: int):
     # in place coeffs *= (1 + sign*q^k); reads are all pre-update values
-    upper = len(coeffs)
-    if sign > 0:
-        coeffs[k:] = [t + h for t, h in zip(coeffs[k:], coeffs[: upper - k])]
-    else:
-        coeffs[k:] = [t - h for t, h in zip(coeffs[k:], coeffs[: upper - k])]
+    coeffs[k:] = map(add if sign > 0 else sub, coeffs[k:], coeffs[: len(coeffs) - k])
+
+
+def _divide(coeffs: list, k: int):
+    # in place coeffs /= (1 - q^k): coeffs[j] += coeffs[j - k] for increasing j,
+    # a prefix sum along each residue class mod k
+    if k * k <= len(coeffs):
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    else:                           # classes shorter than k: add one block of k at a time
+        for start in range(k, len(coeffs), k):
+            coeffs[start:start + k] = map(add, coeffs[start:start + k], coeffs[start - k:start])
 
 
 def _pass_progressions(factors: Sequence[FactorSpec], n: int):
@@ -211,16 +221,24 @@ def _pass_progressions(factors: Sequence[FactorSpec], n: int):
 
 
 def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
-    """Expand a product of infinite-product factors through exponent n, one
-    ``_scaled_add`` pass per exponent of ``_pass_progressions``; factors
-    whose first exponent exceeds n contribute the identity."""
+    """Expand a product of infinite-product factors through exponent n: one
+    ``_divide`` or ``_scaled_add`` pass per unit of each exponent's net count
+    (see the module docstring); terms above n contribute the identity."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for c, m, sign in _pass_progressions(factors, n):
-        for k in range(c, n + 1, m):
-            _scaled_add(coeffs, k, sign)
+    coeffs = [1] + [0] * n
+    net = [0] * (n + 1)
+    for f in factors:
+        for k in range(f.c, n + 1, f.m):
+            if f.sign == NEGATED_POCHHAMMER:
+                _scaled_add(coeffs, k, 1)
+            else:
+                net[k] += 1 if f.sign == RECIPROCAL else -1
+    for k, power in enumerate(net):
+        for _ in range(power):
+            _divide(coeffs, k)
+        for _ in range(-power):
+            _scaled_add(coeffs, k, -1)
     return ExactSeries(n, tuple(coeffs))
 
 

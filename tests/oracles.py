@@ -77,6 +77,31 @@ def expand_factors_reference(factors, n):
     return coeffs
 
 
+def _scaled_add(coeffs: list, k: int, sign: int):
+    # in place coeffs *= (1 + sign*q^k); reads are all pre-update values
+    upper = len(coeffs)
+    if sign > 0:
+        coeffs[k:] = [t + h for t, h in zip(coeffs[k:], coeffs[: upper - k])]
+    else:
+        coeffs[k:] = [t - h for t, h in zip(coeffs[k:], coeffs[: upper - k])]
+
+
+def expand_factors_chain_reference(factors, n):
+    """The exact kernel that runs every reciprocal as its binary-split chain:
+    1/(1 - q^e) = (1 + q^e)(1 + q^2e)(1 + q^4e)..., one ``_scaled_add`` pass
+    per exponent of ``_pass_progressions``, with no folding of exponents."""
+    from copartitions.series import ExactSeries, _pass_progressions
+
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
+    for c, m, sign in _pass_progressions(factors, n):
+        for k in range(c, n + 1, m):
+            _scaled_add(coeffs, k, sign)
+    return ExactSeries(n, tuple(coeffs))
+
+
 def expand_factors_mod2_reference(factors, n):
     """The per-pass GF(2) loop on packed bits: one shift-XOR pass for every
     Pochhammer term and for every level of every reciprocal's binary-split

@@ -120,6 +120,18 @@ class TestCounterexamples:
         assert check.rows == ({"a": a, "m": m, "n_max": n, "status": "fail",
                                "counterexample": k},)
 
+    @pytest.mark.parametrize("a, m", [(1, 1), (1, 2), (2, 3), (3, 1), (1, 5)])
+    def test_self_conjugate_counts_match_the_full_enumeration(self, monkeypatch, a, m):
+        # a bump at the last size makes the check report its own count there
+        n = 28
+        true = self_conjugate_series(a, m, n)
+        check = self_conjugate_check(a, m, n)
+        assert check.passed and check.checked == n + 1
+        monkeypatch.setattr(copartitions.parity, "self_conjugate_series",
+                            lambda *args: bumped(true, n))
+        fixed = sum(cp.is_self_conjugate() for cp in enumerate_copartitions(CpParams(a, a, m), n))
+        assert self_conjugate_check(a, m, n).left == fixed == true[n]
+
     def test_oracle_count_off_by_one(self, monkeypatch):
         params, n, k = CpParams(2, 1, 3), 18, 9
         true = copartition_series(params, n)

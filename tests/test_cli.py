@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from copartitions import cli
+from copartitions import CpParams, cli, copartition_parity
 
 
 def run(capsys, *argv):
@@ -36,6 +36,16 @@ class TestCoeffs:
         code, out, _ = run(capsys, "coeffs", "3", "1", "4", "--n", "3", "--mode", "parity")
         assert code == 0
         assert out.splitlines()[-1] == "3 0"
+
+    @pytest.mark.parametrize("abm, n", [((1, 13, 14), 3000), ((2, 1, 3), 700), ((1, 1, 2), 0)])
+    def test_parity_rows_are_the_series_bits(self, capsys, abm, n):
+        parity = copartition_parity(CpParams(*abm), n)
+        expected = [[k, parity.bit(k)] for k in range(n + 1)]
+        argv = ["coeffs", *map(str, abm), "--n", str(n), "--mode", "parity"]
+        assert json.loads(run(capsys, *argv, "--format", "json")[1])["rows"] == expected
+        assert run(capsys, *argv, "--format", "csv")[1] == "n,value\n" + "".join(
+            f"{k},{v}\n" for k, v in expected)
+        assert run(capsys, *argv)[1] == "".join(f"{k} {v}\n" for k, v in expected)
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "coeffs", "2", "1", "3", "--n", "3", "--format", "csv")

@@ -21,6 +21,7 @@ from copartitions import (
     even_guarantee_516,
     factorize,
     form_equivalence_check,
+    form_equivalence_sweep_check,
     format_proportion,
     is_prime,
     is_sum_of_two_squares,
@@ -111,6 +112,31 @@ class TestFormEquivalence:
 
     def test_small_sweep(self):
         assert all(form_equivalence_check(n) for n in range(1, 1501, 6))
+
+    @pytest.mark.parametrize("n_max", [-6, 0, 1, 6, 7, 13, 1500])
+    def test_sweep_checks_every_index_1_mod_6(self, n_max):
+        check = form_equivalence_sweep_check(n_max)
+        indices = range(1, n_max + 1, 6)
+        assert check.passed and check.vacuous == (not indices)
+        assert check.checked == len(indices)
+        assert check.rows == ({"n_max": n_max, "checked": len(indices),
+                               "status": "pass" if indices else "vacuous",
+                               "counterexample": None},)
+
+    def test_sweep_sides_are_the_per_index_brute_searches(self, monkeypatch):
+        sides = []
+        real = parity._sweep
+
+        def spy(row, indices, left, right, key):
+            sides.extend((left, right))
+            return real(row, indices, left, right, key)
+
+        monkeypatch.setattr(parity, "_sweep", spy)
+        assert form_equivalence_sweep_check(3700)
+        direct, restricted = sides
+        for n in range(1, 3701):
+            assert direct(n) == parity._direct_form(n), n
+            assert restricted(n) == parity._restricted_form(n), n
 
 
 class TestEvenGuarantees:

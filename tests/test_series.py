@@ -31,6 +31,7 @@ from oracles import (
     copartition_series_by_log_derivative,
     count_distinct_restricted,
     count_restricted,
+    expand_factors_chain_reference,
     expand_factors_mod2_reference,
     expand_factors_reference,
     progression,
@@ -115,6 +116,15 @@ class TestExpandFactors:
     def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
 
+    @given(colliding_factors(), st.integers(0, 2000))
+    # both division branches (k^2 <= n + 1 and above), full and partial cancellation, negated terms
+    @example([reciprocal(1, 1)] * 2 + [pochhammer(2, 1)], 300)
+    @example([reciprocal(2, 3), pochhammer(2, 3), negated_pochhammer(1, 2)], 1999)
+    @example([negated_pochhammer(3, 2), reciprocal(4, 5), pochhammer(9, 10)], 1500)
+    @settings(max_examples=25, deadline=None)
+    def test_folded_kernel_matches_the_chain_kernel(self, factors, n):
+        assert expand_factors(factors, n) == expand_factors_chain_reference(factors, n)
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 80))
     @settings(max_examples=30, deadline=None)
     def test_pochhammer_signed_enumeration(self, c, m, n):
@@ -146,6 +156,54 @@ class TestCountingSeries:
         for a, b, m in [(2, 1, 3), (3, 1, 4), (1, 1, 2)]:
             params = CpParams(a, b, m)
             assert copartition_parity(params, 300) == reduce_mod2(copartition_series(params, 300))
+
+
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """The exponent of every pass the exact kernel runs, in order."""
+    seen = []
+
+    def counted(kernel):
+        def run(coeffs, k, *sign):
+            seen.append(k)
+            kernel(coeffs, k, *sign)
+        return run
+
+    for name in ("_scaled_add", "_divide"):
+        monkeypatch.setattr(series_module, name, counted(getattr(series_module, name)))
+    return seen
+
+
+class TestExactPassCount:
+    """The folded kernel runs one pass per unit of each exponent's net count,
+    reciprocal minus Pochhammer terms, and one per negated term."""
+
+    @pytest.mark.parametrize("n", [1, 2, 45, 2000])
+    def test_one_one_one_runs_n_plus_one_passes(self, exact_passes, n):
+        # 1/(1-q)^2 * 1/(q^2;q): two divisions at 1, one at every k >= 2
+        expand_factors(copartition_factors(CpParams(1, 1, 1)), n)
+        assert len(exact_passes) == n + 1
+        assert sorted(exact_passes) == [1] + list(range(1, n + 1))
+
+    @pytest.mark.parametrize("a, m", [(1, 2), (2, 3), (3, 5), (1, 4)])
+    def test_without_cancellation_one_pass_per_term(self, exact_passes, a, m):
+        n = 700
+        factors = copartition_factors(CpParams(a, a, m))
+        expand_factors(factors, n)
+        assert len(exact_passes) == sum(len(range(f.c, n + 1, f.m)) for f in factors)
+
+    def test_cancelled_terms_run_no_pass(self, exact_passes):
+        n = 500
+        # (q^4;q^2)/(q^2;q^2)^2 = 1/(1-q^2)^2 * 1/(q^4;q^2)
+        expand_factors(copartition_factors(CpParams(2, 2, 2)), n)
+        assert len(exact_passes) == n // 2 + 1
+        exact_passes.clear()
+        assert expand_factors([reciprocal(2, 3), pochhammer(2, 3)] * 3, n) == ExactSeries.one(n)
+        assert exact_passes == []
+
+    def test_negated_terms_are_one_pass_each(self, exact_passes):
+        expand_factors([negated_pochhammer(5, 6)], 100)
+        assert exact_passes == list(range(5, 101, 6))
 
 
 def pass_set(factors, n):
