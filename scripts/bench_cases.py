@@ -1,13 +1,15 @@
 """Time the exact-kernel and check cases on one or more source trees.
 
-    python scripts/bench_cases.py parent=../old/src change=src --rounds 2 --repeat 5
+    python scripts/bench_cases.py parent=../old/src change=src
 
-Each NAME=SRC side runs in its own interpreter with SRC on the import path;
-the sides alternate, and which goes first flips every round.  Per case the
-JSON document on stdout holds the best and median wall time over all rounds
-and two counters that do not depend on the machine: the exact-kernel passes
-run (calls of ``series._scaled_add`` and ``series._divide``) and the
-partitions the enumeration walk yields.
+Each NAME=SRC side runs ROUNDS times in its own interpreter with SRC on the
+import path; the sides alternate, and which goes first flips every round.
+Every run times each case REPEAT times after one warm-up.  Per case the JSON
+document on stdout holds the best and median wall time over all runs and two
+counters that do not depend on the machine: the exact-kernel passes run
+(calls of ``series._scaled_add`` and ``series._divide``) and the partitions
+the enumeration walk yields.  A side whose source has none of the wrapped
+pass or walk functions is an error, so a renamed function cannot read as 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+ROUNDS = 2
+REPEAT = 5
 
 CASES = {
     "exact 1 13 14 n=2000": ("series.exact", "kernel", (1, 13, 14, 2000)),
@@ -64,6 +69,9 @@ def _counted(kind: str, args: tuple) -> dict:
     wraps = {"_scaled_add": passes, "_divide": passes, "_partitions_upto": walk}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
+    for counter in (passes, walk):
+        if not any(wraps[name] is counter for _, name, _ in saved):
+            raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
     for module, name, real in saved:
         setattr(module, name, wraps[name](real))
     try:
@@ -74,13 +82,13 @@ def _counted(kind: str, args: tuple) -> dict:
     return counts
 
 
-def child(repeat: int) -> dict:
-    """Time every case ``repeat`` times in this process, after one warm-up run."""
+def child() -> dict:
+    """Time every case REPEAT times in this process, after one warm-up run."""
     out = {}
     for case, (_, kind, args) in CASES.items():
         _call(kind, args)
         times = []
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             _call(kind, args)
             times.append(time.perf_counter() - start)
@@ -97,26 +105,23 @@ def _commit(src: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="*", metavar="NAME=SRC")
-    parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        json.dump(child(args.repeat), sys.stdout)
+        json.dump(child(), sys.stdout)
         return 0
     if not args.sides:
         parser.error("give at least one NAME=SRC side")
     sides = dict(side.split("=", 1) for side in args.sides)
     runs = {name: [] for name in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
             env = {**os.environ, "PYTHONPATH": str(Path(sides[name]).resolve())}
-            done = subprocess.run([sys.executable, __file__, "--child", "--repeat",
-                                   str(args.repeat)], env=env, capture_output=True,
-                                  text=True, check=True)
+            done = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                                  stdout=subprocess.PIPE, text=True, check=True)
             runs[name].append(json.loads(done.stdout))
     doc = {"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
-           "rounds": args.rounds, "repeat": args.repeat, "sides": {}}
+           "rounds": ROUNDS, "repeat": REPEAT, "sides": {}}
     for name, results in runs.items():
         cases = {}
         for case, (layer, _, params) in CASES.items():

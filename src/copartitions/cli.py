@@ -32,7 +32,7 @@ from .parity import (
     self_conjugate_check,
     theta_product_identity_check,
 )
-from .series import _BIT_VALUES, copartition_parity, copartition_series
+from .series import copartition_parity, copartition_series
 from .tables import generate_table
 
 EXACT_CAP = 2000
@@ -124,15 +124,12 @@ def _cmd_coeffs(args):
     if args.n > cap:
         raise UsageError(
             f"{args.mode} path capacity is {cap} (requested {args.n}); pass --cap to override")
-    if args.mode == "exact":
-        rows = [[n, c] for n, c in enumerate(copartition_series(params, args.n).coeffs)]
-    else:
-        bits = format(copartition_parity(params, args.n).bits, f"0{args.n + 1}b")[::-1]
-        rows = [[n, v] for n, v in enumerate(bits.encode().translate(_BIT_VALUES))]
+    values = (copartition_series(params, args.n).coeffs if args.mode == "exact"
+              else copartition_parity(params, args.n).bit_values())
     doc = {
         "subcommand": "coeffs",
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
-        "rows": rows,
+        "rows": [[n, v] for n, v in enumerate(values)],
         "verdict": None,
     }
     return 0, doc, ("n", "value")

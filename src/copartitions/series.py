@@ -169,6 +169,10 @@ class ParitySeries:
             raise IndexError(f"exponent {n} outside the known range 0..{self.trunc}")
         return (self.bits >> n) & 1
 
+    def bit_values(self) -> bytes:
+        """Byte n is the coefficient of q^n mod 2, for n in 0..trunc."""
+        return format(self.bits, f"0{self.trunc + 1}b")[::-1].encode("ascii").translate(_BIT_VALUES)
+
     def odd_exponents(self) -> list[int]:
         """Exponents with odd coefficient, increasing."""
         return [base + i for base, flags in _bit_chunks(self.bits)
@@ -194,8 +198,7 @@ def _scaled_add(coeffs: list, k: int, sign: int):
 
 
 def _divide(coeffs: list, k: int):
-    # in place coeffs /= (1 - q^k): coeffs[j] += coeffs[j - k] for increasing j,
-    # a prefix sum along each residue class mod k
+    # in place coeffs /= (1 - q^k): a prefix sum along each residue class mod k
     if k * k <= len(coeffs):
         for r in range(k):
             coeffs[r::k] = accumulate(coeffs[r::k])

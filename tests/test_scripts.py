@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and agree with the CLI."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from copartitions import CpParams, cli, copartition_parity, density_report
+from copartitions import enumeration, parity, series
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +51,37 @@ def test_regenerate_tables_rejects_the_removed_options(tmp_path, option):
     assert done.returncode == 2
     assert "unrecognized arguments" in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def bench_cases():
+    spec = importlib.util.spec_from_file_location("bench_cases", ROOT / "scripts" / "bench_cases.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
+    # (1,1,1) through 45 runs 46 exact passes; the self-conjugate walk visits the grounds
+    assert bench_cases._counted("kernel", (1, 1, 1, 45)) == {"exact_passes": 46,
+                                                          "partitions_walked": 0}
+    counts = bench_cases._counted("self_conjugate_check", (1, 2, 30))
+    assert counts["partitions_walked"] > 0
+    assert series._divide.__name__ == "_divide"          # the wrappers are taken off again
+
+
+@pytest.mark.parametrize("missing", [[(series, "_divide"), (series, "_scaled_add")],
+                                     [(enumeration, "_partitions_upto"),
+                                      (parity, "_partitions_upto")]])
+def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
+                                                                    missing):
+    for module, name in missing:
+        monkeypatch.delattr(module, name)
+    with pytest.raises(SystemExit, match="no .* function to count"):
+        bench_cases._counted("kernel", (1, 1, 1, 5))
+
+
+def test_bench_cases_has_no_timing_options(bench_cases):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_cases.main(["change=src", "--rounds", "3"])
+    assert exit_info.value.code == 2

@@ -482,3 +482,12 @@ class TestSeriesTypes:
         assert ParitySeries.from_support([0, 1, 4, 6], 6) == p
         with pytest.raises(ValueError):
             ParitySeries.from_support([7], 6)
+
+    @given(st.integers(0, 3000).flatmap(
+        lambda trunc: st.tuples(st.just(trunc), st.integers(0, (1 << (trunc + 1)) - 1))))
+    @example((0, 0))
+    @example((5, 0b100000))
+    @settings(max_examples=40)
+    def test_bit_values_are_the_bits(self, trunc_bits):
+        p = ParitySeries(*trunc_bits)
+        assert list(p.bit_values()) == [p.bit(n) for n in range(p.trunc + 1)]
