@@ -1,4 +1,5 @@
-"""Time the exact-kernel and check cases on one or more source trees.
+"""Time the exact-kernel and check cases and a CLI import on one or more
+source trees.
 
     python scripts/bench_cases.py parent=../old/src change=src
 
@@ -10,11 +11,19 @@ counters that do not depend on the machine: the exact-kernel passes run
 (calls of ``series._scaled_add`` and ``series._divide``) and the partitions
 the enumeration walk yields.  A side whose source has none of the wrapped
 pass or walk functions is an error, so a renamed function cannot read as 0.
+
+The process case compiles each side's bytecode first, then starts
+ROUNDS x REPEAT fresh interpreters per side, alternating, that each run
+``import copartitions.cli`` under ``-X importtime``.  It reports the best and
+median wall time from start to exit, the same for the cumulative import time
+of ``copartitions.cli``, and ``modules_loaded``: the ``sys.modules`` entries
+after the import, a count that does not depend on the machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -35,6 +44,7 @@ CASES = {
     "form_equivalence_sweep_check 10000": ("parity", "form_equivalence_sweep_check", (10000,)),
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
 }
+PROCESS_CASE = "process import copartitions.cli"
 
 
 def _call(kind: str, args: tuple):
@@ -96,6 +106,27 @@ def child() -> dict:
     return out
 
 
+def process_run(src: Path) -> dict:
+    """One fresh interpreter with SRC alone on the import path runs
+    ``import copartitions.cli`` under ``-X importtime``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, copartitions.cli; print(len(sys.modules))"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    wall_s = time.perf_counter() - start
+    fields = [line.split("|") for line in done.stderr.splitlines()]
+    cumulative_us = next(int(f[1]) for f in fields if f[-1].strip() == "copartitions.cli")
+    return {"wall_s": wall_s, "importtime_s": cumulative_us / 1e6,
+            "modules_loaded": int(done.stdout)}
+
+
+def _best_median_ms(times: list, prefix: str = "") -> dict:
+    return {f"{prefix}best_ms": round(1000 * min(times), 2),
+            f"{prefix}median_ms": round(1000 * statistics.median(times), 2),
+            "samples": len(times)}
+
+
 def _commit(src: Path) -> str:
     done = subprocess.run(["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
@@ -113,13 +144,21 @@ def main(argv=None) -> int:
     if not args.sides:
         parser.error("give at least one NAME=SRC side")
     sides = dict(side.split("=", 1) for side in args.sides)
+    srcs = {name: Path(src).resolve() for name, src in sides.items()}
     runs = {name: [] for name in sides}
     for r in range(ROUNDS):
         for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-            env = {**os.environ, "PYTHONPATH": str(Path(sides[name]).resolve())}
+            env = {**os.environ, "PYTHONPATH": str(srcs[name])}
             done = subprocess.run([sys.executable, __file__, "--child"], env=env,
                                   stdout=subprocess.PIPE, text=True, check=True)
             runs[name].append(json.loads(done.stdout))
+    for src in srcs.values():
+        if not compileall.compile_dir(str(src / "copartitions"), quiet=1):
+            raise SystemExit(f"bench_cases: bytecode compilation failed in {src}")
+    processes = {name: [] for name in sides}
+    for r in range(ROUNDS * REPEAT):
+        for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+            processes[name].append(process_run(srcs[name]))
     doc = {"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
            "rounds": ROUNDS, "repeat": REPEAT, "sides": {}}
     for name, results in runs.items():
@@ -128,10 +167,14 @@ def main(argv=None) -> int:
             times = [t for result in results for t in result[case]["times_s"]]
             counters = {k: v for k, v in results[0][case].items() if k != "times_s"}
             cases[case] = {"layer": layer, "params": list(params),
-                           "best_ms": round(1000 * min(times), 2),
-                           "median_ms": round(1000 * statistics.median(times), 2),
-                           "samples": len(times), **counters}
-        doc["sides"][name] = {"commit": _commit(Path(sides[name])), "cases": cases}
+                           **_best_median_ms(times), **counters}
+        started = processes[name]
+        cases[PROCESS_CASE] = {"layer": "process", "params": [],
+                               **_best_median_ms([p["wall_s"] for p in started]),
+                               **_best_median_ms([p["importtime_s"] for p in started],
+                                                 "importtime_"),
+                               "modules_loaded": started[0]["modules_loaded"]}
+        doc["sides"][name] = {"commit": _commit(srcs[name]), "cases": cases}
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

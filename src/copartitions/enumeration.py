@@ -17,10 +17,9 @@ and transposing the rectangle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
-from .params import CpParams
+from .params import CpParams, Record, _set
 
 Parts = tuple[int, ...]
 
@@ -32,28 +31,25 @@ def _check_partition(parts: Parts, label: str):
         raise ValueError(f"{label} parts must be positive, got {parts}")
 
 
-@dataclass(frozen=True)
-class Copartition:
-    ground: Parts
-    rectangle: Parts
-    sky: Parts
-    params: CpParams
+class Copartition(Record):
+    __slots__ = ("ground", "rectangle", "sky", "params")
 
-    def __post_init__(self):
-        a, b, m = self.params.a, self.params.b, self.params.m
-        _check_partition(self.ground, "ground")
-        _check_partition(self.sky, "sky")
-        for p in self.ground:
+    def __init__(self, ground: Parts, rectangle: Parts, sky: Parts, params: CpParams):
+        a, b, m = params.a, params.b, params.m
+        _check_partition(ground, "ground")
+        _check_partition(sky, "sky")
+        for p in ground:
             if p < a or (p - a) % m:
                 raise ValueError(f"ground part {p} is not >= {a} and congruent to {a} mod {m}")
-        for p in self.sky:
+        for p in sky:
             if p < b or (p - b) % m:
                 raise ValueError(f"sky part {p} is not >= {b} and congruent to {b} mod {m}")
-        if self.rectangle != _forced_rectangle(self.params, self.ground, self.sky):
-            raise ValueError(
-                f"rectangle {self.rectangle} is not the forced "
-                f"{_forced_rectangle(self.params, self.ground, self.sky)}"
-            )
+        if rectangle != (forced := _forced_rectangle(params, ground, sky)):
+            raise ValueError(f"rectangle {rectangle} is not the forced {forced}")
+        _set(self, "ground", ground)
+        _set(self, "rectangle", rectangle)
+        _set(self, "sky", sky)
+        _set(self, "params", params)
 
     @property
     def size(self) -> int:

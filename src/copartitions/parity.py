@@ -7,7 +7,6 @@ density reports' exact proportions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -19,7 +18,7 @@ from .enumeration import (
     hooks_to_distinct_parts,
     size_counts,
 )
-from .params import CpParams
+from .params import CpParams, Record, _set
 from .series import (
     ParitySeries,
     copartition_factors,
@@ -38,8 +37,7 @@ TWO_SQUARES = "two_squares"
 X2_PLUS_3Y2 = "x2_3y2"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one verification.
 
     ``checked`` counts the indices the check actually tested; a check that
@@ -49,13 +47,18 @@ class CheckResult:
     check, in the shape the CLI prints them.
     """
 
-    passed: bool
-    vacuous: bool = False
-    checked: int = 0
-    counterexample: int | None = None
-    left: object = None
-    right: object = None
-    rows: tuple[dict, ...] = ()
+    __slots__ = ("passed", "vacuous", "checked", "counterexample", "left", "right", "rows")
+
+    def __init__(self, passed: bool, vacuous: bool = False, checked: int = 0,
+                 counterexample: int | None = None, left: object = None, right: object = None,
+                 rows: tuple[dict, ...] = ()):
+        _set(self, "passed", passed)
+        _set(self, "vacuous", vacuous)
+        _set(self, "checked", checked)
+        _set(self, "counterexample", counterexample)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "rows", rows)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -129,25 +132,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Complete prime factorization of n as (prime, exponent) pairs,
     primes strictly increasing."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        if n < 1:
             raise ValueError("factorizations are for n >= 1")
         prod, prev = 1, 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1 or not is_prime(p):
-                raise ValueError(f"bad factor list for {self.n}: {self.factors}")
+                raise ValueError(f"bad factor list for {n}: {factors}")
             prev = p
             prod *= p ** e
-        if prod != self.n:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
+        if prod != n:
+            raise ValueError(f"factors {factors} do not multiply to {n}")
+        _set(self, "n", n)
+        _set(self, "factors", factors)
 
 
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
@@ -314,8 +317,7 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
         lambda value: brute_force_representable(value, form))])
 
 
-@dataclass(frozen=True)
-class ProgressionFamily:
+class ProgressionFamily(Record):
     """One prime's worth of guaranteed-even arithmetic progressions:
     residues r mod p^2 with the family count even on r, r+p^2, r+2p^2, ...
 
@@ -323,15 +325,16 @@ class ProgressionFamily:
     divide the unit, so that ``delta``, the inverse of the unit mod p^2,
     exists; p then divides unit*k + shift exactly once on the residues."""
 
-    family: str
-    p: int
+    __slots__ = ("family", "p")
 
-    def __post_init__(self):
-        unit, _, _, form = _family(self.family)
+    def __init__(self, family: str, p: int):
+        unit, _, _, form = _family(family)
         _, modulus, residue = _FORMS[form]
-        if not (is_prime(self.p) and self.p % modulus == residue and unit % self.p):
-            raise ValueError(f"{self.family} needs a prime p = {residue} mod {modulus} "
-                             f"that does not divide {unit}, got {self.p}")
+        if not (is_prime(p) and p % modulus == residue and unit % p):
+            raise ValueError(f"{family} needs a prime p = {residue} mod {modulus} "
+                             f"that does not divide {unit}, got {p}")
+        _set(self, "family", family)
+        _set(self, "p", p)
 
     @property
     def modulus(self) -> int:
@@ -399,8 +402,7 @@ def _increasing_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
     return cs
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Even-value proportions of one family at increasing checkpoints.
 
     even_counts[i] is #{1 <= k <= checkpoints[i] : count(k) even}; the
@@ -408,18 +410,20 @@ class DensityReport:
     is applied only for presentation.
     """
 
-    params: CpParams
-    checkpoints: tuple[int, ...]
-    even_counts: tuple[int, ...]
+    __slots__ = ("params", "checkpoints", "even_counts")
 
-    def __post_init__(self):
-        cs, es = _increasing_checkpoints(self.checkpoints), self.even_counts
+    def __init__(self, params: CpParams, checkpoints: tuple[int, ...],
+                 even_counts: tuple[int, ...]):
+        cs, es = _increasing_checkpoints(checkpoints), even_counts
         if len(es) != len(cs):
             raise ValueError("per-checkpoint sequences must align")
         if any(e1 > e2 for e1, e2 in zip(es, es[1:])):
             raise ValueError("even counts cannot decrease")
         if any(not 0 <= e <= n for e, n in zip(es, cs)):
             raise ValueError("even counts must lie in [0, n]")
+        _set(self, "params", params)
+        _set(self, "checkpoints", checkpoints)
+        _set(self, "even_counts", even_counts)
 
     @property
     def proportions(self) -> tuple[Fraction, ...]:

@@ -44,13 +44,12 @@ extended silently.  Shortening is spelled ``truncate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .params import CpParams
+from .params import CpParams, Record, _set
 
 POCHHAMMER = "pochhammer"                    # (q^c; q^m)_oo
 RECIPROCAL = "reciprocal"                    # 1 / (q^c; q^m)_oo
@@ -59,19 +58,19 @@ NEGATED_POCHHAMMER = "negated-pochhammer"    # (-q^c; q^m)_oo
 _SIGNS = (POCHHAMMER, RECIPROCAL, NEGATED_POCHHAMMER)
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(Record):
     """One infinite-product family with term exponents c, c+m, c+2m, ..."""
 
-    c: int
-    m: int
-    sign: str
+    __slots__ = ("c", "m", "sign")
 
-    def __post_init__(self):
-        if self.c < 1 or self.m < 1:
-            raise ValueError(f"factor needs c >= 1 and m >= 1, got c={self.c}, m={self.m}")
-        if self.sign not in _SIGNS:
-            raise ValueError(f"unknown factor sign {self.sign!r}")
+    def __init__(self, c: int, m: int, sign: str):
+        if c < 1 or m < 1:
+            raise ValueError(f"factor needs c >= 1 and m >= 1, got c={c}, m={m}")
+        if sign not in _SIGNS:
+            raise ValueError(f"unknown factor sign {sign!r}")
+        _set(self, "c", c)
+        _set(self, "m", m)
+        _set(self, "sign", sign)
 
 
 def pochhammer(c: int, m: int) -> FactorSpec:
@@ -89,18 +88,18 @@ def negated_pochhammer(c: int, m: int) -> FactorSpec:
     return FactorSpec(c, m, NEGATED_POCHHAMMER)
 
 
-@dataclass(frozen=True)
-class ExactSeries:
+class ExactSeries(Record):
     """Integer power series known exactly on exponents 0..trunc."""
 
-    trunc: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("trunc", "coeffs")
 
-    def __post_init__(self):
-        if self.trunc < 0:
+    def __init__(self, trunc: int, coeffs: tuple[int, ...]):
+        if trunc < 0:
             raise ValueError("truncation must be >= 0")
-        if len(self.coeffs) != self.trunc + 1:
-            raise ValueError(f"need {self.trunc + 1} coefficients, got {len(self.coeffs)}")
+        if len(coeffs) != trunc + 1:
+            raise ValueError(f"need {trunc + 1} coefficients, got {len(coeffs)}")
+        _set(self, "trunc", trunc)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def one(cls, trunc: int) -> "ExactSeries":
@@ -136,19 +135,19 @@ def _bit_chunks(x: int):
             yield 8 * start, flags.translate(_BIT_VALUES)
 
 
-@dataclass(frozen=True)
-class ParitySeries:
+class ParitySeries(Record):
     """GF(2) power series on exponents 0..trunc; bit n of ``bits`` is the
     coefficient of q^n reduced mod 2."""
 
-    trunc: int
-    bits: int
+    __slots__ = ("trunc", "bits")
 
-    def __post_init__(self):
-        if self.trunc < 0:
+    def __init__(self, trunc: int, bits: int):
+        if trunc < 0:
             raise ValueError("truncation must be >= 0")
-        if self.bits < 0 or self.bits >> (self.trunc + 1):
+        if bits < 0 or bits >> (trunc + 1):
             raise ValueError("bits outside the exponent range 0..trunc")
+        _set(self, "trunc", trunc)
+        _set(self, "bits", bits)
 
     @classmethod
     def one(cls, trunc: int) -> "ParitySeries":
@@ -208,16 +207,15 @@ def _divide(coeffs: list, k: int):
 
 
 def _pass_progressions(factors: Sequence[FactorSpec], n: int):
-    """Yield (c, m, sign): the product of the factors through q^n is the
-    product of (1 + sign*q^k) over k = c, c+m, c+2m, ... <= n of every
-    progression.  A Pochhammer factor is one progression (sign -1, or +1
-    when negated); a reciprocal 1/(q^c;q^m) is its binary-split chain, the
-    levels (c*2^j, m*2^j) with sign +1."""
+    """Yield (c, m): mod 2 the product of the factors through q^n is the
+    product of (1 + q^k) over k = c, c+m, c+2m, ... <= n of every
+    progression.  A Pochhammer factor, negated or not, is one progression; a
+    reciprocal 1/(q^c;q^m) is its binary-split chain, the levels
+    (c*2^j, m*2^j)."""
     for f in factors:
         c, m = f.c, f.m
-        sign = -1 if f.sign == POCHHAMMER else 1
         while c <= n:
-            yield c, m, sign
+            yield c, m
             if f.sign != RECIPROCAL:
                 break
             c, m = 2 * c, 2 * m
@@ -297,7 +295,7 @@ def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     planes: list = []
-    for c, m, _ in _pass_progressions(factors, n):
+    for c, m in _pass_progressions(factors, n):
         _add_indicator(planes, _progression(c, m, n))
     while len(planes) > 1:
         low = planes[0]

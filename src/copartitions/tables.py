@@ -11,9 +11,7 @@ Three tables, regenerated from scratch on the packed parity path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .params import CpParams
+from .params import CpParams, Record, _set
 from .parity import DensityReport, density_report
 
 TABLE1_CHECKPOINTS = tuple(range(1000, 15001, 2000))
@@ -38,11 +36,13 @@ _TABLE_PLANS = {
 }
 
 
-@dataclass(frozen=True)
-class TableData:
+class TableData(Record):
     """One density report per family column, all at the same checkpoints."""
 
-    reports: tuple[DensityReport, ...]
+    __slots__ = ("reports",)
+
+    def __init__(self, reports: tuple[DensityReport, ...]):
+        _set(self, "reports", reports)
 
     @property
     def checkpoints(self) -> tuple[int, ...]:

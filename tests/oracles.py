@@ -89,16 +89,23 @@ def _scaled_add(coeffs: list, k: int, sign: int):
 def expand_factors_chain_reference(factors, n):
     """The exact kernel that runs every reciprocal as its binary-split chain:
     1/(1 - q^e) = (1 + q^e)(1 + q^2e)(1 + q^4e)..., one ``_scaled_add`` pass
-    per exponent of ``_pass_progressions``, with no folding of exponents."""
-    from copartitions.series import ExactSeries, _pass_progressions
+    per term of every chain level, with no folding of exponents.  A
+    Pochhammer factor is one level of (1 - q^k) passes, a negated one of
+    (1 + q^k) passes."""
+    from copartitions.series import POCHHAMMER, RECIPROCAL, ExactSeries
 
     if n < 0:
         raise ValueError("truncation must be >= 0")
     coeffs = [0] * (n + 1)
     coeffs[0] = 1
-    for c, m, sign in _pass_progressions(factors, n):
-        for k in range(c, n + 1, m):
-            _scaled_add(coeffs, k, sign)
+    for f in factors:
+        c, m, sign = f.c, f.m, -1 if f.sign == POCHHAMMER else 1
+        while c <= n:
+            for k in range(c, n + 1, m):
+                _scaled_add(coeffs, k, sign)
+            if f.sign != RECIPROCAL:
+                break
+            c, m = 2 * c, 2 * m
     return ExactSeries(n, tuple(coeffs))
 
 

@@ -240,7 +240,8 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     src = str(Path(copartitions.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, copartitions.cli; print([m for m in "
-            "('concurrent.futures.process', 'hashlib', 'fractions') if m in sys.modules])")
+            "('concurrent.futures.process', 'hashlib', 'fractions', 'dataclasses', 'inspect') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -85,3 +85,23 @@ def test_bench_cases_has_no_timing_options(bench_cases):
     with pytest.raises(SystemExit) as exit_info:
         bench_cases.main(["change=src", "--rounds", "3"])
     assert exit_info.value.code == 2
+
+
+def test_bench_cases_process_run_counts_the_modules_the_import_loads(bench_cases, tmp_path):
+    # stand-in sources: copartitions.cli empty, or importing dataclasses alone
+    def side(name, cli_source):
+        package = tmp_path / name / "copartitions"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(cli_source)
+        return tmp_path / name
+
+    bare = bench_cases.process_run(side("bare", ""))
+    heavy = bench_cases.process_run(side("heavy", "import dataclasses\n"))
+    code = ("import sys; before = set(sys.modules); import dataclasses; "
+            "print(len(set(sys.modules) - before))")
+    added = int(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True).stdout)
+    assert added > 1                                    # dataclasses pulls in inspect, among others
+    assert heavy["modules_loaded"] - bare["modules_loaded"] == added
+    assert heavy["importtime_s"] > 0 and heavy["wall_s"] > heavy["importtime_s"]

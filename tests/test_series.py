@@ -212,12 +212,11 @@ def pass_set(factors, n):
 
 class TestPassPlan:
     def test_reciprocal_chain_levels_double(self):
-        assert list(_pass_progressions([reciprocal(3, 5)], 20)) == [(3, 5, 1), (6, 10, 1),
-                                                                   (12, 20, 1)]
+        assert list(_pass_progressions([reciprocal(3, 5)], 20)) == [(3, 5), (6, 10), (12, 20)]
 
-    def test_pochhammer_signs_and_start_beyond_truncation(self):
+    def test_pochhammer_levels_and_start_beyond_truncation(self):
         plan = [pochhammer(2, 3), negated_pochhammer(4, 1), pochhammer(9, 2)]
-        assert list(_pass_progressions(plan, 8)) == [(2, 3, -1), (4, 1, 1)]
+        assert list(_pass_progressions(plan, 8)) == [(2, 3), (4, 1)]
 
 
 @st.composite

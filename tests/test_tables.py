@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 from copartitions import CpParams, TableData, count_copartitions, generate_table
 from copartitions.series import copartition_parity
 from copartitions.tables import (
@@ -47,7 +45,8 @@ class TestGeneration:
 
     def test_checkpoints_are_derived_from_the_reports(self):
         data = generate_table(1)
-        assert [f.name for f in fields(TableData)] == ["reports"]
+        stored = [name for cls in TableData.__mro__ for name in getattr(cls, "__slots__", ())]
+        assert stored == ["reports"] and not hasattr(data, "__dict__")
         assert data.checkpoints == TABLE1_CHECKPOINTS
         assert all(r.checkpoints == TABLE1_CHECKPOINTS for r in data.reports)
 
