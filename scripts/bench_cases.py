@@ -1,16 +1,18 @@
-"""Time the exact-kernel and check cases and a CLI import on one or more
-source trees.
+"""Time the exact-kernel, GF(2)-kernel and check cases and a CLI import on
+one or more source trees.
 
     python scripts/bench_cases.py parent=../old/src change=src
 
 Each NAME=SRC side runs ROUNDS times in its own interpreter with SRC on the
 import path; the sides alternate, and which goes first flips every round.
 Every run times each case REPEAT times after one warm-up.  Per case the JSON
-document on stdout holds the best and median wall time over all runs and two
+document on stdout holds the best and median wall time over all runs and three
 counters that do not depend on the machine: the exact-kernel passes run
-(calls of ``series._scaled_add`` and ``series._divide``) and the partitions
-the enumeration walk yields.  A side whose source has none of the wrapped
-pass or walk functions is an error, so a renamed function cannot read as 0.
+(calls of ``series._scaled_add`` and ``series._divide``), the GF(2) passes
+run (the popcount of each normal form ``series.mod2_passes`` returns) and the
+partitions the enumeration walk yields.  A side whose source has none of the
+wrapped pass, normal-form or walk functions is an error, so a renamed function
+cannot read as 0.
 
 The process case compiles each side's bytecode first, then starts
 ROUNDS x REPEAT fresh interpreters per side, alternating, that each run
@@ -40,6 +42,12 @@ CASES = {
     "exact 2 1 3 n=2000": ("series.exact", "kernel", (2, 1, 3, 2000)),
     "exact 1 1 2 n=2000": ("series.exact", "kernel", (1, 1, 2, 2000)),
     "exact 1 1 1 n=2000": ("series.exact", "kernel", (1, 1, 1, 2000)),
+    "parity 1 11 14 n=32000": ("series.mod2", "parity", (1, 11, 14, 32000)),
+    "parity 1 1 1 n=32000": ("series.mod2", "parity", (1, 1, 1, 32000)),
+    "parity 3 3 4 n=100000": ("series.mod2", "parity", (3, 3, 4, 100000)),
+    "parity 1 3 4 n=32000": ("series.mod2", "parity", (1, 3, 4, 32000)),     # theta quotient
+    "theta_product_identity_check 3 10 2000": ("parity", "theta_product_identity_check",
+                                               (3, 10, 2000)),
     "parity_gf_check 1 3 780": ("parity", "parity_gf_check", (1, 3, 780)),
     "form_equivalence_sweep_check 10000": ("parity", "form_equivalence_sweep_check", (10000,)),
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
@@ -54,19 +62,29 @@ def _call(kind: str, args: tuple):
     if kind == "kernel":
         *abm, n = args
         return series.expand_factors(series.copartition_factors(copartitions.CpParams(*abm)), n)
+    if kind == "parity":
+        *abm, n = args
+        return series.copartition_parity(copartitions.CpParams(*abm), n)
     return getattr(copartitions, kind)(*args)
 
 
 def _counted(kind: str, args: tuple) -> dict:
-    """Run the case once with the pass and walk functions wrapped."""
+    """Run the case once with the pass, normal-form and walk functions wrapped."""
     from copartitions import enumeration, parity, series
 
-    counts = {"exact_passes": 0, "partitions_walked": 0}
+    counts = {"exact_passes": 0, "mod2_passes": 0, "partitions_walked": 0}
 
     def passes(kernel):
         def run(*a):
             counts["exact_passes"] += 1
             return kernel(*a)
+        return run
+
+    def normal_form(kernel):
+        def run(*a):
+            passes = kernel(*a)
+            counts["mod2_passes"] += passes.bit_count()
+            return passes
         return run
 
     def walk(partitions):
@@ -76,10 +94,11 @@ def _counted(kind: str, args: tuple) -> dict:
                 yield item
         return run
 
-    wraps = {"_scaled_add": passes, "_divide": passes, "_partitions_upto": walk}
+    wraps = {"_scaled_add": passes, "_divide": passes, "mod2_passes": normal_form,
+             "_partitions_upto": walk}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
-    for counter in (passes, walk):
+    for counter in (passes, normal_form, walk):
         if not any(wraps[name] is counter for _, name, _ in saved):
             raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
     for module, name, real in saved:

@@ -46,9 +46,9 @@ class Copartition(Record):
                 raise ValueError(f"sky part {p} is not >= {b} and congruent to {b} mod {m}")
         if rectangle != (forced := _forced_rectangle(params, ground, sky)):
             raise ValueError(f"rectangle {rectangle} is not the forced {forced}")
-        _set(self, "ground", ground)
+        _set(self, "ground", tuple(ground))
         _set(self, "rectangle", rectangle)
-        _set(self, "sky", sky)
+        _set(self, "sky", tuple(sky))
         _set(self, "params", params)
 
     @property

@@ -150,7 +150,7 @@ class Factorization(Record):
         if prod != n:
             raise ValueError(f"factors {factors} do not multiply to {n}")
         _set(self, "n", n)
-        _set(self, "factors", factors)
+        _set(self, "factors", tuple(factors))
 
 
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
@@ -414,7 +414,7 @@ class DensityReport(Record):
 
     def __init__(self, params: CpParams, checkpoints: tuple[int, ...],
                  even_counts: tuple[int, ...]):
-        cs, es = _increasing_checkpoints(checkpoints), even_counts
+        cs, es = _increasing_checkpoints(checkpoints), tuple(even_counts)
         if len(es) != len(cs):
             raise ValueError("per-checkpoint sequences must align")
         if any(e1 > e2 for e1, e2 in zip(es, es[1:])):
@@ -422,8 +422,8 @@ class DensityReport(Record):
         if any(not 0 <= e <= n for e, n in zip(es, cs)):
             raise ValueError("even counts must lie in [0, n]")
         _set(self, "params", params)
-        _set(self, "checkpoints", checkpoints)
-        _set(self, "even_counts", even_counts)
+        _set(self, "checkpoints", cs)
+        _set(self, "even_counts", es)
 
     @property
     def proportions(self) -> tuple[Fraction, ...]:

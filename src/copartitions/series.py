@@ -5,8 +5,9 @@ Two coefficient representations back everything else:
 * ``ExactSeries`` keeps one Python int per exponent, so coefficients never
   overflow no matter how fast a family grows.
 * ``ParitySeries`` packs coefficient-mod-2 bits into a single int (bit n is
-  the coefficient of q^n).  Multiplying packed bits by (1 + q^k) is one
-  shift-XOR pass.
+  the coefficient of q^n).  The GF(2) products run on the bits reversed
+  through q^n (bit n - e holds q^e), where multiplying by (1 + q^k) is one
+  right shift-XOR pass, ``rev ^= rev >> k``.
 
 The exact kernel folds the factors into one net count per exponent k: its
 reciprocal terms minus its Pochhammer terms.  Per unit of a positive count it
@@ -23,7 +24,8 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
 2. Carry: (1 + q^k)^2 = 1 + q^(2k) over GF(2), so every pair at k is
    carried to 2k (a bit spread) until each count is 0 or 1; exponents
    above n drop out.
-3. Pass: one shift-XOR pass per surviving exponent.
+3. Pass: one right shift-XOR of the reversed bits per surviving exponent;
+   the shift drops every exponent above n itself, so no pass needs a mask.
 
 This is the identity behind the paper's parity results: it folds repeated
 exponents and cancels numerator passes against reciprocal chains, so the
@@ -99,7 +101,7 @@ class ExactSeries(Record):
         if len(coeffs) != trunc + 1:
             raise ValueError(f"need {trunc + 1} coefficients, got {len(coeffs)}")
         _set(self, "trunc", trunc)
-        _set(self, "coeffs", coeffs)
+        _set(self, "coeffs", tuple(coeffs))
 
     @classmethod
     def one(cls, trunc: int) -> "ExactSeries":
@@ -189,6 +191,25 @@ class ParitySeries(Record):
         if n > self.trunc:
             raise ValueError(f"cannot extend a series truncated at {self.trunc} to {n}")
         return ParitySeries(n, self.bits & ((1 << (n + 1)) - 1))
+
+
+# _REVERSED[b] is byte b with its 8 bits in reverse order
+_REVERSED = bytes.fromhex(
+    "008040c020a060e0109050d030b070f0088848c828a868e8189858d838b878f8"
+    "048444c424a464e4149454d434b474f40c8c4ccc2cac6cec1c9c5cdc3cbc7cfc"
+    "028242c222a262e2129252d232b272f20a8a4aca2aaa6aea1a9a5ada3aba7afa"
+    "068646c626a666e6169656d636b676f60e8e4ece2eae6eee1e9e5ede3ebe7efe"
+    "018141c121a161e1119151d131b171f1098949c929a969e9199959d939b979f9"
+    "058545c525a565e5159555d535b575f50d8d4dcd2dad6ded1d9d5ddd3dbd7dfd"
+    "038343c323a363e3139353d333b373f30b8b4bcb2bab6beb1b9b5bdb3bbb7bfb"
+    "078747c727a767e7179757d737b777f70f8f4fcf2faf6fef1f9f5fdf3fbf7fff")
+
+
+def _reverse(x: int, n: int) -> int:
+    """Move bit e of x to bit n - e, for x < 2^(n+1); its own inverse."""
+    size = n // 8 + 1
+    raw = x.to_bytes(size, "little").translate(_REVERSED)
+    return int.from_bytes(raw, "big") >> (8 * size - 1 - n)
 
 
 def _scaled_add(coeffs: list, k: int, sign: int):
@@ -309,17 +330,16 @@ def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
 def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     """Parity of ``expand_factors(factors, n)`` computed natively on packed bits.
 
-    Runs one shift-XOR pass per set bit of ``mod2_passes(factors, n)``, in
-    increasing order.  Mod 2 the sign of a Pochhammer factor is invisible, so
-    (q^c;q^m) and (-q^c;q^m) have the same passes.
+    Runs one right shift-XOR pass on the reversed bits per set bit of
+    ``mod2_passes(factors, n)``, in increasing order.  Mod 2 the sign of a
+    Pochhammer factor is invisible, so (q^c;q^m) and (-q^c;q^m) have the same
+    passes.
     """
-    passes = mod2_passes(factors, n)
-    mask = (1 << (n + 1)) - 1
-    bits = 1
-    for base, flags in _bit_chunks(passes):
+    rev = 1 << n                    # the series 1, reversed through q^n
+    for base, flags in _bit_chunks(mod2_passes(factors, n)):
         for i in compress(_OFFSETS, flags):
-            bits = (bits ^ (bits << (base + i))) & mask
-    return ParitySeries(n, bits)
+            rev ^= rev >> (base + i)
+    return ParitySeries(n, _reverse(rev, n))
 
 
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
@@ -371,25 +391,25 @@ def _theta_quotient(a: int, m: int, n: int) -> ExactSeries:
 
 def _theta_quotient_mod2(a: int, m: int, n: int) -> ParitySeries:
     """``_theta_quotient`` mod 2: (q^(2m);q^(2m)) times theta(q^(2^i)) for
-    every 2^i <= n, one shift-XOR per term of each factor."""
+    every 2^i <= n, one right shift-XOR of the reversed bits per term of
+    each factor."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    mask = (1 << (n + 1)) - 1
-    bits = ParitySeries.from_support(pentagonal_support(m, n), n).bits
+    rev = sum(1 << (n - e) for e in pentagonal_support(m, n))
     odd: set[int] = set()
     for e, _ in _theta_terms(a, m, n):
         odd ^= {e}                  # terms that repeat an exponent cancel in pairs
     steps = sorted(odd - {0})
     step = 1
     while step <= n:
-        acc = bits
+        acc = rev
         for e in steps:
             if e * step > n:
                 break
-            acc ^= bits << (e * step)
-        bits = acc & mask
+            acc ^= rev >> (e * step)
+        rev = acc
         step *= 2
-    return ParitySeries(n, bits)
+    return ParitySeries(n, _reverse(rev, n))
 
 
 def copartition_series(params: CpParams, n: int) -> ExactSeries:
@@ -458,15 +478,15 @@ def mul(x, y, n: int):
     if not 0 <= n <= x.trunc:
         raise ValueError(f"product truncation {n} outside the inputs' range 0..{x.trunc}")
     if isinstance(x, ParitySeries):
-        a, b = x.bits, y.bits
+        mask = (1 << (n + 1)) - 1
+        a, b = x.bits & mask, y.bits & mask
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        mask = (1 << (n + 1)) - 1
-        acc = 0
-        for base, flags in _bit_chunks(a & mask):
+        b_rev, acc = _reverse(b, n), 0
+        for base, flags in _bit_chunks(a):
             for i in compress(_OFFSETS, flags):
-                acc ^= b << (base + i)
-        return ParitySeries(n, acc & mask)
+                acc ^= b_rev >> (base + i)
+        return ParitySeries(n, _reverse(acc, n))
     out = [0] * (n + 1)
     sparse = [(i, c) for i, c in enumerate(x.coeffs[: n + 1]) if c]
     dense = y.coeffs

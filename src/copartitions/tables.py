@@ -42,7 +42,7 @@ class TableData(Record):
     __slots__ = ("reports",)
 
     def __init__(self, reports: tuple[DensityReport, ...]):
-        _set(self, "reports", reports)
+        _set(self, "reports", tuple(reports))
 
     @property
     def checkpoints(self) -> tuple[int, ...]:

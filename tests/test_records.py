@@ -128,3 +128,22 @@ def test_check_result_keywords_defaults_and_truth():
                                                                                  None, None)
     assert failed.checked == 4 and failed.rows == ({"n": 4},)
     assert bool(CheckResult(True)) is True and bool(failed) is False
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    # a caller's lists become tuples, so the record is hashable and equal to the tuple-built one
+    assert DensityReport(P, [1, 2], [0, 1]) == DensityReport(P, (1, 2), (0, 1))
+    assert hash(ExactSeries(2, [1, 0, 4])) == hash(ExactSeries(2, (1, 0, 4)))
+    built = [
+        (ExactSeries(2, [1, 0, 4]), ("coeffs",)),
+        (DensityReport(P, [1, 2], [0, 1]), ("checkpoints", "even_counts")),
+        (Factorization(12, [(2, 2), (3, 1)]), ("factors",)),
+        (TableData([REPORT]), ("reports",)),
+        (Copartition([4, 1], (6,), [2], P), ("ground", "sky")),
+    ]
+    for record, names in built:
+        for name in names:
+            assert type(getattr(record, name)) is tuple, (type(record).__name__, name)
+        hash(record)
+    same = (1, 2)
+    assert DensityReport(P, same, (0, 1)).checkpoints is same   # a tuple is kept, not copied

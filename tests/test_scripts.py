@@ -64,6 +64,7 @@ def bench_cases():
 def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
     # (1,1,1) through 45 runs 46 exact passes; the self-conjugate walk visits the grounds
     assert bench_cases._counted("kernel", (1, 1, 1, 45)) == {"exact_passes": 46,
+                                                          "mod2_passes": 0,
                                                           "partitions_walked": 0}
     counts = bench_cases._counted("self_conjugate_check", (1, 2, 30))
     assert counts["partitions_walked"] > 0
@@ -72,13 +73,31 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
 
 @pytest.mark.parametrize("missing", [[(series, "_divide"), (series, "_scaled_add")],
                                      [(enumeration, "_partitions_upto"),
-                                      (parity, "_partitions_upto")]])
+                                      (parity, "_partitions_upto")],
+                                     [(series, "mod2_passes")]])
 def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
                                                                     missing):
     for module, name in missing:
         monkeypatch.delattr(module, name)
     with pytest.raises(SystemExit, match="no .* function to count"):
         bench_cases._counted("kernel", (1, 1, 1, 5))
+
+
+@pytest.mark.parametrize("abm, n", [((1, 11, 14), 3000), ((1, 1, 1), 3000), ((3, 3, 4), 5000)])
+def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, abm, n):
+    counts = bench_cases._counted("parity", (*abm, n))
+    expected = series.mod2_passes(series.copartition_factors(CpParams(*abm)), n).bit_count()
+    assert counts == {"exact_passes": 0, "mod2_passes": expected, "partitions_walked": 0}
+    assert expected > 0
+    assert series.mod2_passes.__name__ == "mod2_passes"  # the wrapper is taken off again
+
+
+def test_bench_cases_theta_quotient_runs_no_gf2_pass(bench_cases):
+    assert bench_cases._counted("parity", (1, 3, 4, 3000))["mod2_passes"] == 0
+    # the identity check expands (3, 7, 10) by the pass kernel once
+    expected = series.mod2_passes(series.copartition_factors(CpParams(3, 7, 10)), 500)
+    counts = bench_cases._counted("theta_product_identity_check", (3, 10, 500))
+    assert counts["mod2_passes"] == expected.bit_count() > 0
 
 
 def test_bench_cases_has_no_timing_options(bench_cases):

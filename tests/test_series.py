@@ -306,6 +306,20 @@ class TestMod2NormalForm:
             [pochhammer(2, 2)], 500)
         assert mod2_passes([], 10) == 0
 
+    def test_zero_truncation_is_one(self):
+        for factors in ([], [pochhammer(1, 1)], [reciprocal(1, 2), negated_pochhammer(3, 1)]):
+            assert expand_factors_mod2(factors, 0) == ParitySeries(0, 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 1000])
+    def test_pass_at_the_truncation(self, n):
+        # (q^n;q^n) runs one pass, at k = n: its shift moves the constant term to q^n
+        factors = [pochhammer(n, n)]
+        assert mod2_passes(factors, n) == 1 << n
+        assert expand_factors_mod2(factors, n) == ParitySeries(n, 1 | 1 << n)
+        factors = [reciprocal(1, 1), pochhammer(2, 2)]     # a pass at every 1 <= k <= n
+        assert mod2_passes(factors, n) == (1 << (n + 1)) - 2
+        assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
     def test_peak_allocation_at_depth(self):
         tracemalloc.start()
         try:
@@ -440,6 +454,55 @@ class TestMulAndReduce:
         x = ExactSeries(n, tuple(xs))
         y = ExactSeries(n, tuple(ys))
         assert reduce_mod2(mul(x, y, n)) == mul(reduce_mod2(x), reduce_mod2(y), n)
+
+
+def _convolution_mod2(x, y, n):
+    # per-bit truncated product: coefficient k is sum_i x_i y_(k-i) mod 2
+    return sum(
+        (sum((x >> i) & (y >> (k - i)) & 1 for i in range(k + 1)) & 1) << k
+        for k in range(n + 1))
+
+
+@st.composite
+def ragged_parity_pairs(draw):
+    """Two parity series with a common truncation and a product truncation
+    n at or below it; bits above n are often set."""
+    trunc = draw(st.integers(0, 120))
+    n = draw(st.integers(0, trunc))
+    top = (1 << (trunc + 1)) - 1
+    x, y = (draw(st.integers(0, top) | st.sampled_from([top, 1 << trunc, 1 << n]))
+            for _ in range(2))
+    return ParitySeries(trunc, x), ParitySeries(trunc, y), n
+
+
+class TestReversedBits:
+    def test_byte_table_reverses_every_byte(self):
+        assert series_module._REVERSED == bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+    @given(st.integers(0, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n + 1)) - 1))))
+    @example((0, 0))
+    @example((0, 1))
+    @example((7, 0b10000001))           # n + 1 = 8: no padding
+    @example((8, 0b100000001))          # n + 1 = 9: one bit past a byte
+    @example((15, 1 << 15))
+    @example((16, (1 << 17) - 1))
+    @example((3000, 1 << 3000 | 1))
+    @settings(max_examples=80)
+    def test_reverse_is_an_involution_moving_bit_e_to_n_minus_e(self, n_x):
+        n, x = n_x
+        rev = series_module._reverse(x, n)
+        assert series_module._reverse(rev, n) == x
+        assert rev >> (n + 1) == 0
+        assert all((rev >> (n - e)) & 1 == (x >> e) & 1 for e in range(n + 1))
+
+    @given(ragged_parity_pairs())
+    @example((ParitySeries(9, 0b1111111111), ParitySeries(9, 0b1000000000), 3))
+    @example((ParitySeries(16, 1 << 16), ParitySeries(16, 1 << 16), 0))
+    @settings(max_examples=80, deadline=None)
+    def test_parity_mul_is_the_truncated_convolution(self, xyn):
+        x, y, n = xyn
+        assert mul(x, y, n) == ParitySeries(n, _convolution_mod2(x.bits, y.bits, n))
 
 
 class TestSeriesTypes:
