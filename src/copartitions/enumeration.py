@@ -44,10 +44,10 @@ class Copartition(Record):
         for p in sky:
             if p < b or (p - b) % m:
                 raise ValueError(f"sky part {p} is not >= {b} and congruent to {b} mod {m}")
-        if rectangle != (forced := _forced_rectangle(params, ground, sky)):
+        if tuple(rectangle) != (forced := _forced_rectangle(params, ground, sky)):
             raise ValueError(f"rectangle {rectangle} is not the forced {forced}")
         _set(self, "ground", tuple(ground))
-        _set(self, "rectangle", rectangle)
+        _set(self, "rectangle", forced)
         _set(self, "sky", tuple(sky))
         _set(self, "params", params)
 

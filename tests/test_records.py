@@ -139,7 +139,7 @@ def test_sequence_fields_are_stored_as_tuples():
         (DensityReport(P, [1, 2], [0, 1]), ("checkpoints", "even_counts")),
         (Factorization(12, [(2, 2), (3, 1)]), ("factors",)),
         (TableData([REPORT]), ("reports",)),
-        (Copartition([4, 1], (6,), [2], P), ("ground", "sky")),
+        (Copartition([4, 1], [6], [2], P), ("ground", "rectangle", "sky")),
     ]
     for record, names in built:
         for name in names:
