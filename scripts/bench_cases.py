@@ -46,6 +46,9 @@ CASES = {
     "parity 1 1 1 n=32000": ("series.mod2", "parity", (1, 1, 1, 32000)),
     "parity 3 3 4 n=100000": ("series.mod2", "parity", (3, 3, 4, 100000)),
     "parity 1 3 4 n=32000": ("series.mod2", "parity", (1, 3, 4, 32000)),     # theta quotient
+    "parity 1 13 14 n=32000": ("series.mod2", "parity", (1, 13, 14, 32000)),  # sparse theta quotient
+    "parity 1 1 6 n=15000": ("series.mod2", "parity", (1, 1, 6, 15000)),
+    "parity 1 2 3 n=100000": ("series.mod2", "parity", (1, 2, 3, 100000)),   # theta quotient
     "theta_product_identity_check 3 10 2000": ("parity", "theta_product_identity_check",
                                                (3, 10, 2000)),
     "parity_gf_check 1 3 780": ("parity", "parity_gf_check", (1, 3, 780)),

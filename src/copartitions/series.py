@@ -24,20 +24,26 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
 2. Carry: (1 + q^k)^2 = 1 + q^(2k) over GF(2), so every pair at k is
    carried to 2k (a bit spread) until each count is 0 or 1; exponents
    above n drop out.
-3. Pass: one right shift-XOR of the reversed bits per surviving exponent;
-   the shift drops every exponent above n itself, so no pass needs a mask.
+3. Pass: ``_level_product`` runs a pass at k = 2^v * odd at 2-adic level v,
+   on the series in x = q^(2^v) reversed through x^(n >> v), as one right
+   shift-XOR at k >> v that drops every exponent above the width itself.
+   It walks the levels down from the top, spreading x to x^2 between them;
+   below 2048 bits the passes of every higher level share one level.
 
 This is the identity behind the paper's parity results: it folds repeated
 exponents and cancels numerator passes against reciprocal chains, so the
-(a, a, 2a) families need one pass per multiple of 4a.
+(a, a, 2a) families need one pass per multiple of 4a.  The loop also divides
+by a sparse D, as 1/D(q) = D(q) D(q^2) D(q^4) ... through q^n, one factor per
+level at that level's width, so two family classes need few passes or none
+(``expand_factors`` and ``expand_factors_mod2`` stay their independent reference):
 
-The (a, m-a, m) families skip the passes: by the Jacobi triple product their
-generating function is (q^m;q^m)^2 / theta(a, m), where both sides are sparse
-theta series (``_theta_terms``).  Over the integers the quotient is solved one
-coefficient at a time; mod 2 the numerator is (q^(2m);q^(2m)) and, by the same
-Frobenius identity, 1/theta = theta(q) theta(q^2) theta(q^4) ... through q^n,
-one shift-XOR per term.  ``expand_factors`` and ``expand_factors_mod2`` stay
-the general kernels and the independent reference for these families.
+* (a, m-a, m): by the Jacobi triple product, E(q^m)^2 / theta(a, m) with
+  E(x) = (x;x), both sparse theta series (``_theta_terms``).  Over the
+  integers the quotient is solved one coefficient at a time; mod 2 the loop
+  divides by theta and multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m).
+* m | a and m | b: with A = min(a, b)/m and B = max(a, b)/m the product is
+  (q^m;q^m)_(A-1) / (E(q^m) prod_(j=B)^(A+B-1) (1 - q^(jm))); the finite
+  part runs as single-term factors, 15 passes for (1, 1, 1) at n = 32000.
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
@@ -119,22 +125,20 @@ class ExactSeries(Record):
         return ExactSeries(n, self.coeffs[: n + 1])
 
 
-_WALK_BYTES = 128
+_WALK_BITS = 1024
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_OFFSETS = tuple(range(8 * _WALK_BYTES))     # iterating it allocates no ints
+_OFFSETS = tuple(range(_WALK_BITS))     # iterating it allocates no ints
 
 
 def _bit_chunks(x: int):
     """Yield (base, flags) for each nonzero chunk of at most 1024 bits of x,
     where flags[i] is 1 exactly when bit base + i of x is set; the set bits
     are base + i for i in ``compress(_OFFSETS, flags)``."""
-    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    for start in range(0, len(raw), _WALK_BYTES):
-        chunk = raw[start:start + _WALK_BYTES]
-        word = int.from_bytes(chunk, "little")
-        if word:
-            flags = format(word, f"0{8 * len(chunk)}b")[::-1].encode("ascii")
-            yield 8 * start, flags.translate(_BIT_VALUES)
+    flags = format(x, "b")[::-1].encode("ascii").translate(_BIT_VALUES)
+    for start in range(0, len(flags), _WALK_BITS):
+        chunk = flags[start:start + _WALK_BITS]
+        if 1 in chunk:
+            yield start, chunk
 
 
 class ParitySeries(Record):
@@ -306,6 +310,17 @@ def _spread(x: int, n: int) -> int:
     return int.from_bytes(out, "little")
 
 
+# _UNSPREAD[b] is bits 0, 2, 4, 6 of b moved to bits 0-3, for b with no odd bit
+_UNSPREAD = bytes.maketrans(_NIBBLE_SPREAD, bytes(range(16)))
+
+
+def _unspread(x: int) -> int:
+    """Move bit 2k of x to bit k, for x with no odd bit set: undoes ``_spread``."""
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return (int.from_bytes(raw[0::2].translate(_UNSPREAD), "little")
+            | int.from_bytes(raw[1::2].translate(_UNSPREAD), "little") << 4)
+
+
 def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
     """Normal form of the mod-2 product: bit k is set when the product equals,
     through q^n, the product of (1 + q^k) over the set bits k.
@@ -327,19 +342,41 @@ def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
     return planes[0] if planes else 0
 
 
-def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """Parity of ``expand_factors(factors, n)`` computed natively on packed bits.
-
-    Runs one right shift-XOR pass on the reversed bits per set bit of
-    ``mod2_passes(factors, n)``, in increasing order.  Mod 2 the sign of a
-    Pochhammer factor is invisible, so (q^c;q^m) and (-q^c;q^m) have the same
-    passes.
-    """
-    rev = 1 << n                    # the series 1, reversed through q^n
-    for base, flags in _bit_chunks(mod2_passes(factors, n)):
-        for i in compress(_OFFSETS, flags):
-            rev ^= rev >> (base + i)
+def _level_product(n: int, passes: int, steps: Sequence[int] = (),
+                   numerator: Sequence[int] = (), at: int = 0) -> ParitySeries:
+    """N(q^(2^at)) / D(q) times (1 + q^k) for each set bit k of ``passes``, mod 2
+    through q^n; D (N) is 1 plus q^e over the increasing nonzero ``steps``
+    (``numerator``).  Level v holds F_v(x) = D(x) F_(v+1)(x^2) times its passes
+    (and N(x) at v = at) in x = q^(2^v), reversed through x^(n >> v); F_0 is the product."""
+    levels = []                 # levels[v]: the passes k = 2^v * odd, at k >> v
+    odd = int.from_bytes(b"\xaa" * (n // 8 + 1), "little")      # bits 1, 3, 5, ...
+    while passes and n >> len(levels) >= 2048:      # a level narrower saves less than it costs
+        levels.append(passes & odd)
+        passes = _unspread(passes ^ levels[-1])
+    levels += [passes] if passes else []      # every pass left, at the level reached
+    top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
+    rev = 1 << (n >> top)
+    for v in range(top, -1, -1):
+        w = n >> v
+        if v < top:
+            rev = _spread(rev, w) << (w & 1)      # bit w // 2 - e moves to w - 2e
+        for terms in (steps, numerator) if v == at else (steps,):
+            acc = rev
+            for e in terms:
+                if e > w:
+                    break
+                acc ^= rev >> e
+            rev = acc
+        for base, flags in _bit_chunks(levels[v]) if v < len(levels) else ():
+            for i in compress(_OFFSETS, flags):
+                rev ^= rev >> (base + i)
     return ParitySeries(n, _reverse(rev, n))
+
+
+def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """Parity of ``expand_factors(factors, n)``: the passes of ``mod2_passes``
+    through ``_level_product``.  Mod 2, (q^c;q^m) and (-q^c;q^m) are equal."""
+    return _level_product(n, mod2_passes(factors, n))
 
 
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
@@ -389,27 +426,9 @@ def _theta_quotient(a: int, m: int, n: int) -> ExactSeries:
     return ExactSeries(n, tuple(c))
 
 
-def _theta_quotient_mod2(a: int, m: int, n: int) -> ParitySeries:
-    """``_theta_quotient`` mod 2: (q^(2m);q^(2m)) times theta(q^(2^i)) for
-    every 2^i <= n, one right shift-XOR of the reversed bits per term of
-    each factor."""
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    rev = sum(1 << (n - e) for e in pentagonal_support(m, n))
-    odd: set[int] = set()
-    for e, _ in _theta_terms(a, m, n):
-        odd ^= {e}                  # terms that repeat an exponent cancel in pairs
-    steps = sorted(odd - {0})
-    step = 1
-    while step <= n:
-        acc = rev
-        for e in steps:
-            if e * step > n:
-                break
-            acc ^= rev >> (e * step)
-        rev = acc
-        step *= 2
-    return ParitySeries(n, _reverse(rev, n))
+def _odd_steps(a: int, m: int, n: int) -> list[int]:
+    """Nonzero exponents of theta(a, m) mod 2 through q^n, increasing; none when 2a = m."""
+    return [] if 2 * a == m else sorted({e for e, _ in _theta_terms(a, m, n)} - {0})
 
 
 def copartition_series(params: CpParams, n: int) -> ExactSeries:
@@ -420,9 +439,20 @@ def copartition_series(params: CpParams, n: int) -> ExactSeries:
 
 
 def copartition_parity(params: CpParams, n: int) -> ParitySeries:
-    """Counting series of the (a, b, m) family reduced mod 2, through n."""
-    if params.a + params.b == params.m:
-        return _theta_quotient_mod2(params.a, params.m, n)
+    """Counting series of the (a, b, m) family reduced mod 2, through n; the
+    (a, m-a, m) and m | a, m | b families by the module docstring's identities."""
+    a, b, m = params.a, params.b, params.m
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    if a + b == m:
+        at = (m & -m).bit_length()      # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
+        euler = _odd_steps(m >> at - 1, 3 * m >> at - 1, n >> at)
+        return _level_product(n, 0, _odd_steps(a, m, n), euler, at if euler else 0)
+    if a % m == 0 == b % m:
+        lo, hi = sorted((a // m, b // m))
+        finite = ([pochhammer(j * m, n + 1) for j in range(1, lo)]
+                  + [reciprocal(j * m, n + 1) for j in range(hi, lo + hi)])
+        return _level_product(n, mod2_passes(finite, n), _odd_steps(m, 3 * m, n))
     return expand_factors_mod2(copartition_factors(params), n)
 
 

@@ -83,13 +83,19 @@ def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases,
         bench_cases._counted("kernel", (1, 1, 1, 5))
 
 
-@pytest.mark.parametrize("abm, n", [((1, 11, 14), 3000), ((1, 1, 1), 3000), ((3, 3, 4), 5000)])
+@pytest.mark.parametrize("abm, n", [((1, 11, 14), 3000), ((1, 1, 3), 3000), ((3, 3, 4), 5000)])
 def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, abm, n):
     counts = bench_cases._counted("parity", (*abm, n))
     expected = series.mod2_passes(series.copartition_factors(CpParams(*abm)), n).bit_count()
     assert counts == {"exact_passes": 0, "mod2_passes": expected, "partitions_walked": 0}
     assert expected > 0
     assert series.mod2_passes.__name__ == "mod2_passes"  # the wrapper is taken off again
+
+
+def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
+    # (1, 1, 1) is 1/((1 - q) E(q)) mod 2: the passes of 1/(1 - q), one per 2^i <= 3000
+    counts = bench_cases._counted("parity", (1, 1, 1, 3000))
+    assert counts == {"exact_passes": 0, "mod2_passes": 12, "partitions_walked": 0}
 
 
 def test_bench_cases_theta_quotient_runs_no_gf2_pass(bench_cases):

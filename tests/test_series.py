@@ -281,6 +281,17 @@ def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
         copartition_parity(CpParams(2, 1, 4), 50)
 
 
+def test_the_collapsed_families_skip_the_pass_kernel(monkeypatch):
+    def refuse(factors, n):
+        raise AssertionError("pass kernel called")
+
+    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
+    assert copartition_parity(CpParams(1, 1, 1), 50).bit(0) == 1
+    assert copartition_parity(CpParams(2, 4, 2), 50).bit(0) == 1
+    with pytest.raises(AssertionError, match="pass kernel"):
+        copartition_parity(CpParams(2, 1, 4), 50)
+
+
 class TestMod2NormalForm:
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
     def test_lacunary_family_passes_are_multiples_of_4a(self, a):
@@ -328,6 +339,82 @@ class TestMod2NormalForm:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * 1024
+
+
+@st.composite
+def level_factors(draw):
+    """Factor lists whose passes often sit only on high 2-adic levels: every
+    start and step carries a common factor 2^s, s <= 4."""
+    scale = 1 << draw(st.integers(0, 4))
+    factors = draw(st.lists(factor_strategy, min_size=1, max_size=4))
+    return [FactorSpec(f.c * scale, f.m * scale, f.sign) for f in factors]
+
+
+# n at, just below and just above a power of two: the level widths n >> v
+# then end on, or one bit past, a whole number of halvings
+boundary_n = st.integers(0, 12).flatmap(lambda j: st.sampled_from([2 ** j - 1, 2 ** j, 2 ** j + 1]))
+
+
+class TestLevelLoop:
+    @given(st.one_of(level_factors(), colliding_factors()), boundary_n)
+    @example([reciprocal(8, 16)], 4095)
+    @example([reciprocal(8, 16)], 7)         # no pass at or below n
+    @example([pochhammer(12, 24)], 4097)
+    @example([pochhammer(12, 24), reciprocal(8, 16)], 1025)
+    @example([reciprocal(1, 1)], 4096)      # a pass on every level
+    @example([reciprocal(8, 16)], 32769)    # levels 0-3 split off, every higher pass at level 4
+    @example([pochhammer(12, 24), reciprocal(1, 2)], 16384)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_pass_loop(self, factors, n):
+        assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
+    @given(st.integers(0, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n // 2 + 1)) - 1))))
+    @example((0, 0))
+    @example((0, 1))
+    @example((14, (1 << 8) - 1))            # n // 2 + 1 = 8: one whole byte
+    @example((16, (1 << 9) - 1))            # 9 bits: one bit past a byte
+    @example((30, 1 << 15))
+    @example((32, (1 << 17) - 1))
+    @example((3000, 0))
+    @example((3000, 1 << 1500 | 1))
+    @settings(max_examples=80)
+    def test_unspread_undoes_spread(self, n_x):
+        n, x = n_x
+        assert series_module._unspread(series_module._spread(x, n)) == x
+
+
+def m_divides_a_and_b():
+    return [(a, b, m) for m in range(1, 7) for a in range(m, 13, m) for b in range(m, 13, m)]
+
+
+class TestCollapsedFamilies:
+    """With m | a and m | b the product is (q^m;q^m)_(A-1) over E(q^m) and
+    the finite run of (1 - q^(jm)), j = B .. A+B-1."""
+
+    def test_matches_the_pass_kernel_and_the_exact_series(self):
+        exact = {}
+        for a, b, m in m_divides_a_and_b():
+            params = CpParams(a, b, m)
+            key = (min(a, b), max(a, b), m)         # the product is symmetric in a and b
+            if key not in exact:
+                exact[key] = reduce_mod2(copartition_series(params, 1000))
+            for n in (0, 1, 2, 7, 64, 1000):
+                parity = copartition_parity(params, n)
+                assert parity == expand_factors_mod2(copartition_factors(params), n), (a, b, m, n)
+                assert parity == exact[key].truncate(n), (a, b, m, n)
+
+    def test_finite_part_of_one_one_one_runs_15_passes(self, monkeypatch):
+        seen = []
+
+        def counted(factors, n):
+            passes = mod2_passes(factors, n)
+            seen.append(passes.bit_count())
+            return passes
+
+        monkeypatch.setattr(series_module, "mod2_passes", counted)
+        copartition_parity(CpParams(1, 1, 1), 32000)
+        assert seen == [15]         # 1/(1 - q): a pass at each 2^i <= 32000
 
 
 class TestSelfConjugateSeries:
