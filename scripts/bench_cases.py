@@ -54,6 +54,8 @@ CASES = {
     "parity_gf_check 1 3 780": ("parity", "parity_gf_check", (1, 3, 780)),
     "form_equivalence_sweep_check 10000": ("parity", "form_equivalence_sweep_check", (10000,)),
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
+    "even_guarantee_check cp314 5000": ("parity", "even_guarantee_check", ("cp314", 5000)),
+    "even_guarantee_check cp516 5000": ("parity", "even_guarantee_check", ("cp516", 5000)),
 }
 PROCESS_CASE = "process import copartitions.cli"
 

@@ -7,8 +7,9 @@ density reports' exact proportions).
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .enumeration import (
     _make,
@@ -132,50 +133,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization(Record):
-    """Complete prime factorization of n as (prime, exponent) pairs,
-    primes strictly increasing."""
-
-    __slots__ = ("n", "factors")
-
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
-        if n < 1:
-            raise ValueError("factorizations are for n >= 1")
-        prod, prev = 1, 1
-        for p, e in factors:
-            if p <= prev or e < 1 or not is_prime(p):
-                raise ValueError(f"bad factor list for {n}: {factors}")
-            prev = p
-            prod *= p ** e
-        if prod != n:
-            raise ValueError(f"factors {factors} do not multiply to {n}")
-        _set(self, "n", n)
-        _set(self, "factors", tuple(factors))
-
-
-def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    # the (prime, exponent) pairs of n >= 1, which Factorization would re-check
-    out, left, p = [], n, 2
-    while p * p <= left:
-        if left % p == 0:
-            e = 0
-            while left % p == 0:
-                left //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 4 if p % 6 == 1 else 2
-    if left > 1:
-        out.append((left, 1))
-    return tuple(out)
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division (2, 3, then 6k+-1)."""
-    if n < 1:
-        raise ValueError("factorize needs n >= 1")
-    return Factorization(n, _prime_powers(n))
-
-
 # form tag -> (C, modulus, residue): n = A^2 + C*B^2 is solvable exactly
 # when every prime p with p % modulus == residue (the form's bad class)
 # divides n to an even power
@@ -183,18 +140,54 @@ _FORMS = {
     TWO_SQUARES: (1, 4, 3),
     X2_PLUS_3Y2: (3, 3, 2),
 }
+_BLOCK = 4096      # k per sieve block, whose values are one list of ints
+
+
+def _primes(limit: int) -> list[int]:
+    # Eratosthenes: the primes <= limit
+    marks = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in compress(range(isqrt(limit) + 1), marks):
+        marks[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), marks))
+
+
+def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
+    """The form's verdicts on unit*k + shift for 0 <= k < count as 0/1 flags,
+    one bytes object per ``_BLOCK`` consecutive k, so only the prime table
+    grows with count.  Needs gcd(unit, shift) = 1.  Every prime p that does
+    not divide the unit, up to at least the root of the block's top value, is
+    divided out of the values on k = -shift/unit mod p; an odd power of a
+    bad-class prime clears the flag, and so does a cofactor left in the bad
+    class (it is a prime)."""
+    _, modulus, residue = _FORMS[form]
+    limit, primes = 0, []
+    for start in range(0, count, _BLOCK):
+        rest = list(range(unit * start + shift, unit * min(start + _BLOCK, count) + shift, unit))
+        flags = bytearray([1]) * len(rest)
+        if isqrt(rest[-1]) > limit:
+            limit = max(isqrt(rest[-1]), 2 * limit)
+            primes = [p for p in _primes(limit) if unit % p]
+        for p in primes:
+            bad = p % modulus == residue
+            for i in range((-shift * pow(unit, -1, p) - start) % p, len(rest), p):
+                v, odd = rest[i] // p, True
+                while v % p == 0:
+                    v, odd = v // p, not odd
+                rest[i] = v
+                if bad and odd:
+                    flags[i] = 0
+        yield bytes(f and v % modulus != residue for f, v in zip(flags, rest))
 
 
 def _represents(form: str, n: int) -> bool:
     if n < 1:
         raise ValueError("needs n >= 1")
-    _, modulus, residue = _FORMS[form]
-    return all(e % 2 == 0 for p, e in _prime_powers(n) if p % modulus == residue)
+    return bool(next(_sieve(form, 1, n, 1))[0])
 
 
 def is_sum_of_two_squares(n: int) -> bool:
-    """Factorization criterion: n = A^2 + B^2 is solvable exactly when every
-    prime of the form's bad class (``_FORMS``) divides n to an even power."""
+    """Sieve criterion: n = A^2 + B^2 is solvable exactly when every prime of
+    the form's bad class (``_FORMS``) divides n to an even power."""
     return _represents(TWO_SQUARES, n)
 
 
@@ -207,7 +200,7 @@ def is_x2_plus_3y2(n: int) -> bool:
 
 def brute_force_representable(n: int, form: str) -> bool:
     """Exhaustive search for n = A^2 + C*B^2 with A, B >= 0 (C from the form
-    table); the independent check on the two factorization predicates."""
+    table); the independent check on the sieve's verdicts."""
     if n < 0:
         raise ValueError("needs n >= 0")
     if form not in _FORMS:
@@ -302,18 +295,20 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
                          parity: ParitySeries | None = None) -> CheckResult:
     """The family's count is even at every k <= n its guarantee covers
     (``even_guarantee_314`` or ``even_guarantee_516``); ``checked`` counts
-    those k.  With ``brute_max``, also compares the factorization predicate
-    with brute search on every value unit*k + shift <= brute_max; a
+    those k.  With ``brute_max``, also compares the sieve's verdict with
+    brute search on every value unit*k + shift <= brute_max; a
     disagreement's counterexample is that value."""
     unit, shift, params, form = _family(family)
     parity = _parity_through(params, n, parity)
-    covered = (k for k in range(n + 1) if not _represents(form, unit * k + shift))
+    flags = chain.from_iterable(_sieve(form, unit, shift, n + 1))
+    covered = (k for k, represented in enumerate(flags) if not represented)
     scan = _sweep({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
     if brute_max is None:
         return scan
+    flags = chain.from_iterable(_sieve(form, unit, shift, (brute_max - shift) // unit + 1))
+    # _sweep reads the left side once per value, in order
     return merge_checks([scan, _sweep(
-        {"brute_max": brute_max}, range(shift, brute_max + 1, unit),
-        lambda value: _represents(form, value),
+        {"brute_max": brute_max}, range(shift, brute_max + 1, unit), lambda value: bool(next(flags)),
         lambda value: brute_force_representable(value, form))])
 
 

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import copartitions
 from copartitions import CpParams, cli, copartition_parity
 
 
@@ -259,3 +268,59 @@ class TestTables:
         doc = json.loads(out)
         assert doc["columns"][0] == "n"
         assert len(doc["exact"]["cp_3_3_4"]) == 8
+
+
+def fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(copartitions.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "copartitions.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("first, second", [
+    (["verify", "guarantees-516", "--N", "40", "--brute-max", "300", "--format", "json"],
+     ["coeffs", "2", "1", "3", "--n", "9", "--format", "csv"]),
+    (["verify", "guarantees-516", "--N", "40"], ["verify", "guarantees-516"]),
+    (["enumerate", "2", "1", "3", "9", "--show-crank"], ["verify", "lemma13", "--Nmax", "0"]),
+    (["coeffs", "1", "1", "2", "--n", "2001"], ["coeffs", "1", "1", "2", "--n", "4"]),
+])
+def test_the_cached_parser_prints_what_fresh_processes_print(capsys, first, second):
+    # main reuses one parser for the whole process; no call may see another's flags
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(capsys, *first), run(capsys, *second)] == [fresh_process(first),
+                                                            fresh_process(second)]
+
+
+def flag_values(top):
+    """Flag texts: in range up to top, zero, negative, or not a number."""
+    return st.one_of(st.integers(-3, top).map(str),
+                     st.sampled_from(["0", "-1", "-100000", "x", "", "1e3", "5.0", "0x10"]))
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+touched_targets = st.one_of(
+    st.tuples(st.sampled_from(["guarantees-314", "guarantees-516"]),
+              optional("--N", flag_values(10 ** 5)),
+              optional("--brute-max", flag_values(20000))),
+    st.tuples(st.just("progression"),
+              st.sampled_from(cli.FAMILIES + ("cp400", "")).map(lambda f: ["--family", f]),
+              flag_values(9999).map(lambda p: ["--p", p]) | st.just([]),
+              optional("--N", flag_values(10 ** 5))),
+).map(lambda parts: ["verify", parts[0], *[word for flag in parts[1:] for word in flag]])
+
+
+@given(touched_targets, st.sampled_from(["text", "json"]))
+@settings(max_examples=60, deadline=None)
+def test_the_exit_code_contract_holds_on_generated_flags(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--format", fmt])
+        except SystemExit as exc:       # argparse rejects the flag text
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "Traceback" not in err.getvalue() and out.getvalue() == "", argv

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copartitions import (
     CpParams,
-    Factorization,
     ProgressionFamily,
     TWO_SQUARES,
     X2_PLUS_3Y2,
@@ -18,7 +20,6 @@ from copartitions import (
     density_report,
     even_guarantee_314,
     even_guarantee_516,
-    factorize,
     form_equivalence_check,
     form_equivalence_sweep_check,
     format_proportion,
@@ -32,39 +33,66 @@ from copartitions import (
     verify_even_progression,
 )
 from copartitions import parity
-from copartitions.parity import _represents
 from copartitions.series import ParitySeries
 
 
-class TestFactorize:
-    def test_examples(self):
-        assert factorize(77).factors == ((7, 1), (11, 1))
-        assert factorize(5).factors == ((5, 1),)
-        assert factorize(1).factors == ()
-        assert factorize(24 * 3 + 5).factors == ((7, 1), (11, 1))
-
-    def test_round_trip_small(self):
-        for n in range(1, 2000):
-            f = factorize(n)
-            assert f.n == n    # the dataclass itself checks the product
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factorize(0)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Factorization(12, ((2, 2),))            # product mismatch
-        with pytest.raises(ValueError):
-            Factorization(12, ((3, 1), (2, 2)))     # not increasing
-        with pytest.raises(ValueError):
-            Factorization(12, ((4, 1), (3, 1)))     # 4 is not prime
-
-    def test_is_prime(self):
-        primes = [p for p in range(60) if is_prime(p)]
-        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+def test_is_prime():
+    primes = [p for p in range(60) if is_prime(p)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+FORMS = (TWO_SQUARES, X2_PLUS_3Y2)
+# (unit, shift): single values, then the cp314 and cp516 progressions
+PROGRESSIONS = ((1, 1), (24, 5), (6, 1))
+BOUNDARY = (0, 1, parity._BLOCK - 1, parity._BLOCK, parity._BLOCK + 1)
+
+
+def sieve_flags(form, unit, shift, count):
+    return [bool(f) for f in chain.from_iterable(parity._sieve(form, unit, shift, count))]
+
+
+@cache
+def brute_prefix(form, unit, shift):
+    # brute search on the first two blocks' worth of the progression, searched once per run
+    return [brute_force_representable(unit * k + shift, form) for k in range(parity._BLOCK + 2)]
+
+
+class TestProgressionSieve:
+    @given(st.sampled_from(FORMS), st.sampled_from(PROGRESSIONS),
+           st.sampled_from(BOUNDARY) | st.integers(0, parity._BLOCK + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_flags_equal_brute_search(self, form, progression, count):
+        assert sieve_flags(form, *progression, count) == brute_prefix(form, *progression)[:count]
+
+    @given(st.sampled_from(FORMS), st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 5),
+           st.integers(1, 2000))
+    @settings(max_examples=150, deadline=None)
+    @example(TWO_SQUARES, 3, 2, 5)          # 9 * 5: an even power of a bad prime
+    @example(TWO_SQUARES, 7, 1, 13)         # 7 * 13: an odd power
+    @example(TWO_SQUARES, 7, 2, 1)          # 49
+    @example(X2_PLUS_3Y2, 2, 3, 7)          # 8 * 7
+    @example(X2_PLUS_3Y2, 5, 2, 31)         # 25 * 31
+    def test_single_values_equal_brute_search(self, form, p, e, k):
+        # a bad or good prime to the power e times k, the sieve of length 1
+        n = p ** e * k
+        assert sieve_flags(form, 1, n, 1) == [brute_force_representable(n, form)]
+
+    @pytest.mark.parametrize("form, unit, shift, count, cofactor", [
+        (TWO_SQUARES, 1, 3 * 10007, 1, 10007),      # 10007 = 3 mod 4: not represented
+        (TWO_SQUARES, 1, 2 * 10009, 1, 10009),      # 10009 = 1 mod 4: represented
+        (X2_PLUS_3Y2, 1, 7 * 10007, 1, 10007),      # 10007 = 2 mod 3: not represented
+        (TWO_SQUARES, 24, 5, 1000, 23981),          # the last value is the prime 24 * 999 + 5
+        (X2_PLUS_3Y2, 6, 1, 997, 139),              # the last value is 6 * 996 + 1 = 43 * 139
+    ])
+    def test_a_cofactor_prime_above_the_root_decides_by_its_class(self, form, unit, shift,
+                                                                   count, cofactor):
+        value = unit * (count - 1) + shift
+        assert value % cofactor == 0 and is_prime(cofactor) and cofactor > isqrt(value)
+        assert sieve_flags(form, unit, shift, count)[-1] == brute_force_representable(value, form)
+
+    def test_one_block_of_flags_at_a_time(self):
+        blocks = list(parity._sieve(TWO_SQUARES, 24, 5, 2 * parity._BLOCK + 1))
+        assert [len(b) for b in blocks] == [parity._BLOCK, parity._BLOCK, 1]
 class TestRepresentabilityPredicates:
     def test_two_squares_examples(self):
         assert is_sum_of_two_squares(5)
@@ -82,14 +110,6 @@ class TestRepresentabilityPredicates:
         assert brute_force_representable(7, X2_PLUS_3Y2)
         with pytest.raises(ValueError):
             brute_force_representable(10, "x2_5y2")
-
-    def test_unvalidated_factors_agree_with_factorize(self):
-        # _represents reads the trial division directly, without the
-        # Factorization re-check of every prime it found
-        for n in range(1, 5001):
-            factors = factorize(n).factors
-            assert _represents(TWO_SQUARES, n) == all(e % 2 == 0 for p, e in factors if p % 4 == 3)
-            assert _represents(X2_PLUS_3Y2, n) == all(e % 2 == 0 for p, e in factors if p % 3 == 2)
 
     def test_agreement_on_residue_classes(self):
         # full 10^5 sweep lives in the acceptance suite

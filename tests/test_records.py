@@ -13,7 +13,6 @@ from copartitions import (
     DensityReport,
     ExactSeries,
     FactorSpec,
-    Factorization,
     ParitySeries,
     ProgressionFamily,
     TableData,
@@ -34,8 +33,6 @@ RECORDS = [
     (CheckResult, (False, False, 3, 2, 1, 0, ()), (False, False, 3, 2, 1, 1, ()),
      "CheckResult(passed=False, vacuous=False, checked=3, counterexample=2, left=1, right=0, "
      "rows=())"),
-    (Factorization, (12, ((2, 2), (3, 1))), (18, ((2, 1), (3, 2))),
-     "Factorization(n=12, factors=((2, 2), (3, 1)))"),
     (ProgressionFamily, ("cp314", 19), ("cp314", 23),
      "ProgressionFamily(family='cp314', p=19)"),
     (DensityReport, (P, (1, 2), (0, 1)), (P, (1, 2), (0, 2)),
@@ -65,11 +62,6 @@ INVALID = [
     (Copartition, ((2,), (), (), P), "ground part 2 is not >= 1 and congruent to 1 mod 3"),
     (Copartition, ((), (), (3,), P), "sky part 3 is not >= 2 and congruent to 2 mod 3"),
     (Copartition, ((1,), (), (2,), P), "rectangle () is not the forced (3,)"),
-    (Factorization, (0, ()), "factorizations are for n >= 1"),
-    (Factorization, (12, ((3, 1), (2, 2))), "bad factor list for 12: ((3, 1), (2, 2))"),
-    (Factorization, (12, ((2, 0), (3, 1))), "bad factor list for 12: ((2, 0), (3, 1))"),
-    (Factorization, (12, ((4, 1), (3, 1))), "bad factor list for 12: ((4, 1), (3, 1))"),
-    (Factorization, (12, ((2, 1), (3, 1))), "factors ((2, 1), (3, 1)) do not multiply to 12"),
     (ProgressionFamily, ("cp400", 7), "unknown family 'cp400'"),
     (ProgressionFamily, ("cp314", 5),
      "cp314 needs a prime p = 3 mod 4 that does not divide 24, got 5"),
@@ -137,7 +129,6 @@ def test_sequence_fields_are_stored_as_tuples():
     built = [
         (ExactSeries(2, [1, 0, 4]), ("coeffs",)),
         (DensityReport(P, [1, 2], [0, 1]), ("checkpoints", "even_counts")),
-        (Factorization(12, [(2, 2), (3, 1)]), ("factors",)),
         (TableData([REPORT]), ("reports",)),
         (Copartition([4, 1], [6], [2], P), ("ground", "rectangle", "sky")),
     ]
