@@ -307,7 +307,7 @@ touched_targets = st.one_of(
               optional("--brute-max", flag_values(20000))),
     st.tuples(st.just("progression"),
               st.sampled_from(cli.FAMILIES + ("cp400", "")).map(lambda f: ["--family", f]),
-              flag_values(9999).map(lambda p: ["--p", p]) | st.just([]),
+              optional("--p", flag_values(9999)),
               optional("--N", flag_values(10 ** 5))),
 ).map(lambda parts: ["verify", parts[0], *[word for flag in parts[1:] for word in flag]])
 

@@ -53,7 +53,7 @@ def sieve_flags(form, unit, shift, count):
 
 @cache
 def brute_prefix(form, unit, shift):
-    # brute search on the first two blocks' worth of the progression, searched once per run
+    # brute search on the progression's first _BLOCK + 2 values, once per test run
     return [brute_force_representable(unit * k + shift, form) for k in range(parity._BLOCK + 2)]
 
 
@@ -93,6 +93,8 @@ class TestProgressionSieve:
     def test_one_block_of_flags_at_a_time(self):
         blocks = list(parity._sieve(TWO_SQUARES, 24, 5, 2 * parity._BLOCK + 1))
         assert [len(b) for b in blocks] == [parity._BLOCK, parity._BLOCK, 1]
+
+
 class TestRepresentabilityPredicates:
     def test_two_squares_examples(self):
         assert is_sum_of_two_squares(5)
