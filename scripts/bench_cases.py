@@ -6,13 +6,25 @@ one or more source trees.
 Each NAME=SRC side runs ROUNDS times in its own interpreter with SRC on the
 import path; the sides alternate, and which goes first flips every round.
 Every run times each case REPEAT times after one warm-up.  Per case the JSON
-document on stdout holds the best and median wall time over all runs and three
-counters that do not depend on the machine: the exact-kernel passes run
-(calls of ``series._scaled_add`` and ``series._divide``), the GF(2) passes
-run (the popcount of each normal form ``series.mod2_passes`` returns) and the
-partitions the enumeration walk yields.  A side whose source has none of the
-wrapped pass, normal-form or walk functions is an error, so a renamed function
-cannot read as 0.
+document on stdout holds the best and median wall time over all runs and
+counters that do not depend on the machine:
+
+- ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
+- ``mod2_passes``: the passes of the normal forms ``series._level_product``
+  runs (its passes as one int, or split into 2-adic levels);
+- ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
+  the Euler and Cauchy sums; null for a source without them;
+- ``mod2_bits``: the bits both GF(2) kernels' passes run on, each pass
+  weighted by the width of the series it shifts: n >> v on level v of the
+  level loop (levels below 2048 bits share the last), the term's width in a
+  sum;
+- ``sieve_values`` and ``sieve_hits``: the values ``parity._sieve`` decides
+  and its prime hits, one per prime of its table (``parity._primes``) that
+  divides a value;
+- ``partitions_walked``: the partitions the enumeration walk yields.
+
+A side whose source has none of the wrapped pass, level-loop, sieve or walk
+functions is an error, so a renamed function cannot read as 0.
 
 The process case compiles each side's bytecode first, then starts
 ROUNDS x REPEAT fresh interpreters per side, alternating, that each run
@@ -43,6 +55,8 @@ CASES = {
     "exact 1 1 2 n=2000": ("series.exact", "kernel", (1, 1, 2, 2000)),
     "exact 1 1 1 n=2000": ("series.exact", "kernel", (1, 1, 1, 2000)),
     "parity 1 11 14 n=32000": ("series.mod2", "parity", (1, 11, 14, 32000)),
+    "parity 1 11 14 n=2000": ("series.mod2", "parity", (1, 11, 14, 2000)),
+    "parity 2 3 7 n=12100": ("series.mod2", "parity", (2, 3, 7, 12100)),
     "parity 1 1 1 n=32000": ("series.mod2", "parity", (1, 1, 1, 32000)),
     "parity 3 3 4 n=100000": ("series.mod2", "parity", (3, 3, 4, 100000)),
     "parity 1 3 4 n=32000": ("series.mod2", "parity", (1, 3, 4, 32000)),     # theta quotient
@@ -73,11 +87,26 @@ def _call(kind: str, args: tuple):
     return getattr(copartitions, kind)(*args)
 
 
+def _level_counts(n: int, levels) -> tuple[int, int]:
+    """(passes, bits) of one run of the level loop; ``levels`` is its passes as
+    one int, split here as the loop splits them, or as the list of levels."""
+    if isinstance(levels, int):
+        top = (n >> 11).bit_length()
+        set_bits = [k for k, bit in enumerate(reversed(format(levels, "b"))) if bit == "1"]
+        widths = [n >> min((k & -k).bit_length() - 1, top) for k in set_bits]
+        return len(widths), sum(widths)
+    return (sum(level.bit_count() for level in levels),
+            sum(level.bit_count() * (n >> v) for v, level in enumerate(levels)))
+
+
 def _counted(kind: str, args: tuple) -> dict:
-    """Run the case once with the pass, normal-form and walk functions wrapped."""
+    """Run the case once with the pass, level-loop, sum, sieve and walk
+    functions wrapped."""
     from copartitions import enumeration, parity, series
 
-    counts = {"exact_passes": 0, "mod2_passes": 0, "partitions_walked": 0}
+    counts = dict.fromkeys(("exact_passes", "mod2_passes", "sums_passes", "mod2_bits",
+                            "sieve_values", "sieve_hits", "partitions_walked"), 0)
+    table = []                      # the sieve's primes, as last built
 
     def passes(kernel):
         def run(*a):
@@ -85,11 +114,39 @@ def _counted(kind: str, args: tuple) -> dict:
             return kernel(*a)
         return run
 
-    def normal_form(kernel):
-        def run(*a):
-            passes = kernel(*a)
-            counts["mod2_passes"] += passes.bit_count()
-            return passes
+    def level_loop(kernel):
+        def run(n, levels, *rest):
+            run_passes, bits = _level_counts(n, levels)
+            counts["mod2_passes"] += run_passes
+            counts["mod2_bits"] += bits
+            return kernel(n, levels, *rest)
+        return run
+
+    def chain(kernel):
+        def run(g, d):
+            width = g.bit_length()
+            while d < width:
+                counts["sums_passes"] += 1
+                counts["mod2_bits"] += width
+                d <<= 1
+            return kernel(g, d)
+        return run
+
+    def primes(kernel):
+        def run(limit):
+            table[:] = kernel(limit)
+            return list(table)
+        return run
+
+    def sieve(kernel):
+        def run(form, unit, shift, count):
+            start = 0
+            for flags in kernel(form, unit, shift, count):
+                values = range(unit * start + shift, unit * (start + len(flags)) + shift, unit)
+                counts["sieve_values"] += len(values)
+                counts["sieve_hits"] += sum(1 for p in table for value in values if value % p == 0)
+                start += len(flags)
+                yield flags
         return run
 
     def walk(partitions):
@@ -99,13 +156,16 @@ def _counted(kind: str, args: tuple) -> dict:
                 yield item
         return run
 
-    wraps = {"_scaled_add": passes, "_divide": passes, "mod2_passes": normal_form,
+    wraps = {"_scaled_add": passes, "_divide": passes, "_level_product": level_loop,
+             "_chain_divide": chain, "_primes": primes, "_sieve": sieve,
              "_partitions_upto": walk}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
-    for counter in (passes, normal_form, walk):
+    for counter in (passes, level_loop, primes, sieve, walk):
         if not any(wraps[name] is counter for _, name, _ in saved):
             raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
+    if not any(name == "_chain_divide" for _, name, _ in saved):
+        counts["sums_passes"] = None            # a source without the sums
     for module, name, real in saved:
         setattr(module, name, wraps[name](real))
     try:

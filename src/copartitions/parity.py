@@ -180,9 +180,20 @@ def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
 
 
 def _represents(form: str, n: int) -> bool:
+    """The sieve's criterion on one value, by trial division up to the root of
+    the cofactor left, which is then 1 or a prime."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return bool(next(_sieve(form, 1, n, 1))[0])
+    _, modulus, residue = _FORMS[form]
+    p = 2
+    while p * p <= n:
+        odd = False
+        while n % p == 0:
+            n, odd = n // p, not odd
+        if odd and p % modulus == residue:
+            return False
+        p += 1 if p == 2 else 2
+    return n % modulus != residue
 
 
 def is_sum_of_two_squares(n: int) -> bool:

@@ -30,9 +30,26 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
    It walks the levels down from the top, spreading x to x^2 between them;
    below 2048 bits the passes of every higher level share one level.
 
-This is the identity behind the paper's parity results: it folds repeated
-exponents and cancels numerator passes against reciprocal chains, so the
-(a, a, 2a) families need one pass per multiple of 4a.  The loop also divides
+3b. Sums: where nothing folds, a progression still costs one pass per term.
+   Two classical sums (Andrews, *The Theory of Partitions*, ch. 2) take
+   about sqrt(2n/m) terms instead, with q -> q^m and z -> q^c:
+
+   - Euler: (z;q)_oo = sum_k (-1)^k z^k q^(k(k-1)/2) / (q;q)_k;
+   - Cauchy: 1/(z;q)_oo = sum_k z^k q^(k^2-k) / ((q;q)_k (z;q)_k).
+
+   ``_sum_factor`` multiplies the series in by either one: term k is term
+   k - 1 shifted right by c + m(k-1) (Cauchy: c + 2m(k-1)) and divided by
+   1 + q^(mk) (Cauchy: and by 1 + q^(c + m(k-1))), each division a doubling
+   chain of passes on the term's width.  The generic copartition families
+   take the sums when their work is under half the level loop's, the work
+   being the bits the passes run on: each pass of the normal form costs its
+   level's width, each pass of a chain its term's width.  On a tie the
+   normal form stays.  When no two progressions share a pass the normal
+   form is not computed; its work is then the progressions' own.
+
+The normal form is the identity behind the paper's parity results: it folds
+repeated exponents and cancels numerator passes against reciprocal chains, so
+the (a, a, 2a) families need one pass per multiple of 4a.  The loop also divides
 by a sparse D, as 1/D(q) = D(q) D(q^2) D(q^4) ... through q^n, one factor per
 level at that level's width, so two family classes need few passes or none
 (``expand_factors`` and ``expand_factors_mod2`` stay their independent reference):
@@ -53,7 +70,7 @@ extended silently.  Shortening is spelled ``truncate``.
 from __future__ import annotations
 
 from itertools import accumulate, compress
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -342,18 +359,37 @@ def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
     return planes[0] if planes else 0
 
 
-def _level_product(n: int, passes: int, steps: Sequence[int] = (),
-                   numerator: Sequence[int] = (), at: int = 0) -> ParitySeries:
-    """N(q^(2^at)) / D(q) times (1 + q^k) for each set bit k of ``passes``, mod 2
-    through q^n; D (N) is 1 plus q^e over the increasing nonzero ``steps``
-    (``numerator``).  Level v holds F_v(x) = D(x) F_(v+1)(x^2) times its passes
-    (and N(x) at v = at) in x = q^(2^v), reversed through x^(n >> v); F_0 is the product."""
-    levels = []                 # levels[v]: the passes k = 2^v * odd, at k >> v
+def _split_levels(n: int) -> int:
+    """How many levels v run their own passes: those with n >> v >= 2048 bits.
+    A level narrower saves less than it costs, so it shares the last one."""
+    return (n >> 11).bit_length()
+
+
+def _levels(n: int, passes: int) -> list[int]:
+    """The passes by 2-adic level: entry v holds k = 2^v * odd at k >> v, and
+    the last entry every pass left at the level reached."""
+    levels = []
     odd = int.from_bytes(b"\xaa" * (n // 8 + 1), "little")      # bits 1, 3, 5, ...
-    while passes and n >> len(levels) >= 2048:      # a level narrower saves less than it costs
+    for _ in range(_split_levels(n)):
+        if not passes:
+            break
         levels.append(passes & odd)
         passes = _unspread(passes ^ levels[-1])
-    levels += [passes] if passes else []      # every pass left, at the level reached
+    return levels + [passes] if passes else levels
+
+
+def _level_work(n: int, levels: Sequence[int]) -> int:
+    """Bits the level loop's passes run on: each pass costs its level's width."""
+    return sum(level.bit_count() * (n >> v) for v, level in enumerate(levels))
+
+
+def _level_product(n: int, levels: Sequence[int], steps: Sequence[int] = (),
+                   numerator: Sequence[int] = (), at: int = 0) -> ParitySeries:
+    """N(q^(2^at)) / D(q) times (1 + q^k) for each pass k in ``levels``, split as
+    ``_levels`` splits them, mod 2 through q^n; D (N) is 1 plus q^e over the
+    increasing nonzero ``steps`` (``numerator``).  Level v holds F_v(x) =
+    D(x) F_(v+1)(x^2) times its passes (and N(x) at v = at) in x = q^(2^v),
+    reversed through x^(n >> v); F_0 is the product."""
     top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
     rev = 1 << (n >> top)
     for v in range(top, -1, -1):
@@ -376,7 +412,107 @@ def _level_product(n: int, passes: int, steps: Sequence[int] = (),
 def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     """Parity of ``expand_factors(factors, n)``: the passes of ``mod2_passes``
     through ``_level_product``.  Mod 2, (q^c;q^m) and (-q^c;q^m) are equal."""
-    return _level_product(n, mod2_passes(factors, n))
+    return _level_product(n, _levels(n, mod2_passes(factors, n)))
+
+
+def _progression_work(c: int, step: int, n: int) -> int:
+    """``_level_work`` of the passes k = c, c + step, ... <= n alone.  With
+    s = v(step), every k is on level v(c) when v(c) < s; otherwise k is
+    2^s (c' + i step') with step' odd, and 2^u divides c' + i step' on every
+    2^u-th i from the first that solves it."""
+    if c > n:
+        return 0
+    last, top = (n - c) // step, _split_levels(n)
+    s = min((step & -step).bit_length() - 1, top)
+    if c % (1 << s):
+        return (last + 1) * (n >> (c & -c).bit_length() - 1)
+    work = (last + 1) * (n >> s)
+    if s < top:
+        inverse = pow(step >> s, -1, 1 << top - s)
+        for u in range(1, top - s + 1):
+            first = -(c >> s) * inverse % (1 << u)
+            work -= ((last - first >> u) + 1) * ((n >> s + u - 1) - (n >> s + u))
+    return work
+
+
+def _sums_work(factors: Sequence[FactorSpec], n: int, limit: int) -> int:
+    """Bits the passes of ``_sum_factor`` run on, over every factor: term k, of
+    width w, divides by 1 + q^d in one pass per d * 2^i < w.  Stops once above ``limit``."""
+    work = 0
+    for f in factors:
+        c, m, cauchy = f.c, f.m, f.sign == RECIPROCAL
+        width, d = n + 1 - c, m         # term k is shifted past its lowest exponent; d = mk
+        while width > 0 and work <= limit:
+            work += width * ((width - 1) // d).bit_length()
+            if cauchy:
+                work += width * ((width - 1) // (d + c - m)).bit_length()
+            width -= c + (2 * d if cauchy else d)
+            d += m
+    return work
+
+
+def _chain_divide(g: int, d: int) -> int:
+    """g / (1 + q^d) mod 2 on reversed bits: a pass at each d * 2^i below g's width."""
+    width = g.bit_length()
+    while d < width:
+        g ^= g >> d
+        d <<= 1
+    return g
+
+
+def _sum_factor(rev: int, c: int, m: int, cauchy: bool) -> int:
+    """``rev`` times 1/(q^c;q^m) by Cauchy's sum (``cauchy``) or (q^c;q^m) by
+    Euler's, mod 2 on reversed bits: term k is term k - 1 times q^(c + m(k-1))
+    over 1 + q^(mk), and for Cauchy times q^(m(k-1)) over 1 + q^(c + m(k-1)) too."""
+    s = g = rev
+    shift, d = c, m                 # term k: the shift to it from term k - 1, d = mk
+    while g := g >> shift:
+        g = _chain_divide(g, d)
+        if cauchy:
+            g = _chain_divide(g, d + c - m)
+        s ^= g
+        shift, d = c + (2 * d if cauchy else d), d + m
+    return s
+
+
+def _sums_product(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """``expand_factors_mod2(factors, n)`` by one sum per factor."""
+    rev = 1 << n
+    for f in factors:
+        rev = _sum_factor(rev, f.c, f.m, f.sign == RECIPROCAL)
+    return ParitySeries(n, _reverse(rev, n))
+
+
+def _disjoint(progressions: Sequence[tuple[int, int]]) -> bool:
+    """No two progressions (c, step) share an exponent, even past n: the starts
+    of each pair differ mod the gcd of their steps, so first mod the gcd of all."""
+    common = gcd(*(step for _, step in progressions))
+    classes: dict[int, list] = {}
+    for c, step in progressions:
+        same = classes.setdefault(c % common, [])
+        if any((c - d) % gcd(step, other) == 0 for d, other in same):
+            return False
+        same.append((c, step))
+    return True
+
+
+def _gf2_product(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """``expand_factors_mod2(factors, n)`` by the kernel with less work (step 3b of
+    the module docstring): the sums when their work is under half the level
+    loop's.  The normal form is only computed when a pair of progressions may
+    share a pass; otherwise its work is the progressions' own."""
+    progressions = list(_pass_progressions(factors, n))
+    if _disjoint(progressions):
+        levels = None
+        work = sum(_progression_work(c, step, n) for c, step in progressions)
+    else:
+        levels = _levels(n, mod2_passes(factors, n))
+        work = _level_work(n, levels)
+    if 2 * _sums_work(factors, n, work // 2) < work:
+        return _sums_product(factors, n)
+    if levels is None:
+        levels = _levels(n, mod2_passes(factors, n))
+    return _level_product(n, levels)
 
 
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
@@ -447,13 +583,13 @@ def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     if a + b == m:
         at = (m & -m).bit_length()      # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
         euler = _odd_steps(m >> at - 1, 3 * m >> at - 1, n >> at)
-        return _level_product(n, 0, _odd_steps(a, m, n), euler, at if euler else 0)
+        return _level_product(n, [], _odd_steps(a, m, n), euler, at if euler else 0)
     if a % m == 0 == b % m:
         lo, hi = sorted((a // m, b // m))
         finite = ([pochhammer(j * m, n + 1) for j in range(1, lo)]
                   + [reciprocal(j * m, n + 1) for j in range(hi, lo + hi)])
-        return _level_product(n, mod2_passes(finite, n), _odd_steps(m, 3 * m, n))
-    return expand_factors_mod2(copartition_factors(params), n)
+        return _level_product(n, _levels(n, mod2_passes(finite, n)), _odd_steps(m, 3 * m, n))
+    return _gf2_product(copartition_factors(params), n)
 
 
 def self_conjugate_series(a: int, m: int, n: int) -> ExactSeries:

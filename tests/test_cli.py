@@ -324,3 +324,115 @@ def test_the_exit_code_contract_holds_on_generated_flags(argv, fmt):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert "Traceback" not in err.getvalue() and out.getvalue() == "", argv
+
+
+# Every subcommand and verify target, with flag values in range, zero,
+# negative, not a number and large.  The in-range tops keep each run short;
+# LARGE reaches only the guarded flags and those whose work does not grow
+# with their value.
+LARGE = "1000000000"
+VERIFY_TOPS = {
+    "selfconj": {"--amax": 3, "--mmax": 5, "--nmax": 40},
+    "parity-gf": {"--amax": 3, "--mmax": 6, "--N": 300},
+    "eq4": {"--a": 20, "--m": 20, "--mmax": 12, "--N": 2000},
+    "lacunary": {"--a": 21, "--N": 5000},
+    "progression": {"--p": 9999, "--N": 10 ** 5},
+    "lemma13": {"--Nmax": 10 ** 5},
+    "guarantees-314": {"--N": 10 ** 5, "--brute-max": 20000},
+    "guarantees-516": {"--N": 10 ** 5, "--brute-max": 20000},
+    "both-parities": {"--a": 20, "--m": 20, "--mmax": 12, "--N": 2000, "--witness-min": 2000},
+    "andrews": {"--N": 504},
+    "oracle": {"--amax": 3, "--bmax": 3, "--mmax": 5, "--nmax": 12},
+}
+UNGROWN = {"--a", "--m", "--p"}       # flags whose work does not grow with the value
+UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "out")]
+
+
+def flag_values_or_large(flag, top):
+    return flag_values(top) | st.just(LARGE) if flag in UNGROWN else flag_values(top)
+
+
+def words(parts):
+    return [word for part in parts for word in part]
+
+
+def verify_argv(target):
+    flags = [optional(flag, flag_values_or_large(flag, top))
+             for flag, top in VERIFY_TOPS[target].items()]
+    if target == "progression":
+        flags.append(optional("--family", st.sampled_from(cli.FAMILIES + ("cp400", ""))))
+    if target == "andrews":
+        flags.append(optional("--sizes", st.sampled_from(
+            ["4,9,14", "24", "", "0", "-1", "x", "4,,9", "5", LARGE])))
+    stray = st.sampled_from([[], ["--nmax", "5"], ["--Nmax", "5"], ["--p", "5"]])
+    return st.tuples(*flags, stray).map(lambda parts: ["verify", target, *words(parts)])
+
+
+def in_range_or_guarded(top):
+    """Flag values for a size the subcommand guards by --cap: LARGE alone
+    exceeds the guard; with LARGE drawn the --cap values stay in range."""
+    return st.one_of(flag_values(top), st.just(LARGE))
+
+
+@st.composite
+def guarded_argv(draw, subcommand, top, extra):
+    params = [draw(flag_values(40) | st.just(LARGE)) for _ in range(3)]
+    size = draw(in_range_or_guarded(top))
+    caps = flag_values(top) if size == LARGE else flag_values(top) | st.just(LARGE)
+    cap = draw(optional("--cap", caps))
+    sized = ["--n", size] if subcommand == "coeffs" else [size]
+    return [subcommand, *params, *sized, *cap, *words(draw(extra))]
+
+
+every_argv = st.one_of(
+    guarded_argv("coeffs", 600, st.tuples(optional("--mode", st.sampled_from(
+        ["exact", "parity", "", "both"])))),
+    guarded_argv("enumerate", 12, st.tuples(
+        st.sampled_from([[], ["--show-crank"], ["--show-crank", "--show-conjugate"]]))),
+    st.sampled_from(["1", "2", "3", "0", "4", "-1", "x", LARGE]).map(lambda w: ["tables", w]),
+    *(verify_argv(target) for target in VERIFY_TOPS),
+    st.sampled_from(["everything", "", "EQ4", "parity_gf", "guarantees-999", "-1"]).map(
+        lambda target: ["verify", target]),
+)
+
+
+def run_contained(argv):
+    """Exit code, stdout and stderr of one call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse rejects the flag text
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_verify_target_and_flag_is_fuzzed():
+    assert set(VERIFY_TOPS) == set(cli.TARGETS)
+    for target, (flags, _) in cli.TARGETS.items():
+        fuzzed = {flag.removeprefix("--").replace("-", "_") for flag in VERIFY_TOPS[target]}
+        assert set(flags) - fuzzed <= {"family", "sizes"}, target
+
+
+@given(every_argv, st.sampled_from(["text", "json", "csv"]),
+       st.sampled_from([[]] + [["--out", path] for path in UNWRITABLE]))
+@settings(max_examples=300, deadline=None)
+def test_the_exit_code_contract_holds_on_every_subcommand(argv, fmt, out):
+    code, stdout, stderr = run_contained([*argv, "--format", fmt, *out])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr, argv
+    if code == 2:
+        assert stdout == "", argv
+    if out and code != 2:
+        raise AssertionError(f"wrote to an unwritable --out: {argv}")
+
+
+@pytest.mark.parametrize("path", UNWRITABLE)
+@pytest.mark.parametrize("argv", [["coeffs", "2", "1", "3", "--n", "9"],
+                                  ["enumerate", "2", "1", "3", "5"],
+                                  ["tables", "1"],
+                                  ["verify", "lemma13", "--Nmax", "60"]], ids=" ".join)
+def test_an_unwritable_out_is_a_usage_error_on_every_subcommand(argv, path):
+    code, stdout, stderr = run_contained([*argv, "--out", path])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1

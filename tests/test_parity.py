@@ -1,7 +1,8 @@
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +113,32 @@ class TestRepresentabilityPredicates:
         assert brute_force_representable(7, X2_PLUS_3Y2)
         with pytest.raises(ValueError):
             brute_force_representable(10, "x2_5y2")
+
+    @pytest.mark.parametrize("n, factors, two_squares, x2_3y2", [
+        (3 * 2 ** 46, {2: 46, 3: 1}, False, True),     # 0^2 + 3 (2^23)^2
+        (10 ** 14 + 7, {43: 1, 1103: 1, 2083: 1, 1012201: 1}, False, False),
+        (5 ** 20 * 3, {3: 1, 5: 20}, False, True),     # 0^2 + 3 (5^10)^2
+        (2 ** 41 * 13, {2: 41, 13: 1}, True, False),
+    ])
+    def test_large_values_by_their_factors(self, n, factors, two_squares, x2_3y2):
+        # far beyond brute search; the factors decide, and no prime table is built
+        assert n == prod(p ** e for p, e in factors.items())
+        assert all(is_prime(p) for p in factors)
+        tracemalloc.start()
+        try:
+            assert is_sum_of_two_squares(n) is two_squares
+            assert is_x2_plus_3y2(n) is x2_3y2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @given(st.sampled_from(FORMS), st.integers(1, 10 ** 9))
+    @example(TWO_SQUARES, 31607 ** 2)               # a bad prime squared, the table's end
+    @example(X2_PLUS_3Y2, 31607 * 31627)            # two primes either side of the root
+    @settings(max_examples=40, deadline=None)
+    def test_single_values_equal_the_sieve_of_length_1(self, form, n):
+        assert parity._represents(form, n) == sieve_flags(form, 1, n, 1)[0]
 
     def test_agreement_on_residue_classes(self):
         # full 10^5 sweep lives in the acceptance suite

@@ -61,11 +61,14 @@ def bench_cases():
     return module
 
 
+def expected_counts(**nonzero):
+    return {**dict.fromkeys(("exact_passes", "mod2_passes", "sums_passes", "mod2_bits",
+                             "sieve_values", "sieve_hits", "partitions_walked"), 0), **nonzero}
+
+
 def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
     # (1,1,1) through 45 runs 46 exact passes; the self-conjugate walk visits the grounds
-    assert bench_cases._counted("kernel", (1, 1, 1, 45)) == {"exact_passes": 46,
-                                                          "mod2_passes": 0,
-                                                          "partitions_walked": 0}
+    assert bench_cases._counted("kernel", (1, 1, 1, 45)) == expected_counts(exact_passes=46)
     counts = bench_cases._counted("self_conjugate_check", (1, 2, 30))
     assert counts["partitions_walked"] > 0
     assert series._divide.__name__ == "_divide"          # the wrappers are taken off again
@@ -74,7 +77,8 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
 @pytest.mark.parametrize("missing", [[(series, "_divide"), (series, "_scaled_add")],
                                      [(enumeration, "_partitions_upto"),
                                       (parity, "_partitions_upto")],
-                                     [(series, "mod2_passes")]])
+                                     [(series, "_level_product")],
+                                     [(parity, "_sieve")]])
 def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
                                                                     missing):
     for module, name in missing:
@@ -83,19 +87,49 @@ def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases,
         bench_cases._counted("kernel", (1, 1, 1, 5))
 
 
-@pytest.mark.parametrize("abm, n", [((1, 11, 14), 3000), ((1, 1, 3), 3000), ((3, 3, 4), 5000)])
+@pytest.mark.parametrize("abm, n", [((1, 1, 6), 3000), ((1, 1, 3), 3000), ((3, 3, 4), 5000)])
 def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, abm, n):
-    counts = bench_cases._counted("parity", (*abm, n))
-    expected = series.mod2_passes(series.copartition_factors(CpParams(*abm)), n).bit_count()
-    assert counts == {"exact_passes": 0, "mod2_passes": expected, "partitions_walked": 0}
-    assert expected > 0
-    assert series.mod2_passes.__name__ == "mod2_passes"  # the wrapper is taken off again
+    passes = series.mod2_passes(series.copartition_factors(CpParams(*abm)), n)
+    levels = series._levels(n, passes)
+    assert bench_cases._counted("parity", (*abm, n)) == expected_counts(
+        mod2_passes=passes.bit_count(), mod2_bits=series._level_work(n, levels))
+    assert passes.bit_count() > 0
+    # the parent's level loop takes the passes as one int; both forms count alike
+    assert bench_cases._level_counts(n, passes) == bench_cases._level_counts(n, levels)
+    assert series._level_product.__name__ == "_level_product"  # the wrapper is taken off again
 
 
 def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
-    # (1, 1, 1) is 1/((1 - q) E(q)) mod 2: the passes of 1/(1 - q), one per 2^i <= 3000
-    counts = bench_cases._counted("parity", (1, 1, 1, 3000))
-    assert counts == {"exact_passes": 0, "mod2_passes": 12, "partitions_walked": 0}
+    # (1, 1, 1) is 1/((1 - q) E(q)) mod 2: the passes of 1/(1 - q), one per 2^i <= 3000;
+    # at n = 3000 level 0 (k = 1) runs on 3000 bits and every higher level on 1500
+    assert bench_cases._counted("parity", (1, 1, 1, 3000)) == expected_counts(
+        mod2_passes=12, mod2_bits=3000 + 11 * 1500)
+
+
+def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
+    # (1, 11, 14) at 3000 takes the sums: 367 chain passes, and no level-loop pass
+    n = 3000
+    factors = series.copartition_factors(CpParams(1, 11, 14))
+    bits = series._sums_work(factors, n, float("inf"))
+    assert bench_cases._counted("parity", (1, 11, 14, n)) == expected_counts(sums_passes=367,
+                                                                    mod2_bits=bits)
+    assert bits < series._level_work(n, series._levels(n, series.mod2_passes(factors, n))) / 2
+    assert series._chain_divide.__name__ == "_chain_divide"
+
+
+def test_bench_cases_reads_no_sums_counter_without_the_sums(bench_cases, monkeypatch):
+    monkeypatch.delattr(series, "_chain_divide")
+    assert bench_cases._counted("kernel", (1, 1, 1, 5))["sums_passes"] is None
+
+
+def test_bench_cases_counts_the_values_and_prime_hits_of_the_sieve(bench_cases):
+    # cp314 at 100 sieves 24k + 5 for k <= 100 with the primes up to isqrt(2405) = 49
+    values = range(5, 24 * 100 + 6, 24)
+    primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+    hits = sum(1 for v in values for p in primes if v % p == 0)
+    assert bench_cases._counted("even_guarantee_check", ("cp314", 100)) == expected_counts(
+        sieve_values=101, sieve_hits=hits)
+    assert hits > 0 and parity._sieve.__name__ == "_sieve"
 
 
 def test_bench_cases_theta_quotient_runs_no_gf2_pass(bench_cases):

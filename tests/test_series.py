@@ -272,7 +272,7 @@ def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
         raise AssertionError("pass kernel called")
 
     monkeypatch.setattr(series_module, "expand_factors", refuse)
-    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
+    monkeypatch.setattr(series_module, "_gf2_product", refuse)
     assert copartition_series(CpParams(1, 13, 14), 50)[0] == 1
     assert copartition_parity(CpParams(3, 3, 6), 50).bit(0) == 1
     with pytest.raises(AssertionError, match="pass kernel"):
@@ -285,7 +285,7 @@ def test_the_collapsed_families_skip_the_pass_kernel(monkeypatch):
     def refuse(factors, n):
         raise AssertionError("pass kernel called")
 
-    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
+    monkeypatch.setattr(series_module, "_gf2_product", refuse)
     assert copartition_parity(CpParams(1, 1, 1), 50).bit(0) == 1
     assert copartition_parity(CpParams(2, 4, 2), 50).bit(0) == 1
     with pytest.raises(AssertionError, match="pass kernel"):
@@ -415,6 +415,132 @@ class TestCollapsedFamilies:
         monkeypatch.setattr(series_module, "mod2_passes", counted)
         copartition_parity(CpParams(1, 1, 1), 32000)
         assert seen == [15]         # 1/(1 - q): a pass at each 2^i <= 32000
+
+
+def generic(a, b, m):
+    """Neither a + b = m nor m | a, m | b: the families ``_gf2_product`` serves."""
+    return a + b != m and not a % m == 0 == b % m
+
+
+GENERIC = [(a, b, m) for a in range(1, 13) for b in range(1, 13) for m in range(1, 17)
+           if generic(a, b, m)]
+
+
+@st.composite
+def generic_family_at_boundary_n(draw):
+    """A generic family and an n at 0, 1 or 2^j +- 1, on a sum's term k (its
+    lowest exponent), or just below a factor's first exponent c."""
+    a, b, m = draw(st.sampled_from(GENERIC))
+    k = draw(st.integers(1, 8))
+    terms = [c * k + m * k * (k - 1) for c in (a, b)] + [(a + b) * k + m * k * (k - 1) // 2]
+    n = draw(boundary_n | st.sampled_from(terms) | st.sampled_from([a - 1, b - 1, a + b - 1]))
+    return (a, b, m), n
+
+
+class TestSums:
+    """Euler's and Cauchy's sums for the families that take neither identity."""
+
+    @given(generic_family_at_boundary_n())
+    @example(((1, 11, 14), 0))
+    @example(((1, 11, 14), 2 * 1 + 14 * 2))      # Cauchy's term 2 for c = 1 lands on n
+    @example(((12, 12, 16), 11))                 # every c above n
+    @example(((3, 3, 4), 4097))
+    @settings(max_examples=80, deadline=None)
+    def test_the_generic_branch_matches_the_pass_kernel_and_the_exact_series(self, abm_n):
+        abm, n = abm_n
+        params = CpParams(*abm)
+        factors = copartition_factors(params)
+        reference = expand_factors_mod2(factors, n)
+        assert copartition_parity(params, n) == reference
+        assert series_module._sums_product(factors, n) == reference
+        assert reference == reduce_mod2(copartition_series(params, n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 64, 257])
+    def test_every_generic_family_up_to_12_12_16(self, n):
+        for a, b, m in GENERIC:
+            factors = copartition_factors(CpParams(a, b, m))
+            reference = expand_factors_mod2(factors, n)
+            assert series_module._sums_product(factors, n) == reference, (a, b, m)
+            assert copartition_parity(CpParams(a, b, m), n) == reference, (a, b, m)
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 12).flatmap(
+        lambda j: st.sampled_from([2 ** j - 1, 2 ** j, 2 ** j + 1, 2 ** (j + 5) + 7])))
+    @example(12, 14, 32000)
+    @example(16, 16, 2 ** 16)           # every pass at or above the top level
+    @example(3, 4, 0)
+    @settings(max_examples=80)
+    def test_the_work_of_one_progression_in_closed_form(self, c, step, n):
+        levels = series_module._levels(n, series_module._progression(c, step, n))
+        assert series_module._progression_work(c, step, n) == series_module._level_work(n, levels)
+
+    @given(st.sampled_from(GENERIC), boundary_n)
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_progressions_need_no_normal_form(self, abm, n):
+        factors = copartition_factors(CpParams(*abm))
+        progressions = list(_pass_progressions(factors, n))
+        if series_module._disjoint(progressions):
+            passes = mod2_passes(factors, n)
+            indicators = [series_module._progression(c, step, n) for c, step in progressions]
+            assert passes.bit_count() == sum(x.bit_count() for x in indicators)
+            assert series_module._level_work(n, series_module._levels(n, passes)) == sum(
+                series_module._progression_work(c, step, n) for c, step in progressions)
+
+    def test_a_shared_pass_is_found(self):
+        assert not series_module._disjoint([(2, 3), (5, 6)])          # 5
+        assert not series_module._disjoint([(3, 8), (1, 4), (7, 12)])  # 19
+        assert series_module._disjoint([(1, 4), (2, 4), (3, 8)])
+        assert series_module._disjoint([])
+
+    @pytest.mark.parametrize("abm, n, kernel", [
+        ((1, 11, 14), 22475, "sums"), ((1, 11, 14), 27200, "sums"), ((1, 11, 14), 32000, "sums"),
+        ((3, 3, 4), 15000, "normal form"), ((3, 3, 4), 100000, "normal form"),
+        ((1, 1, 6), 15000, "normal form")])
+    def test_the_kernel_chosen_for_the_density_scan_families(self, monkeypatch, abm, n,
+                                                              kernel):
+        ran = []
+        sums, levels, normal_form = (series_module._sums_product, series_module._level_product,
+                                     series_module.mod2_passes)
+
+        def spy(name, real):
+            return lambda *args: ran.append(name) or real(*args)
+
+        monkeypatch.setattr(series_module, "_sums_product", spy("sums", sums))
+        monkeypatch.setattr(series_module, "_level_product", spy("normal form", levels))
+        monkeypatch.setattr(series_module, "mod2_passes", spy("computed", normal_form))
+        copartition_parity(CpParams(*abm), n)
+        # (1, 11, 14) shares no pass between its progressions: its normal form is never built
+        assert ran == ([kernel] if kernel == "sums" else ["computed", kernel])
+
+    def test_a_tie_keeps_the_normal_form(self, monkeypatch):
+        # work exactly half the level loop's is no gain
+        factors = copartition_factors(CpParams(1, 11, 14))
+        n = 2000
+        work = series_module._level_work(n, series_module._levels(n, mod2_passes(factors, n)))
+        monkeypatch.setattr(series_module, "_sums_work", lambda factors, n, limit: work // 2)
+        assert work % 2 == 0
+        ran = []
+        monkeypatch.setattr(series_module, "_sums_product", lambda *args: ran.append(args))
+        assert series_module._gf2_product(factors, n) == expand_factors_mod2(factors, n)
+        assert ran == []
+
+    def test_the_estimated_work_is_the_work_of_the_passes_run(self, monkeypatch):
+        n = 4097
+        bits = []
+        real = series_module._chain_divide
+
+        def counted(g, d):
+            width, k = g.bit_length(), d
+            while k < width:                    # a pass at each d * 2^i below the width
+                bits.append(width)
+                k <<= 1
+            return real(g, d)
+
+        monkeypatch.setattr(series_module, "_chain_divide", counted)
+        for abm in [(1, 11, 14), (3, 3, 4), (2, 3, 7), (5, 1, 2)]:
+            factors = copartition_factors(CpParams(*abm))
+            bits.clear()
+            series_module._sums_product(factors, n)
+            assert sum(bits) == series_module._sums_work(factors, n, float("inf")), abm
 
 
 class TestSelfConjugateSeries:
