@@ -1,5 +1,7 @@
 """Time the exact-kernel, GF(2)-kernel and check cases and a CLI import on
-one or more source trees.
+one or more source trees.  A ``kernel`` case expands a family by the exact
+pass kernel, a ``series`` or ``parity`` case asks the library for its exact
+or mod-2 series, whatever route it takes.
 
     python scripts/bench_cases.py parent=../old/src change=src
 
@@ -54,6 +56,9 @@ CASES = {
     "exact 2 1 3 n=2000": ("series.exact", "kernel", (2, 1, 3, 2000)),
     "exact 1 1 2 n=2000": ("series.exact", "kernel", (1, 1, 2, 2000)),
     "exact 1 1 1 n=2000": ("series.exact", "kernel", (1, 1, 1, 2000)),
+    "series 1 1 1 n=2000": ("series.exact", "series", (1, 1, 1, 2000)),
+    "series 2 2 2 n=780": ("series.exact", "series", (2, 2, 2, 780)),
+    "series 3 3 2 n=780": ("series.exact", "series", (3, 3, 2, 780)),
     "parity 1 11 14 n=32000": ("series.mod2", "parity", (1, 11, 14, 32000)),
     "parity 1 11 14 n=2000": ("series.mod2", "parity", (1, 11, 14, 2000)),
     "parity 2 3 7 n=12100": ("series.mod2", "parity", (2, 3, 7, 12100)),
@@ -62,6 +67,9 @@ CASES = {
     "parity 1 3 4 n=32000": ("series.mod2", "parity", (1, 3, 4, 32000)),     # theta quotient
     "parity 1 13 14 n=32000": ("series.mod2", "parity", (1, 13, 14, 32000)),  # sparse theta quotient
     "parity 1 1 6 n=15000": ("series.mod2", "parity", (1, 1, 6, 15000)),
+    "parity 3 3 4 n=15000": ("series.mod2", "parity", (3, 3, 4, 15000)),
+    "parity 2 6 4 n=32000": ("series.mod2", "parity", (2, 6, 4, 32000)),
+    "parity 1 8 8 n=32000": ("series.mod2", "parity", (1, 8, 8, 32000)),
     "parity 1 2 3 n=100000": ("series.mod2", "parity", (1, 2, 3, 100000)),   # theta quotient
     "theta_product_identity_check 3 10 2000": ("parity", "theta_product_identity_check",
                                                (3, 10, 2000)),
@@ -81,6 +89,9 @@ def _call(kind: str, args: tuple):
     if kind == "kernel":
         *abm, n = args
         return series.expand_factors(series.copartition_factors(copartitions.CpParams(*abm)), n)
+    if kind == "series":
+        *abm, n = args
+        return series.copartition_series(copartitions.CpParams(*abm), n)
     if kind == "parity":
         *abm, n = args
         return series.copartition_parity(copartitions.CpParams(*abm), n)

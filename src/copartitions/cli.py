@@ -52,6 +52,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sizes(text: str) -> str:
+    """--sizes as given, once each comma-separated entry is an int; empty means the default."""
+    try:
+        for entry in text.split(",") if text else ():
+            int(entry)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
 @cache     # built once per process: a parse costs about 1/20 of a build
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -98,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=_positive_int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--witness-min", type=int)
-    p.add_argument("--sizes", help="comma-separated crank sizes, e.g. 4,9,14")
+    p.add_argument("--sizes", type=_sizes, help="comma-separated crank sizes, e.g. 4,9,14")
     p.add_argument("--brute-max", type=int,
                    help="also sweep predicate vs brute search up to this bound")
     add_io(p)

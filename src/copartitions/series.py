@@ -28,7 +28,9 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
    on the series in x = q^(2^v) reversed through x^(n >> v), as one right
    shift-XOR at k >> v that drops every exponent above the width itself.
    It walks the levels down from the top, spreading x to x^2 between them;
-   below 2048 bits the passes of every higher level share one level.
+   below 2048 bits the passes of every higher level share one level.  It
+   also divides by a sparse D, as 1/D(q) = D(q) D(q^2) D(q^4) ... through
+   q^n, one factor per level at that level's width.
 
 3b. Sums: where nothing folds, a progression still costs one pass per term.
    Two classical sums (Andrews, *The Theory of Partitions*, ch. 2) take
@@ -40,27 +42,37 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
    ``_sum_factor`` multiplies the series in by either one: term k is term
    k - 1 shifted right by c + m(k-1) (Cauchy: c + 2m(k-1)) and divided by
    1 + q^(mk) (Cauchy: and by 1 + q^(c + m(k-1))), each division a doubling
-   chain of passes on the term's width.  The generic copartition families
-   take the sums when their work is under half the level loop's, the work
-   being the bits the passes run on: each pass of the normal form costs its
-   level's width, each pass of a chain its term's width.  On a tie the
-   normal form stays.  When no two progressions share a pass the normal
-   form is not computed; its work is then the progressions' own.
+   chain of passes on the term's width.  A single-term factor, step above
+   n, is a sum of one or two terms.
+
+4. Plan: ``copartition_series`` and ``copartition_parity`` route the product
+   P = (q^(a+b);q^m) / ((q^a;q^m)(q^b;q^m)) by the residue coincidences of
+   its progressions, from (a, b, m) alone (``_plan``), taking the first that
+   holds.  Each follows from (q^x;q^m) = (q^(x mod m);q^m) / finite, with
+   E(x) = (x;x) and the sparse theta series of ``_theta_terms``:
+
+   1. m | a or m | b, say b = Bm (the smaller quotient when m divides both):
+      P = (q^m;q^m)_(B-1) / (E(q^m) prod_(t<B) (1 - q^(a+tm))).
+   2. a + b = Cm with m not dividing a, a0 = a mod m: by the Jacobi triple
+      product P is E(q^m)^2 / theta(a0, m) times prod_(t<a//m) (1 - q^(a0+tm))
+      prod_(t<b//m) (1 - q^(m-a0+tm)) / (q^m;q^m)_(C-1).
+   3. Mod 2 only, a = b mod m with b = a + km: as (q^x;q^m)^2 = (q^(2x);q^(2m))
+      mod 2, P is (q^(2b+m);q^(2m)) prod_(t<k) (1 - q^(a+b+tm)) over
+      prod_(t<k) (1 - q^(a+tm)); k = 0 is the self-conjugate identity.
+   4. Anything else: P itself.
+
+   On routes 1 and 2 the sparse quotient is solved over the integers one
+   coefficient at a time, and the finite factors run as ``_divide`` and
+   ``_scaled_add`` passes; mod 2 the loop divides by the theta series,
+   multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m) and runs the finite
+   factors' normal form: 15 passes for (1, 1, 1) at n = 32000.  Routes 3 and
+   4 take the sums mod 2, one per factor, and route 4 takes ``expand_factors``
+   over the integers.  ``expand_factors`` and ``expand_factors_mod2`` stay
+   the independent reference.
 
 The normal form is the identity behind the paper's parity results: it folds
 repeated exponents and cancels numerator passes against reciprocal chains, so
-the (a, a, 2a) families need one pass per multiple of 4a.  The loop also divides
-by a sparse D, as 1/D(q) = D(q) D(q^2) D(q^4) ... through q^n, one factor per
-level at that level's width, so two family classes need few passes or none
-(``expand_factors`` and ``expand_factors_mod2`` stay their independent reference):
-
-* (a, m-a, m): by the Jacobi triple product, E(q^m)^2 / theta(a, m) with
-  E(x) = (x;x), both sparse theta series (``_theta_terms``).  Over the
-  integers the quotient is solved one coefficient at a time; mod 2 the loop
-  divides by theta and multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m).
-* m | a and m | b: with A = min(a, b)/m and B = max(a, b)/m the product is
-  (q^m;q^m)_(A-1) / (E(q^m) prod_(j=B)^(A+B-1) (1 - q^(jm))); the finite
-  part runs as single-term factors, 15 passes for (1, 1, 1) at n = 32000.
+the (a, a, 2a) families need one pass per multiple of 4a.
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
@@ -70,7 +82,7 @@ extended silently.  Shortening is spelled ``truncate``.
 from __future__ import annotations
 
 from itertools import accumulate, compress
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -378,11 +390,6 @@ def _levels(n: int, passes: int) -> list[int]:
     return levels + [passes] if passes else levels
 
 
-def _level_work(n: int, levels: Sequence[int]) -> int:
-    """Bits the level loop's passes run on: each pass costs its level's width."""
-    return sum(level.bit_count() * (n >> v) for v, level in enumerate(levels))
-
-
 def _level_product(n: int, levels: Sequence[int], steps: Sequence[int] = (),
                    numerator: Sequence[int] = (), at: int = 0) -> ParitySeries:
     """N(q^(2^at)) / D(q) times (1 + q^k) for each pass k in ``levels``, split as
@@ -413,42 +420,6 @@ def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     """Parity of ``expand_factors(factors, n)``: the passes of ``mod2_passes``
     through ``_level_product``.  Mod 2, (q^c;q^m) and (-q^c;q^m) are equal."""
     return _level_product(n, _levels(n, mod2_passes(factors, n)))
-
-
-def _progression_work(c: int, step: int, n: int) -> int:
-    """``_level_work`` of the passes k = c, c + step, ... <= n alone.  With
-    s = v(step), every k is on level v(c) when v(c) < s; otherwise k is
-    2^s (c' + i step') with step' odd, and 2^u divides c' + i step' on every
-    2^u-th i from the first that solves it."""
-    if c > n:
-        return 0
-    last, top = (n - c) // step, _split_levels(n)
-    s = min((step & -step).bit_length() - 1, top)
-    if c % (1 << s):
-        return (last + 1) * (n >> (c & -c).bit_length() - 1)
-    work = (last + 1) * (n >> s)
-    if s < top:
-        inverse = pow(step >> s, -1, 1 << top - s)
-        for u in range(1, top - s + 1):
-            first = -(c >> s) * inverse % (1 << u)
-            work -= ((last - first >> u) + 1) * ((n >> s + u - 1) - (n >> s + u))
-    return work
-
-
-def _sums_work(factors: Sequence[FactorSpec], n: int, limit: int) -> int:
-    """Bits the passes of ``_sum_factor`` run on, over every factor: term k, of
-    width w, divides by 1 + q^d in one pass per d * 2^i < w.  Stops once above ``limit``."""
-    work = 0
-    for f in factors:
-        c, m, cauchy = f.c, f.m, f.sign == RECIPROCAL
-        width, d = n + 1 - c, m         # term k is shifted past its lowest exponent; d = mk
-        while width > 0 and work <= limit:
-            work += width * ((width - 1) // d).bit_length()
-            if cauchy:
-                work += width * ((width - 1) // (d + c - m)).bit_length()
-            width -= c + (2 * d if cauchy else d)
-            d += m
-    return work
 
 
 def _chain_divide(g: int, d: int) -> int:
@@ -483,38 +454,6 @@ def _sums_product(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     return ParitySeries(n, _reverse(rev, n))
 
 
-def _disjoint(progressions: Sequence[tuple[int, int]]) -> bool:
-    """No two progressions (c, step) share an exponent, even past n: the starts
-    of each pair differ mod the gcd of their steps, so first mod the gcd of all."""
-    common = gcd(*(step for _, step in progressions))
-    classes: dict[int, list] = {}
-    for c, step in progressions:
-        same = classes.setdefault(c % common, [])
-        if any((c - d) % gcd(step, other) == 0 for d, other in same):
-            return False
-        same.append((c, step))
-    return True
-
-
-def _gf2_product(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """``expand_factors_mod2(factors, n)`` by the kernel with less work (step 3b of
-    the module docstring): the sums when their work is under half the level
-    loop's.  The normal form is only computed when a pair of progressions may
-    share a pass; otherwise its work is the progressions' own."""
-    progressions = list(_pass_progressions(factors, n))
-    if _disjoint(progressions):
-        levels = None
-        work = sum(_progression_work(c, step, n) for c, step in progressions)
-    else:
-        levels = _levels(n, mod2_passes(factors, n))
-        work = _level_work(n, levels)
-    if 2 * _sums_work(factors, n, work // 2) < work:
-        return _sums_product(factors, n)
-    if levels is None:
-        levels = _levels(n, mod2_passes(factors, n))
-    return _level_product(n, levels)
-
-
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
     """The copartition generating product (q^(a+b);q^m) / ((q^b;q^m)(q^a;q^m))."""
     return [
@@ -537,29 +476,30 @@ def _theta_terms(a: int, m: int, n: int):
             yield e, -1 if k & 1 else 1
 
 
-def _theta_quotient(a: int, m: int, n: int) -> ExactSeries:
-    """(q^m;q^m)^2 / theta(a, m) through q^n, for 1 <= a < m: solves
-    c * theta = (q^m;q^m)^2 by c[j] = E2[j] - sum_{e > 0} theta_e * c[j - e]."""
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
+def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
+    """E(q^step)^2 / theta(c, step) through q^n, or 1 / theta(c, step) unless
+    ``square``, for 1 <= c < step: solves x * theta = N by
+    x[j] = N[j] - sum_{e > 0} theta_e * x[j - e]."""
     theta: dict[int, int] = {}
-    for e, sign in _theta_terms(a, m, n):
+    for e, sign in _theta_terms(c, step, n):
         theta[e] = theta.get(e, 0) + sign
     steps = sorted((e, t) for e, t in theta.items() if e and t)
-    euler = list(_theta_terms(m, 3 * m, n))
-    c = [0] * (n + 1)
-    for e, s in euler:
-        for f, t in euler:
-            if e + f <= n:
-                c[e + f] += s * t
+    x = [1] + [0] * n
+    if square:
+        euler = list(_theta_terms(step, 3 * step, n))
+        x[0] = 0
+        for e, s in euler:
+            for f, t in euler:
+                if e + f <= n:
+                    x[e + f] += s * t
     for j in range(n + 1):
-        acc = c[j]
+        acc = x[j]
         for e, t in steps:
             if e > j:
                 break
-            acc -= t * c[j - e]
-        c[j] = acc
-    return ExactSeries(n, tuple(c))
+            acc -= t * x[j - e]
+        x[j] = acc
+    return x
 
 
 def _odd_steps(a: int, m: int, n: int) -> list[int]:
@@ -567,29 +507,60 @@ def _odd_steps(a: int, m: int, n: int) -> list[int]:
     return [] if 2 * a == m else sorted({e for e, _ in _theta_terms(a, m, n)} - {0})
 
 
+def _plan(params: CpParams, mod2: bool):
+    """The route of the family's product (module docstring, step 4), from its
+    residue coincidences: (head, up, down), the product being the head's times
+    prod (1 - q^k) over k in ``up`` over prod (1 - q^k) over k in ``down``.  On
+    routes 1 and 2 the head is (c, step, square), for ``_theta_quotient``; on
+    routes 3 (``mod2`` only) and 4 it is a list of infinite factors."""
+    a, b, m = params.a, params.b, params.m
+    if a % m == 0 and (b % m or a < b):     # b the multiple of m, the smaller one
+        a, b = b, a
+    if b % m == 0:
+        return (m, 3 * m, False), range(m, b, m), range(a, a + b, m)
+    if (a + b) % m == 0:
+        a0 = a % m
+        return (a0, m, True), [*range(a0, a, m), *range(m - a0, b, m)], range(m, a + b, m)
+    if mod2 and (b - a) % m == 0:
+        a, b = min(a, b), max(a, b)
+        return [pochhammer(2 * b + m, 2 * m)], range(a + b, 2 * b, m), range(a, b, m)
+    return copartition_factors(params), (), ()
+
+
 def copartition_series(params: CpParams, n: int) -> ExactSeries:
     """Exact counting series of the (a, b, m) copartition family through n."""
-    if params.a + params.b == params.m:
-        return _theta_quotient(params.a, params.m, n)
-    return expand_factors(copartition_factors(params), n)
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    head, up, down = _plan(params, False)
+    if isinstance(head, list):
+        return expand_factors(head, n)
+    coeffs = _theta_quotient(*head, n)
+    for k in down:
+        if k <= n:
+            _divide(coeffs, k)
+    for k in up:
+        if k <= n:
+            _scaled_add(coeffs, k, -1)
+    return ExactSeries(n, tuple(coeffs))
 
 
 def copartition_parity(params: CpParams, n: int) -> ParitySeries:
-    """Counting series of the (a, b, m) family reduced mod 2, through n; the
-    (a, m-a, m) and m | a, m | b families by the module docstring's identities."""
-    a, b, m = params.a, params.b, params.m
+    """Counting series of the (a, b, m) family reduced mod 2, through n, by the
+    route ``_plan`` takes."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    if a + b == m:
-        at = (m & -m).bit_length()      # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
-        euler = _odd_steps(m >> at - 1, 3 * m >> at - 1, n >> at)
-        return _level_product(n, [], _odd_steps(a, m, n), euler, at if euler else 0)
-    if a % m == 0 == b % m:
-        lo, hi = sorted((a // m, b // m))
-        finite = ([pochhammer(j * m, n + 1) for j in range(1, lo)]
-                  + [reciprocal(j * m, n + 1) for j in range(hi, lo + hi)])
-        return _level_product(n, _levels(n, mod2_passes(finite, n)), _odd_steps(m, 3 * m, n))
-    return _gf2_product(copartition_factors(params), n)
+    head, up, down = _plan(params, True)
+    finite = ([pochhammer(k, n + 1) for k in up if k <= n]
+              + [reciprocal(k, n + 1) for k in down if k <= n]) if up or down else []
+    if isinstance(head, list):
+        return _sums_product(head + finite, n)
+    c, step, square = head
+    euler, at = [], 0
+    if square:
+        at = (step & -step).bit_length()    # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
+        euler = _odd_steps(step >> at - 1, 3 * step >> at - 1, n >> at)
+    levels = _levels(n, mod2_passes(finite, n)) if finite else []
+    return _level_product(n, levels, _odd_steps(c, step, n), euler, at if euler else 0)
 
 
 def self_conjugate_series(a: int, m: int, n: int) -> ExactSeries:

@@ -170,6 +170,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "andrews", "--N", "104", "--sizes", "4,9")
         assert code == 0
 
+    @pytest.mark.parametrize("sizes", ["x", "4,,9", "4,x", ","])
+    def test_sizes_that_are_not_integers_are_rejected(self, capsys, sizes):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "andrews", "--N", "104", "--sizes", sizes])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --sizes" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("sizes, shown", [("4,9", [4, 9]), ("", [4, 9, 14])])
+    def test_sizes_are_echoed_as_given(self, capsys, sizes, shown):
+        # an empty --sizes means the default
+        code, out, _ = run(capsys, "verify", "andrews", "--N", "104", "--sizes", sizes,
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["params"]["sizes"] == sizes
+        assert [row["size"] for row in doc["rows"][1:]] == shown
+
     def test_guarantees_with_brute(self, capsys):
         code, out, _ = run(capsys, "verify", "guarantees-314", "--N", "400",
                            "--brute-max", "2000", "--format", "json")
@@ -309,6 +326,9 @@ touched_targets = st.one_of(
               st.sampled_from(cli.FAMILIES + ("cp400", "")).map(lambda f: ["--family", f]),
               optional("--p", flag_values(9999)),
               optional("--N", flag_values(10 ** 5))),
+    st.tuples(st.just("andrews"),
+              optional("--sizes", st.sampled_from(["4,9", "", "x", "4,,9", "9,", "24", "3"])),
+              optional("--N", flag_values(504))),
 ).map(lambda parts: ["verify", parts[0], *[word for flag in parts[1:] for word in flag]])
 
 
@@ -324,6 +344,8 @@ def test_the_exit_code_contract_holds_on_generated_flags(argv, fmt):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert "Traceback" not in err.getvalue() and out.getvalue() == "", argv
+    if "--sizes" in argv and argv[argv.index("--sizes") + 1] in ("x", "4,,9", "9,"):
+        assert code == 2 and "argument --sizes" in err.getvalue(), argv
 
 
 # Every subcommand and verify target, with flag values in range, zero,

@@ -87,15 +87,16 @@ def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases,
         bench_cases._counted("kernel", (1, 1, 1, 5))
 
 
-@pytest.mark.parametrize("abm, n", [((1, 1, 6), 3000), ((1, 1, 3), 3000), ((3, 3, 4), 5000)])
-def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, abm, n):
-    passes = series.mod2_passes(series.copartition_factors(CpParams(*abm)), n)
-    levels = series._levels(n, passes)
-    assert bench_cases._counted("parity", (*abm, n)) == expected_counts(
-        mod2_passes=passes.bit_count(), mod2_bits=series._level_work(n, levels))
-    assert passes.bit_count() > 0
+@pytest.mark.parametrize("a, m, n", [(3, 10, 500), (1, 6, 3000), (3, 4, 5000)])
+def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, a, m, n):
+    # the identity check expands (a, m - a, m) by the pass kernel once
+    passes = series.mod2_passes(series.copartition_factors(CpParams(a, m - a, m)), n)
+    run_passes, bits = bench_cases._level_counts(n, passes)
+    assert bench_cases._counted("theta_product_identity_check", (a, m, n)) == expected_counts(
+        mod2_passes=passes.bit_count(), mod2_bits=bits)
+    assert run_passes == passes.bit_count() > 0
     # the parent's level loop takes the passes as one int; both forms count alike
-    assert bench_cases._level_counts(n, passes) == bench_cases._level_counts(n, levels)
+    assert bench_cases._level_counts(n, series._levels(n, passes)) == (run_passes, bits)
     assert series._level_product.__name__ == "_level_product"  # the wrapper is taken off again
 
 
@@ -107,13 +108,10 @@ def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
 
 
 def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
-    # (1, 11, 14) at 3000 takes the sums: 367 chain passes, and no level-loop pass
-    n = 3000
-    factors = series.copartition_factors(CpParams(1, 11, 14))
-    bits = series._sums_work(factors, n, float("inf"))
-    assert bench_cases._counted("parity", (1, 11, 14, n)) == expected_counts(sums_passes=367,
-                                                                    mod2_bits=bits)
-    assert bits < series._level_work(n, series._levels(n, series.mod2_passes(factors, n))) / 2
+    # (1, 11, 14) at 3000 takes the sums: 367 chain passes on 865091 bits, and no
+    # level-loop pass; the bits are the sum over the chain passes of the term's width
+    assert bench_cases._counted("parity", (1, 11, 14, 3000)) == expected_counts(
+        sums_passes=367, mod2_bits=865091)
     assert series._chain_divide.__name__ == "_chain_divide"
 
 

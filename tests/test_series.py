@@ -272,7 +272,7 @@ def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
         raise AssertionError("pass kernel called")
 
     monkeypatch.setattr(series_module, "expand_factors", refuse)
-    monkeypatch.setattr(series_module, "_gf2_product", refuse)
+    monkeypatch.setattr(series_module, "_sums_product", refuse)
     assert copartition_series(CpParams(1, 13, 14), 50)[0] == 1
     assert copartition_parity(CpParams(3, 3, 6), 50).bit(0) == 1
     with pytest.raises(AssertionError, match="pass kernel"):
@@ -285,11 +285,15 @@ def test_the_collapsed_families_skip_the_pass_kernel(monkeypatch):
     def refuse(factors, n):
         raise AssertionError("pass kernel called")
 
-    monkeypatch.setattr(series_module, "_gf2_product", refuse)
+    monkeypatch.setattr(series_module, "expand_factors", refuse)
+    monkeypatch.setattr(series_module, "_sums_product", refuse)
     assert copartition_parity(CpParams(1, 1, 1), 50).bit(0) == 1
+    assert copartition_series(CpParams(1, 1, 1), 50)[50] == 1295971
     assert copartition_parity(CpParams(2, 4, 2), 50).bit(0) == 1
     with pytest.raises(AssertionError, match="pass kernel"):
         copartition_parity(CpParams(2, 1, 4), 50)
+    with pytest.raises(AssertionError, match="pass kernel"):
+        copartition_series(CpParams(2, 1, 4), 50)
 
 
 class TestMod2NormalForm:
@@ -389,8 +393,8 @@ def m_divides_a_and_b():
 
 
 class TestCollapsedFamilies:
-    """With m | a and m | b the product is (q^m;q^m)_(A-1) over E(q^m) and
-    the finite run of (1 - q^(jm)), j = B .. A+B-1."""
+    """With m | a and m | b, B the smaller quotient, the product is
+    (q^m;q^m)_(B-1) over E(q^m) and the finite run of (1 - q^(a+tm)), t < B."""
 
     def test_matches_the_pass_kernel_and_the_exact_series(self):
         exact = {}
@@ -417,8 +421,87 @@ class TestCollapsedFamilies:
         assert seen == [15]         # 1/(1 - q): a pass at each 2^i <= 32000
 
 
+def route(params, mod2):
+    """The route ``series._plan`` takes for the family (module docstring, step 4)."""
+    head, _, _ = series_module._plan(params, mod2)
+    if isinstance(head, tuple):
+        return 2 if head[2] else 1
+    return 3 if len(head) == 1 else 4
+
+
+# 0, 1, 2 and 2^j +- 1 up to 4097; the exact kernel is checked up to 129
+PLAN_N = sorted({0, 1, 2} | {2 ** j + d for j in range(1, 13) for d in (-1, 1)})
+EXACT_TOP = 129
+
+
+class TestPlan:
+    """One plan routes both kernels by the residue coincidences of (a, b, m)."""
+
+    @pytest.mark.parametrize("abm, exact, mod2", [
+        ((1, 8, 8), 1, 1), ((8, 1, 8), 1, 1),      # B = 1, m | b alone or m | a alone
+        ((4, 12, 4), 1, 1), ((12, 4, 4), 1, 1),    # m divides both, A < B and A > B
+        ((1, 1, 1), 1, 1), ((2, 6, 4), 2, 2),      # a + b = Cm with a = b = m/2
+        ((1, 11, 4), 2, 2), ((11, 1, 4), 2, 2),    # a // m = 0, b // m = 0
+        ((1, 3, 4), 2, 2), ((3, 3, 2), 2, 2),      # C = 1; C = 3
+        ((3, 3, 4), 4, 3), ((1, 1, 6), 4, 3),      # a = b mod m, k = 0
+        ((1, 5, 4), 4, 3), ((9, 1, 4), 4, 3),      # k = 1, k = 2 with a > b
+        ((1, 11, 14), 4, 4), ((2, 1, 4), 4, 4)])
+    def test_the_route_of_each_example(self, abm, exact, mod2):
+        params = CpParams(*abm)
+        assert (route(params, False), route(params, True)) == (exact, mod2)
+
+    def test_the_finite_factors_of_each_route(self):
+        # (1, 8, 8) is 1 / (E(q^8) (1 - q)); (12, 4, 4) and (4, 12, 4) are 1 / (E(q^4) (1 - q^12))
+        assert [list(x) for x in series_module._plan(CpParams(1, 8, 8), False)[1:]] == [[], [1]]
+        assert [list(x) for x in series_module._plan(CpParams(12, 4, 4), False)[1:]] == [[], [12]]
+        assert [list(x) for x in series_module._plan(CpParams(4, 12, 4), False)[1:]] == [[], [12]]
+        # (11, 1, 4): theta(3, 4), times (1 - q^3)(1 - q^7) over (1 - q^4)(1 - q^8)
+        assert [list(x) for x in series_module._plan(CpParams(11, 1, 4), False)[1:]] == [
+            [3, 7], [4, 8]]
+        # (9, 1, 4) mod 2: (q^22;q^8) times (1 - q^10)(1 - q^14) over (1 - q)(1 - q^5)
+        head, up, down = series_module._plan(CpParams(9, 1, 4), True)
+        assert (head, list(up), list(down)) == ([pochhammer(22, 8)], [10, 14], [1, 5])
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_the_pass_kernels_on_every_family_up_to_12(self, m):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                params = CpParams(a, b, m)
+                factors = copartition_factors(params)
+                firsts = set()              # each route's first finite exponent, and one below
+                for mod2 in (False, True):
+                    for finite in series_module._plan(params, mod2)[1:]:
+                        if finite:
+                            firsts |= {min(finite) - 1, min(finite)}
+                parity = expand_factors_mod2(factors, PLAN_N[-1])
+                exact = expand_factors(factors, EXACT_TOP)
+                for n in sorted(set(PLAN_N) | firsts):
+                    assert copartition_parity(params, n) == parity.truncate(n), (a, b, m, n)
+                    if n <= EXACT_TOP:
+                        assert copartition_series(params, n) == exact.truncate(n), (a, b, m, n)
+
+    @pytest.mark.parametrize("abm, n, route_taken", [
+        ((1, 11, 14), 22475, 4), ((1, 11, 14), 32000, 4),
+        ((3, 3, 4), 15000, 3), ((3, 3, 4), 100000, 3), ((1, 1, 6), 15000, 3),
+        ((1, 13, 14), 32000, 2), ((5, 9, 14), 32000, 2), ((1, 11, 12), 32000, 2),
+        ((1, 2, 3), 100000, 2), ((1, 1, 2), 32000, 2), ((1, 1, 1), 32000, 1)])
+    def test_the_route_of_the_density_scan_families(self, monkeypatch, abm, n, route_taken):
+        ran = []
+
+        def spy(name, real):
+            return lambda *args: ran.append(name) or real(*args)
+
+        monkeypatch.setattr(series_module, "_sums_product",
+                            spy("sums", series_module._sums_product))
+        monkeypatch.setattr(series_module, "_level_product",
+                            spy("level loop", series_module._level_product))
+        copartition_parity(CpParams(*abm), n)
+        assert route(CpParams(*abm), True) == route_taken
+        assert ran == ["sums" if route_taken > 2 else "level loop"]
+
+
 def generic(a, b, m):
-    """Neither a + b = m nor m | a, m | b: the families ``_gf2_product`` serves."""
+    """Neither a + b = m nor m | a, m | b: families of every route."""
     return a + b != m and not a % m == 0 == b % m
 
 
@@ -438,7 +521,7 @@ def generic_family_at_boundary_n(draw):
 
 
 class TestSums:
-    """Euler's and Cauchy's sums for the families that take neither identity."""
+    """Euler's and Cauchy's sums, which routes 3 and 4 take mod 2."""
 
     @given(generic_family_at_boundary_n())
     @example(((1, 11, 14), 0))
@@ -462,85 +545,6 @@ class TestSums:
             reference = expand_factors_mod2(factors, n)
             assert series_module._sums_product(factors, n) == reference, (a, b, m)
             assert copartition_parity(CpParams(a, b, m), n) == reference, (a, b, m)
-
-    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 12).flatmap(
-        lambda j: st.sampled_from([2 ** j - 1, 2 ** j, 2 ** j + 1, 2 ** (j + 5) + 7])))
-    @example(12, 14, 32000)
-    @example(16, 16, 2 ** 16)           # every pass at or above the top level
-    @example(3, 4, 0)
-    @settings(max_examples=80)
-    def test_the_work_of_one_progression_in_closed_form(self, c, step, n):
-        levels = series_module._levels(n, series_module._progression(c, step, n))
-        assert series_module._progression_work(c, step, n) == series_module._level_work(n, levels)
-
-    @given(st.sampled_from(GENERIC), boundary_n)
-    @settings(max_examples=60, deadline=None)
-    def test_disjoint_progressions_need_no_normal_form(self, abm, n):
-        factors = copartition_factors(CpParams(*abm))
-        progressions = list(_pass_progressions(factors, n))
-        if series_module._disjoint(progressions):
-            passes = mod2_passes(factors, n)
-            indicators = [series_module._progression(c, step, n) for c, step in progressions]
-            assert passes.bit_count() == sum(x.bit_count() for x in indicators)
-            assert series_module._level_work(n, series_module._levels(n, passes)) == sum(
-                series_module._progression_work(c, step, n) for c, step in progressions)
-
-    def test_a_shared_pass_is_found(self):
-        assert not series_module._disjoint([(2, 3), (5, 6)])          # 5
-        assert not series_module._disjoint([(3, 8), (1, 4), (7, 12)])  # 19
-        assert series_module._disjoint([(1, 4), (2, 4), (3, 8)])
-        assert series_module._disjoint([])
-
-    @pytest.mark.parametrize("abm, n, kernel", [
-        ((1, 11, 14), 22475, "sums"), ((1, 11, 14), 27200, "sums"), ((1, 11, 14), 32000, "sums"),
-        ((3, 3, 4), 15000, "normal form"), ((3, 3, 4), 100000, "normal form"),
-        ((1, 1, 6), 15000, "normal form")])
-    def test_the_kernel_chosen_for_the_density_scan_families(self, monkeypatch, abm, n,
-                                                              kernel):
-        ran = []
-        sums, levels, normal_form = (series_module._sums_product, series_module._level_product,
-                                     series_module.mod2_passes)
-
-        def spy(name, real):
-            return lambda *args: ran.append(name) or real(*args)
-
-        monkeypatch.setattr(series_module, "_sums_product", spy("sums", sums))
-        monkeypatch.setattr(series_module, "_level_product", spy("normal form", levels))
-        monkeypatch.setattr(series_module, "mod2_passes", spy("computed", normal_form))
-        copartition_parity(CpParams(*abm), n)
-        # (1, 11, 14) shares no pass between its progressions: its normal form is never built
-        assert ran == ([kernel] if kernel == "sums" else ["computed", kernel])
-
-    def test_a_tie_keeps_the_normal_form(self, monkeypatch):
-        # work exactly half the level loop's is no gain
-        factors = copartition_factors(CpParams(1, 11, 14))
-        n = 2000
-        work = series_module._level_work(n, series_module._levels(n, mod2_passes(factors, n)))
-        monkeypatch.setattr(series_module, "_sums_work", lambda factors, n, limit: work // 2)
-        assert work % 2 == 0
-        ran = []
-        monkeypatch.setattr(series_module, "_sums_product", lambda *args: ran.append(args))
-        assert series_module._gf2_product(factors, n) == expand_factors_mod2(factors, n)
-        assert ran == []
-
-    def test_the_estimated_work_is_the_work_of_the_passes_run(self, monkeypatch):
-        n = 4097
-        bits = []
-        real = series_module._chain_divide
-
-        def counted(g, d):
-            width, k = g.bit_length(), d
-            while k < width:                    # a pass at each d * 2^i below the width
-                bits.append(width)
-                k <<= 1
-            return real(g, d)
-
-        monkeypatch.setattr(series_module, "_chain_divide", counted)
-        for abm in [(1, 11, 14), (3, 3, 4), (2, 3, 7), (5, 1, 2)]:
-            factors = copartition_factors(CpParams(*abm))
-            bits.clear()
-            series_module._sums_product(factors, n)
-            assert sum(bits) == series_module._sums_work(factors, n, float("inf")), abm
 
 
 class TestSelfConjugateSeries:
