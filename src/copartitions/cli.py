@@ -58,7 +58,8 @@ def _sizes(text: str) -> str:
         for entry in text.split(",") if text else ():
             int(entry)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
     return text
 
 
