@@ -507,23 +507,27 @@ def _odd_steps(a: int, m: int, n: int) -> list[int]:
     return [] if 2 * a == m else sorted({e for e, _ in _theta_terms(a, m, n)} - {0})
 
 
-def _plan(params: CpParams, mod2: bool):
-    """The route of the family's product (module docstring, step 4), from its
-    residue coincidences: (head, up, down), the product being the head's times
-    prod (1 - q^k) over k in ``up`` over prod (1 - q^k) over k in ``down``.  On
-    routes 1 and 2 the head is (c, step, square), for ``_theta_quotient``; on
-    routes 3 (``mod2`` only) and 4 it is a list of infinite factors."""
+def _plan(params: CpParams, n: int, mod2: bool):
+    """The route of the family's product through q^n (module docstring, step
+    4), from the residue coincidences of (a, b, m): (head, up, down), the
+    product being the head's times prod (1 - q^k) over k in ``up`` over
+    prod (1 - q^k) over k in ``down``, each k <= n.  On routes 1 and 2 the
+    head is (c, step, square), for ``_theta_quotient``; on routes 3
+    (``mod2`` only) and 4 it is a list of infinite factors."""
     a, b, m = params.a, params.b, params.m
+    top = n + 1
     if a % m == 0 and (b % m or a < b):     # b the multiple of m, the smaller one
         a, b = b, a
     if b % m == 0:
-        return (m, 3 * m, False), range(m, b, m), range(a, a + b, m)
+        return (m, 3 * m, False), range(m, min(b, top), m), range(a, min(a + b, top), m)
     if (a + b) % m == 0:
         a0 = a % m
-        return (a0, m, True), [*range(a0, a, m), *range(m - a0, b, m)], range(m, a + b, m)
+        up = [*range(a0, min(a, top), m), *range(m - a0, min(b, top), m)]
+        return (a0, m, True), up, range(m, min(a + b, top), m)
     if mod2 and (b - a) % m == 0:
         a, b = min(a, b), max(a, b)
-        return [pochhammer(2 * b + m, 2 * m)], range(a + b, 2 * b, m), range(a, b, m)
+        up, down = range(a + b, min(2 * b, top), m), range(a, min(b, top), m)
+        return [pochhammer(2 * b + m, 2 * m)], up, down
     return copartition_factors(params), (), ()
 
 
@@ -531,16 +535,14 @@ def copartition_series(params: CpParams, n: int) -> ExactSeries:
     """Exact counting series of the (a, b, m) copartition family through n."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    head, up, down = _plan(params, False)
+    head, up, down = _plan(params, n, False)
     if isinstance(head, list):
         return expand_factors(head, n)
     coeffs = _theta_quotient(*head, n)
     for k in down:
-        if k <= n:
-            _divide(coeffs, k)
+        _divide(coeffs, k)
     for k in up:
-        if k <= n:
-            _scaled_add(coeffs, k, -1)
+        _scaled_add(coeffs, k, -1)
     return ExactSeries(n, tuple(coeffs))
 
 
@@ -549,9 +551,9 @@ def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     route ``_plan`` takes."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    head, up, down = _plan(params, True)
-    finite = ([pochhammer(k, n + 1) for k in up if k <= n]
-              + [reciprocal(k, n + 1) for k in down if k <= n]) if up or down else []
+    head, up, down = _plan(params, n, True)
+    finite = ([pochhammer(k, n + 1) for k in up]
+              + [reciprocal(k, n + 1) for k in down]) if up or down else []
     if isinstance(head, list):
         return _sums_product(head + finite, n)
     c, step, square = head

@@ -423,7 +423,7 @@ class TestCollapsedFamilies:
 
 def route(params, mod2):
     """The route ``series._plan`` takes for the family (module docstring, step 4)."""
-    head, _, _ = series_module._plan(params, mod2)
+    head, _, _ = series_module._plan(params, 0, mod2)
     if isinstance(head, tuple):
         return 2 if head[2] else 1
     return 3 if len(head) == 1 else 4
@@ -451,16 +451,28 @@ class TestPlan:
         assert (route(params, False), route(params, True)) == (exact, mod2)
 
     def test_the_finite_factors_of_each_route(self):
+        def finite(abm, n, mod2=False):
+            return [list(x) for x in series_module._plan(CpParams(*abm), n, mod2)[1:]]
+
         # (1, 8, 8) is 1 / (E(q^8) (1 - q)); (12, 4, 4) and (4, 12, 4) are 1 / (E(q^4) (1 - q^12))
-        assert [list(x) for x in series_module._plan(CpParams(1, 8, 8), False)[1:]] == [[], [1]]
-        assert [list(x) for x in series_module._plan(CpParams(12, 4, 4), False)[1:]] == [[], [12]]
-        assert [list(x) for x in series_module._plan(CpParams(4, 12, 4), False)[1:]] == [[], [12]]
+        assert finite((1, 8, 8), 50) == [[], [1]]
+        assert finite((12, 4, 4), 50) == finite((4, 12, 4), 50) == [[], [12]]
         # (11, 1, 4): theta(3, 4), times (1 - q^3)(1 - q^7) over (1 - q^4)(1 - q^8)
-        assert [list(x) for x in series_module._plan(CpParams(11, 1, 4), False)[1:]] == [
-            [3, 7], [4, 8]]
+        assert finite((11, 1, 4), 50) == [[3, 7], [4, 8]]
+        assert finite((11, 1, 4), 7) == [[3, 7], [4]]       # nothing above n
         # (9, 1, 4) mod 2: (q^22;q^8) times (1 - q^10)(1 - q^14) over (1 - q)(1 - q^5)
-        head, up, down = series_module._plan(CpParams(9, 1, 4), True)
+        head, up, down = series_module._plan(CpParams(9, 1, 4), 50, True)
         assert (head, list(up), list(down)) == ([pochhammer(22, 8)], [10, 14], [1, 5])
+
+    @pytest.mark.parametrize("abm", [(10 ** 9, 1, 2), (10 ** 9, 10 ** 9, 2),      # route 1
+                                     (10 ** 9 + 1, 10 ** 9 + 3, 4), (1, 10 ** 9 + 1, 2),
+                                     (1, 10 ** 9 + 1, 5)])                        # route 3
+    def test_large_parameters_cost_nothing_past_n(self, abm):
+        # every route's finite part stops at n, however large a, b or C are
+        params, n = CpParams(*abm), 40
+        factors = copartition_factors(params)
+        assert copartition_series(params, n) == expand_factors(factors, n)
+        assert copartition_parity(params, n) == expand_factors_mod2(factors, n)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_matches_the_pass_kernels_on_every_family_up_to_12(self, m):
@@ -470,7 +482,7 @@ class TestPlan:
                 factors = copartition_factors(params)
                 firsts = set()              # each route's first finite exponent, and one below
                 for mod2 in (False, True):
-                    for finite in series_module._plan(params, mod2)[1:]:
+                    for finite in series_module._plan(params, PLAN_N[-1], mod2)[1:]:
                         if finite:
                             firsts |= {min(finite) - 1, min(finite)}
                 parity = expand_factors_mod2(factors, PLAN_N[-1])
