@@ -440,7 +440,7 @@ class TestPlan:
     @pytest.mark.parametrize("abm, exact, mod2", [
         ((1, 8, 8), 1, 1), ((8, 1, 8), 1, 1),      # B = 1, m | b alone or m | a alone
         ((4, 12, 4), 1, 1), ((12, 4, 4), 1, 1),    # m divides both, A < B and A > B
-        ((1, 1, 1), 1, 1), ((2, 6, 4), 2, 2),      # a + b = Cm with a = b = m/2
+        ((1, 1, 1), 1, 1), ((2, 6, 4), 2, 2),      # A = B; a = b mod m, but a + b = 2m first
         ((1, 11, 4), 2, 2), ((11, 1, 4), 2, 2),    # a // m = 0, b // m = 0
         ((1, 3, 4), 2, 2), ((3, 3, 2), 2, 2),      # C = 1; C = 3
         ((3, 3, 4), 4, 3), ((1, 1, 6), 4, 3),      # a = b mod m, k = 0
