@@ -1,17 +1,20 @@
 """Time the exact-kernel, GF(2)-kernel and check cases and a CLI import on
 one or more source trees.  A ``kernel`` case expands a family by the exact
-pass kernel, a ``series`` or ``parity`` case asks the library for its exact
-or mod-2 series, whatever route it takes.
+kernel ``expand_factors``, a ``series`` or ``parity`` case asks the library
+for its exact or mod-2 series, whatever route it takes.
 
     python scripts/bench_cases.py parent=../old/src change=src
 
-Each NAME=SRC side runs ROUNDS times in its own interpreter with SRC on the
-import path; the sides alternate, and which goes first flips every round.
-Every run times each case REPEAT times after one warm-up.  Per case the JSON
-document on stdout holds the best and median wall time over all runs and
-counters that do not depend on the machine:
+Every NAME=SRC side is imported into this one interpreter, each as its own
+package (``bench_NAME``), so the sides share the heap and the warm-up.  Per
+case each side runs once to warm up, then the sides alternate SAMPLES times,
+one call each, and which goes first flips every sample.  Per case the JSON
+document on stdout holds each side's best and median wall time and counters
+that do not depend on the machine:
 
 - ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
+- ``coeff_bits``: the largest bit length of a coefficient that any
+  ``series._divide`` leaves, the width of the exact kernel's intermediates;
 - ``mod2_passes``: the passes of the normal forms ``series._level_product``
   runs (its passes as one int, or split into 2-adic levels);
 - ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
@@ -28,8 +31,8 @@ counters that do not depend on the machine:
 A side whose source has none of the wrapped pass, level-loop, sieve or walk
 functions is an error, so a renamed function cannot read as 0.
 
-The process case compiles each side's bytecode first, then starts
-ROUNDS x REPEAT fresh interpreters per side, alternating, that each run
+The process case compiles each side's bytecode first, then starts SAMPLES
+fresh interpreters per side, alternating, that each run
 ``import copartitions.cli`` under ``-X importtime``.  It reports the best and
 median wall time from start to exit, the same for the cumulative import time
 of ``copartitions.cli``, and ``modules_loaded``: the ``sys.modules`` entries
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import importlib.util
 import json
 import os
 import statistics
@@ -48,17 +52,21 @@ import sys
 import time
 from pathlib import Path
 
-ROUNDS = 2
-REPEAT = 5
+SAMPLES = 11
 
 CASES = {
     "exact 1 13 14 n=2000": ("series.exact", "kernel", (1, 13, 14, 2000)),
     "exact 2 1 3 n=2000": ("series.exact", "kernel", (2, 1, 3, 2000)),
     "exact 1 1 2 n=2000": ("series.exact", "kernel", (1, 1, 2, 2000)),
     "exact 1 1 1 n=2000": ("series.exact", "kernel", (1, 1, 1, 2000)),
+    "exact 3 3 4 n=2000": ("series.exact", "kernel", (3, 3, 4, 2000)),
+    "exact 1 11 14 n=2000": ("series.exact", "kernel", (1, 11, 14, 2000)),
     "series 1 1 1 n=2000": ("series.exact", "series", (1, 1, 1, 2000)),
     "series 2 2 2 n=780": ("series.exact", "series", (2, 2, 2, 780)),
     "series 3 3 2 n=780": ("series.exact", "series", (3, 3, 2, 780)),
+    "series 1 1 3 n=780": ("series.exact", "series", (1, 1, 3, 780)),      # route 4
+    "series 2 2 3 n=780": ("series.exact", "series", (2, 2, 3, 780)),      # route 4
+    "series 1 1 4 n=780": ("series.exact", "series", (1, 1, 4, 780)),      # route 4
     "parity 1 11 14 n=32000": ("series.mod2", "parity", (1, 11, 14, 32000)),
     "parity 1 11 14 n=2000": ("series.mod2", "parity", (1, 11, 14, 2000)),
     "parity 2 3 7 n=12100": ("series.mod2", "parity", (2, 3, 7, 12100)),
@@ -82,20 +90,29 @@ CASES = {
 PROCESS_CASE = "process import copartitions.cli"
 
 
-def _call(kind: str, args: tuple):
-    import copartitions
-    from copartitions import series
+def _load(name: str, src: Path):
+    """Import the ``copartitions`` package under SRC as the package NAME, so
+    that several source trees load side by side; its imports are relative."""
+    init = src / "copartitions" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
-    if kind == "kernel":
+
+def _call(package, kind: str, args: tuple):
+    series = package.series
+    if kind in ("kernel", "series", "parity"):
         *abm, n = args
-        return series.expand_factors(series.copartition_factors(copartitions.CpParams(*abm)), n)
-    if kind == "series":
-        *abm, n = args
-        return series.copartition_series(copartitions.CpParams(*abm), n)
-    if kind == "parity":
-        *abm, n = args
-        return series.copartition_parity(copartitions.CpParams(*abm), n)
-    return getattr(copartitions, kind)(*args)
+        params = package.CpParams(*abm)
+        if kind == "kernel":
+            return series.expand_factors(series.copartition_factors(params), n)
+        if kind == "series":
+            return series.copartition_series(params, n)
+        return series.copartition_parity(params, n)
+    return getattr(package, kind)(*args)
 
 
 def _level_counts(n: int, levels) -> tuple[int, int]:
@@ -110,19 +127,29 @@ def _level_counts(n: int, levels) -> tuple[int, int]:
             sum(level.bit_count() * (n >> v) for v, level in enumerate(levels)))
 
 
-def _counted(kind: str, args: tuple) -> dict:
-    """Run the case once with the pass, level-loop, sum, sieve and walk
-    functions wrapped."""
-    from copartitions import enumeration, parity, series
+def _counted(kind: str, args: tuple, package=None) -> dict:
+    """Run the case once on ``package`` (by default ``copartitions`` from the
+    import path) with the pass, level-loop, sum, sieve and walk functions
+    wrapped."""
+    if package is None:
+        import copartitions as package
+    series, enumeration, parity = package.series, package.enumeration, package.parity
 
-    counts = dict.fromkeys(("exact_passes", "mod2_passes", "sums_passes", "mod2_bits",
-                            "sieve_values", "sieve_hits", "partitions_walked"), 0)
+    counts = dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
+                            "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked"), 0)
     table = []                      # the sieve's primes, as last built
 
     def passes(kernel):
         def run(*a):
             counts["exact_passes"] += 1
             return kernel(*a)
+        return run
+
+    def divide(kernel):
+        def run(coeffs, k):
+            counts["exact_passes"] += 1
+            kernel(coeffs, k)
+            counts["coeff_bits"] = max(counts["coeff_bits"], *map(int.bit_length, coeffs or [0]))
         return run
 
     def level_loop(kernel):
@@ -167,12 +194,12 @@ def _counted(kind: str, args: tuple) -> dict:
                 yield item
         return run
 
-    wraps = {"_scaled_add": passes, "_divide": passes, "_level_product": level_loop,
+    wraps = {"_scaled_add": passes, "_divide": divide, "_level_product": level_loop,
              "_chain_divide": chain, "_primes": primes, "_sieve": sieve,
              "_partitions_upto": walk}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
-    for counter in (passes, level_loop, primes, sieve, walk):
+    for counter in (divide, level_loop, primes, sieve, walk):
         if not any(wraps[name] is counter for _, name, _ in saved):
             raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
     if not any(name == "_chain_divide" for _, name, _ in saved):
@@ -180,25 +207,28 @@ def _counted(kind: str, args: tuple) -> dict:
     for module, name, real in saved:
         setattr(module, name, wraps[name](real))
     try:
-        _call(kind, args)
+        _call(package, kind, args)
     finally:
         for module, name, real in saved:
             setattr(module, name, real)
     return counts
 
 
-def child() -> dict:
-    """Time every case REPEAT times in this process, after one warm-up run."""
-    out = {}
+def timed(packages: dict) -> dict:
+    """Per case, each side's call times: one warm-up each, then SAMPLES calls
+    each, alternating, with the first side flipped every sample."""
+    times = {name: {} for name in packages}
     for case, (_, kind, args) in CASES.items():
-        _call(kind, args)
-        times = []
-        for _ in range(REPEAT):
-            start = time.perf_counter()
-            _call(kind, args)
-            times.append(time.perf_counter() - start)
-        out[case] = {"times_s": times, **_counted(kind, args)}
-    return out
+        for package in packages.values():
+            _call(package, kind, args)
+        for name in packages:
+            times[name][case] = []
+        for r in range(SAMPLES):
+            for name in (list(packages) if r % 2 == 0 else list(packages)[::-1]):
+                start = time.perf_counter()
+                _call(packages[name], kind, args)
+                times[name][case].append(time.perf_counter() - start)
+    return times
 
 
 def process_run(src: Path) -> dict:
@@ -231,38 +261,28 @@ def _commit(src: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="*", metavar="NAME=SRC")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        json.dump(child(), sys.stdout)
-        return 0
     if not args.sides:
         parser.error("give at least one NAME=SRC side")
     sides = dict(side.split("=", 1) for side in args.sides)
     srcs = {name: Path(src).resolve() for name, src in sides.items()}
-    runs = {name: [] for name in sides}
-    for r in range(ROUNDS):
-        for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-            env = {**os.environ, "PYTHONPATH": str(srcs[name])}
-            done = subprocess.run([sys.executable, __file__, "--child"], env=env,
-                                  stdout=subprocess.PIPE, text=True, check=True)
-            runs[name].append(json.loads(done.stdout))
+    packages = {name: _load(f"bench_{name}", src) for name, src in srcs.items()}
+    times = timed(packages)
     for src in srcs.values():
         if not compileall.compile_dir(str(src / "copartitions"), quiet=1):
             raise SystemExit(f"bench_cases: bytecode compilation failed in {src}")
     processes = {name: [] for name in sides}
-    for r in range(ROUNDS * REPEAT):
+    for r in range(SAMPLES):
         for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
             processes[name].append(process_run(srcs[name]))
     doc = {"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
-           "rounds": ROUNDS, "repeat": REPEAT, "sides": {}}
-    for name, results in runs.items():
+           "samples": SAMPLES, "sides": {}}
+    for name, package in packages.items():
         cases = {}
-        for case, (layer, _, params) in CASES.items():
-            times = [t for result in results for t in result[case]["times_s"]]
-            counters = {k: v for k, v in results[0][case].items() if k != "times_s"}
+        for case, (layer, kind, params) in CASES.items():
             cases[case] = {"layer": layer, "params": list(params),
-                           **_best_median_ms(times), **counters}
+                           **_best_median_ms(times[name][case]),
+                           **_counted(kind, params, package)}
         started = processes[name]
         cases[PROCESS_CASE] = {"layer": "process", "params": [],
                                **_best_median_ms([p["wall_s"] for p in started]),

@@ -6,6 +6,7 @@ recurrences; none of it shares code with the expansion paths under test.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
 Parts = tuple[int, ...]
@@ -106,6 +107,43 @@ def expand_factors_chain_reference(factors, n):
             if f.sign != RECIPROCAL:
                 break
             c, m = 2 * c, 2 * m
+    return ExactSeries(n, tuple(coeffs))
+
+
+def _divide(coeffs: list, k: int):
+    # in place coeffs /= (1 - q^k): a prefix sum along each residue class mod k
+    if k * k <= len(coeffs):
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    else:                           # classes shorter than k: add one block of k at a time
+        for start in range(k, len(coeffs), k):
+            coeffs[start:start + k] = [t + h for t, h in zip(coeffs[start:start + k],
+                                                             coeffs[start - k:start])]
+
+
+def expand_factors_folded_reference(factors, n):
+    """The folded pass kernel: the factors fold into one net count per
+    exponent k, its reciprocal terms minus its Pochhammer terms, and it runs
+    one in-place division by (1 - q^k) per unit of a positive count, one
+    (1 - q^k) pass per unit of a negative one and one (1 + q^k) pass per
+    negated term."""
+    from copartitions.series import NEGATED_POCHHAMMER, RECIPROCAL, ExactSeries
+
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    coeffs = [1] + [0] * n
+    net = [0] * (n + 1)
+    for f in factors:
+        for k in range(f.c, n + 1, f.m):
+            if f.sign == NEGATED_POCHHAMMER:
+                _scaled_add(coeffs, k, 1)
+            else:
+                net[k] += 1 if f.sign == RECIPROCAL else -1
+    for k, power in enumerate(net):
+        for _ in range(power):
+            _divide(coeffs, k)
+        for _ in range(-power):
+            _scaled_add(coeffs, k, -1)
     return ExactSeries(n, tuple(coeffs))
 
 

@@ -62,13 +62,18 @@ def bench_cases():
 
 
 def expected_counts(**nonzero):
-    return {**dict.fromkeys(("exact_passes", "mod2_passes", "sums_passes", "mod2_bits",
-                             "sieve_values", "sieve_hits", "partitions_walked"), 0), **nonzero}
+    return {**dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
+                             "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked"), 0),
+            **nonzero}
 
 
 def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
-    # (1,1,1) through 45 runs 46 exact passes; the self-conjugate walk visits the grounds
-    assert bench_cases._counted("kernel", (1, 1, 1, 45)) == expected_counts(exact_passes=46)
+    # (1,1,1) through 45 runs 32 divides: Euler's sum for (q^2;q) 8 (2k + k(k-1)/2 <= 45),
+    # Cauchy's for 1/(q;q) 2 x 6 (k^2 <= 45) twice; the self-conjugate walk visits the grounds
+    counts = bench_cases._counted("kernel", (1, 1, 1, 45))
+    assert counts == expected_counts(exact_passes=32, coeff_bits=counts["coeff_bits"])
+    assert 0 < counts["coeff_bits"] <= max(c.bit_length() for c in series.expand_factors(
+        series.copartition_factors(CpParams(1, 1, 1)), 45).coeffs)
     counts = bench_cases._counted("self_conjugate_check", (1, 2, 30))
     assert counts["partitions_walked"] > 0
     assert series._divide.__name__ == "_divide"          # the wrappers are taken off again
@@ -136,6 +141,35 @@ def test_bench_cases_theta_quotient_runs_no_gf2_pass(bench_cases):
     expected = series.mod2_passes(series.copartition_factors(CpParams(3, 7, 10)), 500)
     counts = bench_cases._counted("theta_product_identity_check", (3, 10, 500))
     assert counts["mod2_passes"] == expected.bit_count() > 0
+
+
+def test_bench_cases_coeff_bits_is_the_widest_coefficient_a_divide_leaves(bench_cases,
+                                                                          monkeypatch):
+    widest = []
+    real = series._divide
+
+    def divide(coeffs, k):
+        real(coeffs, k)
+        widest.append(max(c.bit_length() for c in coeffs))
+
+    monkeypatch.setattr(series, "_divide", divide)
+    series.copartition_series(CpParams(1, 1, 3), 300)
+    monkeypatch.setattr(series, "_divide", real)
+    assert bench_cases._counted("series", (1, 1, 3, 300))["coeff_bits"] == max(widest) > 0
+
+
+def test_bench_cases_times_two_sources_side_by_side(bench_cases, monkeypatch):
+    # the same tree under two package names: separate modules, equal results and counters
+    one = bench_cases._load("bench_one", ROOT / "src")
+    two = bench_cases._load("bench_two", ROOT / "src")
+    assert one.series is not two.series and one.series.__name__ == "bench_one.series"
+    assert bench_cases._call(one, "series", (1, 1, 3, 60)).coeffs == \
+        bench_cases._call(two, "series", (1, 1, 3, 60)).coeffs
+    assert bench_cases._counted("kernel", (1, 1, 3, 60), one) == \
+        bench_cases._counted("kernel", (1, 1, 3, 60), two)
+    monkeypatch.setattr(bench_cases, "CASES", {"k": ("series.exact", "kernel", (1, 1, 3, 60))})
+    times = bench_cases.timed({"one": one, "two": two})
+    assert [len(times[name]["k"]) for name in ("one", "two")] == [bench_cases.SAMPLES] * 2
 
 
 def test_bench_cases_has_no_timing_options(bench_cases):

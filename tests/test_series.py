@@ -1,4 +1,5 @@
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from oracles import (
     count_distinct_restricted,
     count_restricted,
     expand_factors_chain_reference,
+    expand_factors_folded_reference,
     expand_factors_mod2_reference,
     expand_factors_reference,
     progression,
@@ -58,6 +60,17 @@ def colliding_factors(draw):
     paired = [reciprocal(c, m), pochhammer(c * j, m * scale)]
     extra = draw(st.lists(factor_strategy, max_size=3))
     return draw(st.permutations(repeated + paired + extra))
+
+
+@st.composite
+def factors_up_to_2000(draw):
+    """n <= 2000 and factors of all three signs: a colliding list, or a few
+    factors whose c or m is often above n."""
+    n = draw(st.integers(0, 2000))
+    around_n = st.integers(1, 6) | st.integers(max(1, n - 2), n + 2)
+    wide = st.builds(FactorSpec, c=around_n, m=around_n,
+                     sign=st.sampled_from(["pochhammer", "reciprocal", "negated-pochhammer"]))
+    return draw(colliding_factors() | st.lists(wide, max_size=4)), n
 
 
 class TestExpandFactors:
@@ -125,6 +138,37 @@ class TestExpandFactors:
     def test_folded_kernel_matches_the_chain_kernel(self, factors, n):
         assert expand_factors(factors, n) == expand_factors_chain_reference(factors, n)
 
+    @given(factors_up_to_2000())
+    # a sum's first shift c exactly n or n + 1, on the bare 1 and after another sum
+    @example(([pochhammer(7, 3)], 7))
+    @example(([pochhammer(8, 3)], 7))
+    @example(([reciprocal(7, 2)], 7))
+    @example(([reciprocal(8, 2)], 7))
+    @example(([negated_pochhammer(5, 1)], 5))
+    @example(([negated_pochhammer(6, 1)], 5))
+    @example(([pochhammer(1, 1), reciprocal(10, 4)], 10))
+    @example(([reciprocal(1, 1), reciprocal(11, 4), negated_pochhammer(11, 1)], 10))
+    @example(([pochhammer(2000, 1), reciprocal(2001, 1)], 2000))
+    # term 2's shift lands on n: Euler 2c + m, Cauchy 2c + 2m
+    @example(([pochhammer(3, 4)], 10))
+    @example(([reciprocal(3, 2)], 10))
+    @example(([reciprocal(3, 2), negated_pochhammer(3, 4)], 11))
+    @settings(max_examples=20, deadline=None)
+    def test_the_sums_match_the_folded_kernel_and_the_recurrence(self, factors_n):
+        factors, n = factors_n
+        got = expand_factors(factors, n)
+        assert got == expand_factors_folded_reference(factors, n)
+        assert list(got.coeffs) == expand_factors_reference(factors, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 151])
+    def test_the_sums_match_the_folded_kernel_on_every_family_up_to_6_6_8(self, n):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                for m in range(1, 9):
+                    factors = copartition_factors(CpParams(a, b, m))
+                    assert expand_factors(factors, n) == \
+                        expand_factors_folded_reference(factors, n), (a, b, m)
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 80))
     @settings(max_examples=30, deadline=None)
     def test_pochhammer_signed_enumeration(self, c, m, n):
@@ -160,50 +204,80 @@ class TestCountingSeries:
 
 @pytest.fixture
 def exact_passes(monkeypatch):
-    """The exponent of every pass the exact kernel runs, in order."""
+    """(name, exponent) of every pass the exact kernel runs, in order."""
     seen = []
 
-    def counted(kernel):
+    def counted(name, kernel):
         def run(coeffs, k, *sign):
-            seen.append(k)
+            seen.append((name, k))
             kernel(coeffs, k, *sign)
         return run
 
     for name in ("_scaled_add", "_divide"):
-        monkeypatch.setattr(series_module, name, counted(getattr(series_module, name)))
+        monkeypatch.setattr(series_module, name, counted(name, getattr(series_module, name)))
     return seen
 
 
+def sum_divides(f, n):
+    """The ``_divide`` calls of f's sum through q^n, in closed form: Euler's
+    sum runs one per k >= 1 with ck + mk(k-1)/2 <= n, Cauchy's two per k with
+    ck + m(k^2 - k) <= n; each top k is the floor of a root of the quadratic."""
+    c, m = f.c, f.m
+    if f.sign == "reciprocal":
+        return 2 * ((isqrt((c - m) ** 2 + 4 * m * n) - (c - m)) // (2 * m))
+    return (isqrt((2 * c - m) ** 2 + 8 * m * n) - (2 * c - m)) // (2 * m)
+
+
 class TestExactPassCount:
-    """The folded kernel runs one pass per unit of each exponent's net count,
-    reciprocal minus Pochhammer terms, and one per negated term."""
+    """The kernel runs one sum per factor, and its only pass is ``_divide``."""
 
-    @pytest.mark.parametrize("n", [1, 2, 45, 2000])
-    def test_one_one_one_runs_n_plus_one_passes(self, exact_passes, n):
-        # 1/(1-q)^2 * 1/(q^2;q): two divisions at 1, one at every k >= 2
-        expand_factors(copartition_factors(CpParams(1, 1, 1)), n)
-        assert len(exact_passes) == n + 1
-        assert sorted(exact_passes) == [1] + list(range(1, n + 1))
-
-    @pytest.mark.parametrize("a, m", [(1, 2), (2, 3), (3, 5), (1, 4)])
-    def test_without_cancellation_one_pass_per_term(self, exact_passes, a, m):
-        n = 700
-        factors = copartition_factors(CpParams(a, a, m))
+    @pytest.mark.parametrize("abm, n, divides", [
+        ((1, 1, 3), 780, 86), ((1, 1, 4), 780, 75), ((3, 3, 4), 2000, 118),
+        ((1, 1, 1), 45, 32), ((1, 1, 1), 2000, 237)])
+    def test_the_divides_of_the_copartition_product(self, exact_passes, abm, n, divides):
+        factors = copartition_factors(CpParams(*abm))
         expand_factors(factors, n)
-        assert len(exact_passes) == sum(len(range(f.c, n + 1, f.m)) for f in factors)
+        assert {name for name, _ in exact_passes} == {"_divide"}
+        assert len(exact_passes) == divides == sum(sum_divides(f, n) for f in factors)
 
-    def test_cancelled_terms_run_no_pass(self, exact_passes):
-        n = 500
-        # (q^4;q^2)/(q^2;q^2)^2 = 1/(1-q^2)^2 * 1/(q^4;q^2)
-        expand_factors(copartition_factors(CpParams(2, 2, 2)), n)
-        assert len(exact_passes) == n // 2 + 1
-        exact_passes.clear()
-        assert expand_factors([reciprocal(2, 3), pochhammer(2, 3)] * 3, n) == ExactSeries.one(n)
-        assert exact_passes == []
+    @given(st.lists(factor_strategy, max_size=4), st.integers(0, 400))
+    @example([pochhammer(5, 3)], 4)                 # c above n: no divide
+    @example([reciprocal(5, 3)], 5)                 # Cauchy's term 1 lands on n
+    @settings(max_examples=40, deadline=None)
+    def test_the_divides_are_the_closed_form(self, factors, n):
+        seen = []
+        real = series_module._divide
 
-    def test_negated_terms_are_one_pass_each(self, exact_passes):
+        def counted(coeffs, k):
+            seen.append(k)
+            real(coeffs, k)
+
+        series_module._divide = counted
+        try:
+            expand_factors(factors, n)
+        finally:
+            series_module._divide = real
+        assert len(seen) == sum(sum_divides(f, n) for f in factors)
+
+    def test_the_divisors_of_each_sum(self, exact_passes):
+        # Euler for (q^5;q^6): 1 - q^(6k) for k = 1..5, as 5k + 3k(k-1) <= 100 up to k = 5;
+        # Cauchy for 1/(q^2;q^3): 1 - q^(3k), then 1 - q^(2 + 3(k-1)), while 2k + 3(k^2-k) <= 40
         expand_factors([negated_pochhammer(5, 6)], 100)
-        assert exact_passes == list(range(5, 101, 6))
+        assert exact_passes == [("_divide", 6 * k) for k in range(1, 6)]
+        exact_passes.clear()
+        expand_factors([reciprocal(2, 3)], 40)
+        assert exact_passes == [("_divide", d) for k in range(1, 4) for d in (3 * k, 3 * k - 1)]
+
+    def test_the_pochhammer_sums_run_first(self, exact_passes):
+        # the reciprocal's divisors 1, 1, 2, 2, ... follow the Pochhammer's 4, 8, ...
+        expand_factors([reciprocal(1, 1), pochhammer(1, 4)], 12)
+        assert [k for _, k in exact_passes] == [4, 8, 1, 1, 2, 2, 3, 3]
+
+    def test_cancelled_factors_give_one(self):
+        n = 500
+        assert expand_factors([reciprocal(2, 3), pochhammer(2, 3)] * 3, n) == ExactSeries.one(n)
+        assert expand_factors(copartition_factors(CpParams(2, 2, 2)), n) == \
+            expand_factors([reciprocal(2, 2), reciprocal(2, 2), pochhammer(4, 2)], n)
 
 
 def pass_set(factors, n):
@@ -670,6 +744,14 @@ class TestMulAndReduce:
         assert reduce_mod2(ExactSeries(2, (1, 2, 3))).bits == 0b101
         assert reduce_mod2(copartition_series(CpParams(2, 1, 3), 9)).bit(9) == 1
         assert reduce_mod2(self_conjugate_series(1, 2, 12)).bit(12) == 0
+
+    @given(st.lists(st.integers(-(1 << 90), 1 << 90) | st.integers(-3, 3), min_size=1,
+                    max_size=60))
+    @example([-1, -2, -3, 4, -(1 << 89) - 1])
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_is_the_parity_of_each_coefficient(self, coeffs):
+        got = reduce_mod2(ExactSeries(len(coeffs) - 1, tuple(coeffs)))
+        assert got.bits == sum((c & 1) << i for i, c in enumerate(coeffs))
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=40),
