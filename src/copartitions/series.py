@@ -256,9 +256,9 @@ def _reverse(x: int, n: int) -> int:
     return int.from_bytes(raw, "big") >> (8 * size - 1 - n)
 
 
-def _scaled_add(coeffs: list, k: int, sign: int):
-    # in place coeffs *= (1 + sign*q^k); reads are all pre-update values
-    coeffs[k:] = map(add if sign > 0 else sub, coeffs[k:], coeffs[: len(coeffs) - k])
+def _scaled_add(coeffs: list, k: int):
+    # in place coeffs *= (1 - q^k); reads are all pre-update values
+    coeffs[k:] = map(sub, coeffs[k:], coeffs[: len(coeffs) - k])
 
 
 def _divide(coeffs: list, k: int):
@@ -564,10 +564,10 @@ def copartition_series(params: CpParams, n: int) -> ExactSeries:
     if isinstance(head, list):
         return expand_factors(head, n)
     coeffs = _theta_quotient(*head, n)
+    for k in up:                    # the numerator first, as in expand_factors
+        _scaled_add(coeffs, k)
     for k in down:
         _divide(coeffs, k)
-    for k in up:
-        _scaled_add(coeffs, k, -1)
     return ExactSeries(n, tuple(coeffs))
 
 

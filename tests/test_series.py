@@ -130,12 +130,12 @@ class TestExpandFactors:
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
 
     @given(colliding_factors(), st.integers(0, 2000))
-    # both division branches (k^2 <= n + 1 and above), full and partial cancellation, negated terms
+    # both division branches (k^2 <= n + 1 and above), cancelling factors, negated terms
     @example([reciprocal(1, 1)] * 2 + [pochhammer(2, 1)], 300)
     @example([reciprocal(2, 3), pochhammer(2, 3), negated_pochhammer(1, 2)], 1999)
     @example([negated_pochhammer(3, 2), reciprocal(4, 5), pochhammer(9, 10)], 1500)
     @settings(max_examples=25, deadline=None)
-    def test_folded_kernel_matches_the_chain_kernel(self, factors, n):
+    def test_the_sums_match_the_chain_kernel(self, factors, n):
         assert expand_factors(factors, n) == expand_factors_chain_reference(factors, n)
 
     @given(factors_up_to_2000())
