@@ -149,7 +149,7 @@ def _counted(kind: str, args: tuple, package=None) -> dict:
         def run(coeffs, k):
             counts["exact_passes"] += 1
             kernel(coeffs, k)
-            counts["coeff_bits"] = max(counts["coeff_bits"], *map(int.bit_length, coeffs or [0]))
+            counts["coeff_bits"] = max(counts["coeff_bits"], *map(int.bit_length, coeffs))
         return run
 
     def level_loop(kernel):
