@@ -15,14 +15,15 @@ that do not depend on the machine:
 - ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
 - ``coeff_bits``: the largest bit length of a coefficient that any
   ``series._divide`` leaves, the width of the exact kernel's intermediates;
-- ``mod2_passes``: the passes of the normal forms ``series._level_product``
-  runs (its passes as one int, or split into 2-adic levels);
+- ``mod2_passes``: the passes ``series._level_product`` runs: on each 2-adic
+  level v one per term of the sparse denominator at or below the level's
+  width n >> v, one per term of the numerator at its level, and, on a source
+  whose level loop still takes passes by level, those of level v;
 - ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
   the Euler and Cauchy sums; null for a source without them;
-- ``mod2_bits``: the bits both GF(2) kernels' passes run on, each pass
+- ``mod2_bits``: the bits both GF(2) loops' passes run on, each pass
   weighted by the width of the series it shifts: n >> v on level v of the
-  level loop (levels below 2048 bits share the last), the term's width in a
-  sum;
+  level loop, the term's width in a sum;
 - ``sieve_values`` and ``sieve_hits``: the values ``parity._sieve`` decides
   and its prime hits, one per prime of its table (``parity._primes``) that
   divides a value;
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import importlib.util
+import inspect
 import json
 import os
 import statistics
@@ -79,6 +81,12 @@ CASES = {
     "parity 2 6 4 n=32000": ("series.mod2", "parity", (2, 6, 4, 32000)),
     "parity 1 8 8 n=32000": ("series.mod2", "parity", (1, 8, 8, 32000)),
     "parity 1 2 3 n=100000": ("series.mod2", "parity", (1, 2, 3, 100000)),   # theta quotient
+    "parity 11 11 2 n=2000": ("series.mod2", "parity", (11, 11, 2, 2000)),    # route 2, C = 11
+    "parity 11 11 2 n=32000": ("series.mod2", "parity", (11, 11, 2, 32000)),
+    "lacunary_odd_support_check 1 2600": ("parity", "lacunary_odd_support_check", (1, 2600)),
+    "lacunary_odd_support_check 1 4200": ("parity", "lacunary_odd_support_check", (1, 4200)),
+    "lacunary_odd_support_check 1 5800": ("parity", "lacunary_odd_support_check", (1, 5800)),
+    "self_conjugate_parity 1 4 2000": ("series.mod2", "self_conjugate_parity", (1, 4, 2000)),
     "theta_product_identity_check 3 10 2000": ("parity", "theta_product_identity_check",
                                                (3, 10, 2000)),
     "parity_gf_check 1 3 780": ("parity", "parity_gf_check", (1, 3, 780)),
@@ -115,16 +123,20 @@ def _call(package, kind: str, args: tuple):
     return getattr(package, kind)(*args)
 
 
-def _level_counts(n: int, levels) -> tuple[int, int]:
-    """(passes, bits) of one run of the level loop; ``levels`` is its passes as
-    one int, split here as the loop splits them, or as the list of levels."""
-    if isinstance(levels, int):
-        top = (n >> 11).bit_length()
-        set_bits = [k for k, bit in enumerate(reversed(format(levels, "b"))) if bit == "1"]
-        widths = [n >> min((k & -k).bit_length() - 1, top) for k in set_bits]
-        return len(widths), sum(widths)
-    return (sum(level.bit_count() for level in levels),
-            sum(level.bit_count() * (n >> v) for v, level in enumerate(levels)))
+def _level_counts(n: int, steps, numerator=(), at: int = 0, levels=()) -> tuple[int, int]:
+    """(passes, bits) of one run of the level loop, which walks the levels v
+    from the top down: on each, one pass per term of ``steps`` at or below its
+    width n >> v, one per term of ``numerator`` at level ``at``, and the set
+    bits of ``levels[v]``, each pass on n >> v bits."""
+    top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
+    passes = bits = 0
+    for v in range(top + 1):
+        w = n >> v
+        run = sum(1 for e in steps if e <= w) + (levels[v].bit_count() if v < len(levels) else 0)
+        if v == at:
+            run += sum(1 for e in numerator if e <= w)
+        passes, bits = passes + run, bits + run * w
+    return passes, bits
 
 
 def _counted(kind: str, args: tuple, package=None) -> dict:
@@ -153,11 +165,15 @@ def _counted(kind: str, args: tuple, package=None) -> dict:
         return run
 
     def level_loop(kernel):
-        def run(n, levels, *rest):
-            run_passes, bits = _level_counts(n, levels)
+        signature = inspect.signature(kernel)
+
+        def run(*a, **kw):
+            bound = signature.bind(*a, **kw)        # by name: either source's signature
+            bound.apply_defaults()
+            run_passes, bits = _level_counts(**bound.arguments)
             counts["mod2_passes"] += run_passes
             counts["mod2_bits"] += bits
-            return kernel(n, levels, *rest)
+            return kernel(*a, **kw)
         return run
 
     def chain(kernel):

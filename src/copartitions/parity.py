@@ -456,7 +456,7 @@ def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
         raise ValueError(f"needs odd a >= 1, got {a}")
     if n < 0:
         raise ValueError("needs n >= 0")
-    # the pass kernel, not the theta quotient, which builds on the pentagonal support
+    # the sums, not the theta quotient, which builds on the pentagonal support
     observed = expand_factors_mod2(copartition_factors(CpParams(a, a, 2 * a)), n)
     expected = ParitySeries.from_support(pentagonal_support(2 * a, n), n)
     return _compare(observed, expected, {"a": a, "n": n})
@@ -469,7 +469,7 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
     if n < 0:
         raise ValueError("needs n >= 0")
-    # the pass kernel: the theta quotient would make the identity a tautology
+    # the sums: the theta quotient would make the identity a tautology
     counting = expand_factors_mod2(copartition_factors(CpParams(a, m - a, m)), n)
     theta = reduce_mod2(triple_product_theta(a, m, n))
     left = mul(counting, theta, n)

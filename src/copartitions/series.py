@@ -9,35 +9,18 @@ Two coefficient representations back everything else:
   through q^n (bit n - e holds q^e), where multiplying by (1 + q^k) is one
   right shift-XOR pass, ``rev ^= rev >> k``.
 
-The exact kernel ``expand_factors`` multiplies the series by one classical sum
-per factor (step 3b), where a pass per term would take one pass per exponent
-c, c + m, ... <= n.  Its only pass is ``_divide``: the division by (1 - q^k) in
-place, a prefix sum along each residue class mod k.  It runs the Pochhammer
-and negated sums first, on the bare 1: their terms then divide a sparse series,
-and the coefficients stay near the final ones' size (89 bits at most for
-(1, 1, 3) at n = 2000, against 140 with the reciprocal sums first).
+Both kernels multiply by one classical sum per factor (step 1).  The exact
+kernel ``expand_factors`` runs one sum per factor as it stands; its only pass
+is ``_divide``: the division by (1 - q^k) in place, a prefix sum along each
+residue class mod k.  It runs the Pochhammer and negated sums first, on the
+bare 1: their terms then divide a sparse series, and the coefficients stay
+near the final ones' size (89 bits at most for (1, 1, 3) at n = 2000, against
+140 with the reciprocal sums first).  The GF(2) kernel ``expand_factors_mod2``
+folds the factor list first (step 2).
 
-Over GF(2) every factor is a product of (1 + q^k) passes: 1/(1 - q^e) is
-(1+q^e)(1+q^2e)(1+q^4e)... (every multiple of e has a unique binary
-decomposition).  ``_pass_progressions`` states these passes as progressions
-and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
-
-1. Count: how often each pass exponent k occurs, kept as bit-planes over
-   (n+1)-bit ints, one indicator per progression.
-2. Carry: (1 + q^k)^2 = 1 + q^(2k) over GF(2), so every pair at k is
-   carried to 2k (a bit spread) until each count is 0 or 1; exponents
-   above n drop out.
-3. Pass: ``_level_product`` runs a pass at k = 2^v * odd at 2-adic level v,
-   on the series in x = q^(2^v) reversed through x^(n >> v), as one right
-   shift-XOR at k >> v that drops every exponent above the width itself.
-   It walks the levels down from the top, spreading x to x^2 between them;
-   below 2048 bits the passes of every higher level share one level.  It
-   also divides by a sparse D, as 1/D(q) = D(q) D(q^2) D(q^4) ... through
-   q^n, one factor per level at that level's width.
-
-3b. Sums: where nothing folds, a progression still costs one pass per term.
-   Two classical sums (Andrews, *The Theory of Partitions*, ch. 2) take
-   about sqrt(2n/m) terms instead, with q -> q^m and z -> q^c:
+1. Sums.  Two classical sums (Andrews, *The Theory of Partitions*, ch. 2)
+   take about sqrt(2n/m) terms for a factor whose progression has n/m, with
+   q -> q^m and z -> q^c:
 
    - Euler: (z;q)_oo = sum_k (-1)^k z^k q^(k(k-1)/2) / (q;q)_k, and with
      every sign + for (-z;q)_oo;
@@ -47,13 +30,30 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
    1 - q^(mk) (Cauchy: and over 1 - q^(c + m(k-1))); the terms up to q^n are
    summed into the series.  ``_sum_factor`` runs them mod 2 on reversed bits:
    the shift is a right shift and each division a doubling chain of
-   (1 + q^K) passes on the term's width.  ``_exact_sum_factor`` runs them over
-   the integers on a list aligned to q^n: the shift drops its top entries,
-   each division is one ``_divide``, and the term is added to or (Euler's
-   odd k) subtracted from the series at its exponent.  Euler's sum runs one
-   division per k >= 1 with ck + mk(k-1)/2 <= n, Cauchy's two per k with
-   ck + m(k^2-k) <= n.  A single-term factor, step above n, is a sum of one
-   or two terms.
+   (1 + q^K) passes on the term's width, as 1/(1 + q^K) is
+   (1 + q^K)(1 + q^2K)(1 + q^4K)... mod 2.  ``_exact_sum_factor`` runs them
+   over the integers on a list aligned to q^n: the shift drops its top
+   entries, each division is one ``_divide``, and the term is added to or
+   (Euler's odd k) subtracted from the series at its exponent.  Euler's sum
+   runs one division per k >= 1 with ck + mk(k-1)/2 <= n, Cauchy's two per k
+   with ck + m(k^2-k) <= n.  A single-term factor, step above n, is a sum of
+   one or two terms.
+
+2. Fold (GF(2) only).  Mod 2, f(q)^2 = f(q^2) for every series f, so
+   (q^c;q^m)^2 = (q^2c;q^2m); f cancels 1/f; and (q^c;q^m) and (-q^c;q^m) are
+   equal.  ``_sums`` nets the factors per (c, m), reciprocal ones +1 and
+   Pochhammer ones, negated or not, -1, and runs one sum at (c * 2^j, m * 2^j)
+   for each set bit j of the net count, Cauchy's where it is positive.  These
+   are the identities behind the paper's parity results: the (a, a, 2a)
+   product (q^2a;q^2a) / (q^a;q^2a)^2 folds to (q^2a;q^2a) / (q^2a;q^4a), an
+   Euler and a Cauchy sum, and that is (q^4a;q^4a) (step 4, route 3).
+
+3. Sparse quotient (GF(2) only).  ``_level_product`` divides by a sparse D as
+   1/D(q) = D(q) D(q^2) D(q^4) ... through q^n.  It walks the 2-adic levels
+   v from the top down, holding the series in x = q^(2^v) reversed through
+   x^(n >> v): level v multiplies D(x) in, one right shift-XOR per term of D
+   up to x^(n >> v), and spreads x to x^2 for the level below.  A numerator
+   N(q^(2^at)) multiplies in at level ``at``, on that level's width.
 
 4. Plan: ``copartition_series`` and ``copartition_parity`` route the product
    P = (q^(a+b);q^m) / ((q^a;q^m)(q^b;q^m)) by the residue coincidences of
@@ -73,16 +73,13 @@ and the GF(2) kernel brings their product to a normal form (``mod2_passes``):
 
    On routes 1 and 2 the sparse quotient is solved over the integers one
    coefficient at a time, and the finite factors run as ``_divide`` and
-   ``_scaled_add`` passes; mod 2 the loop divides by the theta series,
-   multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m) and runs the finite
-   factors' normal form: 15 passes for (1, 1, 1) at n = 32000.  Routes 3 and
-   4 take the sums mod 2, one per factor, and route 4 takes them over the
-   integers too, through ``expand_factors``.  ``expand_factors_mod2`` stays
-   the independent GF(2) reference.
-
-The normal form is the identity behind the paper's parity results: it folds
-repeated exponents and cancels numerator passes against reciprocal chains, so
-the (a, a, 2a) families need one pass per multiple of 4a.
+   ``_scaled_add`` passes.  Mod 2 the level loop divides by the theta series
+   and multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m); the finite
+   factors then run through ``_sums`` as sums of one or two terms, folded:
+   (1 - q^k) is one pass, 1/(1 - q^k) a doubling chain, 15 chain passes for
+   (1, 1, 1) at n = 32000.  Routes 3 and 4 take the sums mod 2 through
+   ``expand_factors_mod2``, and route 4 takes them over the integers too,
+   through ``expand_factors``.
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
@@ -271,23 +268,8 @@ def _divide(coeffs: list, k: int):
             coeffs[start:start + k] = map(add, coeffs[start:start + k], coeffs[start - k:start])
 
 
-def _pass_progressions(factors: Sequence[FactorSpec], n: int):
-    """Yield (c, m): mod 2 the product of the factors through q^n is the
-    product of (1 + q^k) over k = c, c+m, c+2m, ... <= n of every
-    progression.  A Pochhammer factor, negated or not, is one progression; a
-    reciprocal 1/(q^c;q^m) is its binary-split chain, the levels
-    (c*2^j, m*2^j)."""
-    for f in factors:
-        c, m = f.c, f.m
-        while c <= n:
-            yield c, m
-            if f.sign != RECIPROCAL:
-                break
-            c, m = 2 * c, 2 * m
-
-
 def _exact_sum_factor(coeffs: list, f: FactorSpec):
-    """In place ``coeffs`` times f by its sum (module docstring, step 3b):
+    """In place ``coeffs`` times f by its sum (module docstring, step 1):
     Euler's for (q^c;q^m), term k added with sign (-1)^k, all plus for
     (-q^c;q^m), Cauchy's for 1/(q^c;q^m).  The term is a list aligned to q^n:
     its shift to term k drops the top entries, then ``_divide`` divides it by
@@ -312,7 +294,7 @@ def _exact_sum_factor(coeffs: list, f: FactorSpec):
 def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
     """Expand a product of infinite-product factors through exponent n by one
     sum per factor, the Pochhammer ones first, on the bare 1, so that the
-    reciprocal sums' terms stay narrow (module docstring, step 3b); terms
+    reciprocal sums' terms stay narrow (module docstring, step 1); terms
     above n contribute the identity."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -320,131 +302,6 @@ def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
     for f in sorted(factors, key=lambda f: f.sign == RECIPROCAL):
         _exact_sum_factor(coeffs, f)
     return ExactSeries(n, tuple(coeffs))
-
-
-def _progression(c: int, m: int, n: int) -> int:
-    """Indicator of the exponents c, c+m, c+2m, ... <= n, built by doubling."""
-    if c > n:
-        return 0
-    span = n - c
-    x, width = 1, m                 # x holds bits 0, m, 2m, ... below width
-    while width <= span:
-        x |= x << width
-        width <<= 1
-    return (x & ((1 << (span + 1)) - 1)) << c
-
-
-def _add_indicator(planes: list, x: int):
-    """planes[i] is bit i of every exponent's count; add 1 at each bit of x."""
-    for i, plane in enumerate(planes):
-        if not x:
-            return
-        planes[i] = plane ^ x
-        x &= plane
-    if x:
-        planes.append(x)
-
-
-# _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
-# 4, 6; a nibble's binary digits read in base 4 are its spread
-_NIBBLE_SPREAD = bytes(int(f"{i:b}", 4) for i in range(16))
-_SPREAD_LOW = _NIBBLE_SPREAD * 16
-_SPREAD_HIGH = bytes(s for s in _NIBBLE_SPREAD for _ in range(16))
-
-
-def _spread(x: int, n: int) -> int:
-    """Move bit k of x to bit 2k, dropping every bit that would land above n."""
-    x &= (1 << (n // 2 + 1)) - 1
-    if not x:
-        return 0
-    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    out = bytearray(2 * len(raw))
-    out[0::2] = raw.translate(_SPREAD_LOW)
-    out[1::2] = raw.translate(_SPREAD_HIGH)
-    return int.from_bytes(out, "little")
-
-
-# _UNSPREAD[b] is bits 0, 2, 4, 6 of b moved to bits 0-3, for b with no odd bit
-_UNSPREAD = bytes.maketrans(_NIBBLE_SPREAD, bytes(range(16)))
-
-
-def _unspread(x: int) -> int:
-    """Move bit 2k of x to bit k, for x with no odd bit set: undoes ``_spread``."""
-    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    return (int.from_bytes(raw[0::2].translate(_UNSPREAD), "little")
-            | int.from_bytes(raw[1::2].translate(_UNSPREAD), "little") << 4)
-
-
-def mod2_passes(factors: Sequence[FactorSpec], n: int) -> int:
-    """Normal form of the mod-2 product: bit k is set when the product equals,
-    through q^n, the product of (1 + q^k) over the set bits k.
-
-    Counts the passes of every progression in bit-planes, then carries pairs
-    from k to 2k until each count is 0 or 1 (see the module docstring).
-    """
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    planes: list = []
-    for c, m in _pass_progressions(factors, n):
-        _add_indicator(planes, _progression(c, m, n))
-    while len(planes) > 1:
-        low = planes[0]
-        planes = [_spread(plane, n) for plane in planes[1:]]
-        _add_indicator(planes, low)
-        while planes and not planes[-1]:
-            planes.pop()
-    return planes[0] if planes else 0
-
-
-def _split_levels(n: int) -> int:
-    """How many levels v run their own passes: those with n >> v >= 2048 bits.
-    A level narrower saves less than it costs, so it shares the last one."""
-    return (n >> 11).bit_length()
-
-
-def _levels(n: int, passes: int) -> list[int]:
-    """The passes by 2-adic level: entry v holds k = 2^v * odd at k >> v, and
-    the last entry every pass left at the level reached."""
-    levels = []
-    odd = int.from_bytes(b"\xaa" * (n // 8 + 1), "little")      # bits 1, 3, 5, ...
-    for _ in range(_split_levels(n)):
-        if not passes:
-            break
-        levels.append(passes & odd)
-        passes = _unspread(passes ^ levels[-1])
-    return levels + [passes] if passes else levels
-
-
-def _level_product(n: int, levels: Sequence[int], steps: Sequence[int] = (),
-                   numerator: Sequence[int] = (), at: int = 0) -> ParitySeries:
-    """N(q^(2^at)) / D(q) times (1 + q^k) for each pass k in ``levels``, split as
-    ``_levels`` splits them, mod 2 through q^n; D (N) is 1 plus q^e over the
-    increasing nonzero ``steps`` (``numerator``).  Level v holds F_v(x) =
-    D(x) F_(v+1)(x^2) times its passes (and N(x) at v = at) in x = q^(2^v),
-    reversed through x^(n >> v); F_0 is the product."""
-    top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
-    rev = 1 << (n >> top)
-    for v in range(top, -1, -1):
-        w = n >> v
-        if v < top:
-            rev = _spread(rev, w) << (w & 1)      # bit w // 2 - e moves to w - 2e
-        for terms in (steps, numerator) if v == at else (steps,):
-            acc = rev
-            for e in terms:
-                if e > w:
-                    break
-                acc ^= rev >> e
-            rev = acc
-        for base, flags in _bit_chunks(levels[v]) if v < len(levels) else ():
-            for i in compress(_OFFSETS, flags):
-                rev ^= rev >> (base + i)
-    return ParitySeries(n, _reverse(rev, n))
-
-
-def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """Parity of ``expand_factors(factors, n)``: the passes of ``mod2_passes``
-    through ``_level_product``.  Mod 2, (q^c;q^m) and (-q^c;q^m) are equal."""
-    return _level_product(n, _levels(n, mod2_passes(factors, n)))
 
 
 def _chain_divide(g: int, d: int) -> int:
@@ -471,12 +328,68 @@ def _sum_factor(rev: int, c: int, m: int, cauchy: bool) -> int:
     return s
 
 
-def _sums_product(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """``expand_factors_mod2(factors, n)`` by one sum per factor."""
-    rev = 1 << n
+def _sums(rev: int, factors: Sequence[FactorSpec]) -> int:
+    """``rev`` times the factors mod 2 on reversed bits, folded (module
+    docstring, step 2): per (c, m) the reciprocal factors count +1 and the
+    Pochhammer ones, negated or not, -1, and each set bit j of the net count
+    runs one sum at (c * 2^j, m * 2^j), Cauchy's where the count is positive."""
+    net: dict = {}
     for f in factors:
-        rev = _sum_factor(rev, f.c, f.m, f.sign == RECIPROCAL)
-    return ParitySeries(n, _reverse(rev, n))
+        net[f.c, f.m] = net.get((f.c, f.m), 0) + (1 if f.sign == RECIPROCAL else -1)
+    for (c, m), count in net.items():
+        cauchy, count = count > 0, abs(count)
+        while count:
+            if count & 1:
+                rev = _sum_factor(rev, c, m, cauchy)
+            c, m, count = 2 * c, 2 * m, count >> 1
+    return rev
+
+
+def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """Parity of ``expand_factors(factors, n)``: ``_sums`` on the bare 1."""
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    return ParitySeries(n, _reverse(_sums(1 << n, factors), n))
+
+
+# _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
+# 4, 6; a nibble's binary digits read in base 4 are its spread
+_NIBBLE_SPREAD = bytes(int(f"{i:b}", 4) for i in range(16))
+_SPREAD_LOW = _NIBBLE_SPREAD * 16
+_SPREAD_HIGH = bytes(s for s in _NIBBLE_SPREAD for _ in range(16))
+
+
+def _spread(x: int, n: int) -> int:
+    """Move bit k of x to bit 2k, dropping every bit that would land above n."""
+    x &= (1 << (n // 2 + 1)) - 1
+    if not x:
+        return 0
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
+
+
+def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: int) -> int:
+    """N(q^(2^at)) / D(q) mod 2 through q^n, reversed through q^n; D (N) is 1
+    plus q^e over the increasing nonzero ``steps`` (``numerator``).  Level v
+    holds F_v(x) = D(x) F_(v+1)(x^2) (times N(x) at v = at) in x = q^(2^v),
+    reversed through x^(n >> v); F_0 is the quotient (module docstring, step 3)."""
+    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0)
+    rev = 1 << (n >> top)
+    for v in range(top, -1, -1):
+        w = n >> v
+        if v < top:
+            rev = _spread(rev, w) << (w & 1)      # bit w // 2 - e moves to w - 2e
+        for terms in (steps, numerator) if v == at else (steps,):
+            acc = rev
+            for e in terms:
+                if e > w:
+                    break
+                acc ^= rev >> e
+            rev = acc
+    return rev
 
 
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
@@ -577,17 +490,16 @@ def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     head, up, down = _plan(params, n, True)
-    finite = ([pochhammer(k, n + 1) for k in up]
-              + [reciprocal(k, n + 1) for k in down]) if up or down else []
+    finite = [pochhammer(k, n + 1) for k in up] + [reciprocal(k, n + 1) for k in down]
     if isinstance(head, list):
-        return _sums_product(head + finite, n)
+        return expand_factors_mod2(head + finite, n)
     c, step, square = head
     euler, at = [], 0
     if square:
         at = (step & -step).bit_length()    # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
         euler = _odd_steps(step >> at - 1, 3 * step >> at - 1, n >> at)
-    levels = _levels(n, mod2_passes(finite, n)) if finite else []
-    return _level_product(n, levels, _odd_steps(c, step, n), euler, at if euler else 0)
+    rev = _level_product(n, _odd_steps(c, step, n), euler, at if euler else 0)
+    return ParitySeries(n, _reverse(_sums(rev, finite), n))
 
 
 def self_conjugate_series(a: int, m: int, n: int) -> ExactSeries:

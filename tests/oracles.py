@@ -6,7 +6,7 @@ recurrences; none of it shares code with the expansion paths under test.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterator
 
 Parts = tuple[int, ...]
@@ -167,6 +167,170 @@ def expand_factors_mod2_reference(factors, n):
             else:
                 bits = (bits ^ (bits << e)) & mask
     return ParitySeries(n, bits)
+
+
+# The GF(2) normal form the library ran before Euler's and Cauchy's sums
+# became its only product kernel, with private copies of the bit helpers.
+
+_WALK_BITS = 1024
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_OFFSETS = tuple(range(_WALK_BITS))     # iterating it allocates no ints
+
+
+def _bit_chunks(x: int):
+    """Yield (base, flags) for each nonzero chunk of at most 1024 bits of x,
+    where flags[i] is 1 exactly when bit base + i of x is set; the set bits
+    are base + i for i in ``compress(_OFFSETS, flags)``."""
+    flags = format(x, "b")[::-1].encode("ascii").translate(_BIT_VALUES)
+    for start in range(0, len(flags), _WALK_BITS):
+        chunk = flags[start:start + _WALK_BITS]
+        if 1 in chunk:
+            yield start, chunk
+
+
+# _REVERSED[b] is byte b with its 8 bits in reverse order
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reverse(x: int, n: int) -> int:
+    """Move bit e of x to bit n - e, for x < 2^(n+1); its own inverse."""
+    size = n // 8 + 1
+    raw = x.to_bytes(size, "little").translate(_REVERSED)
+    return int.from_bytes(raw, "big") >> (8 * size - 1 - n)
+
+
+def _pass_progressions(factors, n: int):
+    """Yield (c, m): mod 2 the product of the factors through q^n is the
+    product of (1 + q^k) over k = c, c+m, c+2m, ... <= n of every
+    progression.  A Pochhammer factor, negated or not, is one progression; a
+    reciprocal 1/(q^c;q^m) is its binary-split chain, the levels
+    (c*2^j, m*2^j)."""
+    for f in factors:
+        c, m = f.c, f.m
+        while c <= n:
+            yield c, m
+            if f.sign != "reciprocal":
+                break
+            c, m = 2 * c, 2 * m
+
+
+def _progression(c: int, m: int, n: int) -> int:
+    """Indicator of the exponents c, c+m, c+2m, ... <= n, built by doubling."""
+    if c > n:
+        return 0
+    span = n - c
+    x, width = 1, m                 # x holds bits 0, m, 2m, ... below width
+    while width <= span:
+        x |= x << width
+        width <<= 1
+    return (x & ((1 << (span + 1)) - 1)) << c
+
+
+def _add_indicator(planes: list, x: int):
+    """planes[i] is bit i of every exponent's count; add 1 at each bit of x."""
+    for i, plane in enumerate(planes):
+        if not x:
+            return
+        planes[i] = plane ^ x
+        x &= plane
+    if x:
+        planes.append(x)
+
+
+# _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
+# 4, 6; a nibble's binary digits read in base 4 are its spread
+_NIBBLE_SPREAD = bytes(int(f"{i:b}", 4) for i in range(16))
+_SPREAD_LOW = _NIBBLE_SPREAD * 16
+_SPREAD_HIGH = bytes(s for s in _NIBBLE_SPREAD for _ in range(16))
+
+
+def _spread(x: int, n: int) -> int:
+    """Move bit k of x to bit 2k, dropping every bit that would land above n."""
+    x &= (1 << (n // 2 + 1)) - 1
+    if not x:
+        return 0
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
+
+
+# _UNSPREAD[b] is bits 0, 2, 4, 6 of b moved to bits 0-3, for b with no odd bit
+_UNSPREAD = bytes.maketrans(_NIBBLE_SPREAD, bytes(range(16)))
+
+
+def _unspread(x: int) -> int:
+    """Move bit 2k of x to bit k, for x with no odd bit set: undoes ``_spread``."""
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return (int.from_bytes(raw[0::2].translate(_UNSPREAD), "little")
+            | int.from_bytes(raw[1::2].translate(_UNSPREAD), "little") << 4)
+
+
+def mod2_passes(factors, n: int) -> int:
+    """Normal form of the mod-2 product: bit k is set when the product equals,
+    through q^n, the product of (1 + q^k) over the set bits k.
+
+    Counts the passes of every progression in bit-planes, then carries pairs
+    from k to 2k until each count is 0 or 1: over GF(2),
+    (1 + q^k)^2 = 1 + q^(2k), and exponents above n drop out.
+    """
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    planes: list = []
+    for c, m in _pass_progressions(factors, n):
+        _add_indicator(planes, _progression(c, m, n))
+    while len(planes) > 1:
+        low = planes[0]
+        planes = [_spread(plane, n) for plane in planes[1:]]
+        _add_indicator(planes, low)
+        while planes and not planes[-1]:
+            planes.pop()
+    return planes[0] if planes else 0
+
+
+def _split_levels(n: int) -> int:
+    """How many levels v run their own passes: those with n >> v >= 2048 bits.
+    A level narrower saves less than it costs, so it shares the last one."""
+    return (n >> 11).bit_length()
+
+
+def _levels(n: int, passes: int) -> list[int]:
+    """The passes by 2-adic level: entry v holds k = 2^v * odd at k >> v, and
+    the last entry every pass left at the level reached."""
+    levels = []
+    odd = int.from_bytes(b"\xaa" * (n // 8 + 1), "little")      # bits 1, 3, 5, ...
+    for _ in range(_split_levels(n)):
+        if not passes:
+            break
+        levels.append(passes & odd)
+        passes = _unspread(passes ^ levels[-1])
+    return levels + [passes] if passes else levels
+
+
+def _level_passes(n: int, levels) -> int:
+    """The product of (1 + q^k) over the passes k in ``levels``, split as
+    ``_levels`` splits them, mod 2 through q^n, reversed through q^n.  Level v
+    holds the passes of levels v and above in x = q^(2^v), reversed through
+    x^(n >> v), and runs its own as right shift-XORs at k >> v."""
+    top = max(len(levels) - 1, 0)
+    rev = 1 << (n >> top)
+    for v in range(top, -1, -1):
+        w = n >> v
+        if v < top:
+            rev = _spread(rev, w) << (w & 1)      # bit w // 2 - e moves to w - 2e
+        for base, flags in _bit_chunks(levels[v]) if v < len(levels) else ():
+            for i in compress(_OFFSETS, flags):
+                rev ^= rev >> (base + i)
+    return rev
+
+
+def expand_factors_mod2_normal_form_reference(factors, n):
+    """The GF(2) product through the normal form of its passes,
+    ``mod2_passes``, run level by level."""
+    from copartitions.series import ParitySeries
+
+    return ParitySeries(n, _reverse(_level_passes(n, _levels(n, mod2_passes(factors, n))), n))
 
 
 def copartition_series_by_log_derivative(a, b, m, n):

@@ -33,7 +33,7 @@ from copartitions import (
     theta_product_identity_check,
     verify_even_progression,
 )
-from copartitions import parity
+from copartitions import parity, series
 from copartitions.series import ParitySeries
 
 
@@ -358,16 +358,25 @@ class TestThetaProductIdentity:
             theta_product_identity_check(0, 3, 100)
 
 
-def test_identity_checks_read_the_pass_kernel(monkeypatch):
+def test_identity_checks_read_the_sums(monkeypatch):
     # the theta quotient builds on the same identities, so a check that read
-    # it would still pass with one bit of the pass kernel flipped
-    real = parity.expand_factors_mod2
+    # it would still pass with one bit of the sums flipped
+    real_sums, real_quotient = parity.expand_factors_mod2, series._level_product
 
-    def flipped(factors, n):
-        return ParitySeries(n, real(factors, n).bits ^ (1 << 450))
+    def flipped_sums(factors, n):
+        return ParitySeries(n, real_sums(factors, n).bits ^ (1 << 450))
+
+    def flipped_quotient(n, *rest):             # bit 450 is bit n - 450 of the reversed bits
+        return real_quotient(n, *rest) ^ (1 << (n - 450))
 
     assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)
-    monkeypatch.setattr(parity, "expand_factors_mod2", flipped)
+    good = copartition_parity(CpParams(3, 5, 8), 900)
+    # with the theta quotient wrong, the theta families are wrong and both checks still pass
+    monkeypatch.setattr(series, "_level_product", flipped_quotient)
+    assert copartition_parity(CpParams(3, 5, 8), 900).bits == good.bits ^ (1 << 450)
+    assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)
+    monkeypatch.setattr(series, "_level_product", real_quotient)
+    monkeypatch.setattr(parity, "expand_factors_mod2", flipped_sums)
     lacunary = lacunary_odd_support_check(3, 900)
     eq4 = theta_product_identity_check(3, 8, 900)
     assert not lacunary and lacunary.counterexample == 450

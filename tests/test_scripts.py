@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import copartitions
 from copartitions import CpParams, cli, copartition_parity, density_report
 from copartitions import enumeration, parity, series
 
@@ -92,24 +93,70 @@ def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases,
         bench_cases._counted("kernel", (1, 1, 1, 5))
 
 
-@pytest.mark.parametrize("a, m, n", [(3, 10, 500), (1, 6, 3000), (3, 4, 5000)])
-def test_bench_cases_counts_the_gf2_passes_of_the_normal_form(bench_cases, a, m, n):
-    # the identity check expands (a, m - a, m) by the pass kernel once
-    passes = series.mod2_passes(series.copartition_factors(CpParams(a, m - a, m)), n)
-    run_passes, bits = bench_cases._level_counts(n, passes)
-    assert bench_cases._counted("theta_product_identity_check", (a, m, n)) == expected_counts(
-        mod2_passes=passes.bit_count(), mod2_bits=bits)
-    assert run_passes == passes.bit_count() > 0
-    # the parent's level loop takes the passes as one int; both forms count alike
-    assert bench_cases._level_counts(n, series._levels(n, passes)) == (run_passes, bits)
+def triangular_and_pentagonal_terms(w):
+    """The nonzero exponents up to w of theta(1, 4) (the triangular numbers)
+    and of theta(1, 3) (the generalised pentagonal numbers)."""
+    triangular = [j * (j + 1) // 2 for j in range(1, w + 2) if j * (j + 1) // 2 <= w]
+    pentagonal = [e for k in range(-w - 1, w + 2) if 0 < (e := k * (3 * k - 1) // 2) <= w]
+    return triangular, pentagonal
+
+
+@pytest.mark.parametrize("signature", ["parent", "current"])
+def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch, signature):
+    # a stand-in level loop with the parent's signature, passes by level first,
+    # or the current one; D = 1 + q + q^2 + q^5 reaches level 6 at n = 100, whose
+    # widths are 100, 50, 25, 12, 6, 3, 1: 3 terms on levels 0-4, 2 on 5, 1 on 6
+    if signature == "parent":
+        def loop(n, levels, steps=(), numerator=(), at=0):
+            return 0
+        call = lambda: series._level_product(100, [0b1010, 0b10], steps=[1, 2, 5])  # noqa: E731
+        level_passes, level_bits = 3, 2 * 100 + 50
+    else:
+        def loop(n, steps, numerator, at):
+            return 0
+        call = lambda: series._level_product(100, [1, 2, 5], [1, 3], at=2)  # noqa: E731
+        level_passes, level_bits = 2, 2 * 25          # N = 1 + x + x^3 at level 2
+    monkeypatch.setattr(series, "_level_product", loop)
+    monkeypatch.setattr(copartitions, "stand_in", call, raising=False)
+    assert bench_cases._counted("stand_in", ()) == expected_counts(
+        mod2_passes=18 + level_passes,
+        mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + level_bits)
+
+
+def test_bench_cases_counts_the_sparse_terms_of_the_theta_quotient(bench_cases):
+    # (1, 3, 4) is E(q^8) / theta(1, 4) mod 2: theta(1, 4) on levels 0-11 of
+    # n = 3000, E(x) = theta(1, 3) in x = q^8 at level 3, on 375 bits
+    n = 3000
+    passes = bits = 0
+    for v in range(12):
+        w = n >> v
+        triangular, pentagonal = triangular_and_pentagonal_terms(w)
+        run = len(triangular) + (len(pentagonal) if v == 3 else 0)
+        passes, bits = passes + run, bits + run * w
+    assert bench_cases._counted("parity", (1, 3, 4, n)) == expected_counts(
+        mod2_passes=passes, mod2_bits=bits)
     assert series._level_product.__name__ == "_level_product"  # the wrapper is taken off again
 
 
 def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
-    # (1, 1, 1) is 1/((1 - q) E(q)) mod 2: the passes of 1/(1 - q), one per 2^i <= 3000;
-    # at n = 3000 level 0 (k = 1) runs on 3000 bits and every higher level on 1500
-    assert bench_cases._counted("parity", (1, 1, 1, 3000)) == expected_counts(
-        mod2_passes=12, mod2_bits=3000 + 11 * 1500)
+    # (1, 1, 1) is 1/((1 - q) E(q)) mod 2: the pentagonal terms of E(q) per level,
+    # then 1/(1 - q) as one chain, a pass at each 2^i < 3000 on the 3000 bits of q/(1 - q)
+    n = 3000
+    passes = bits = 0
+    for v in range(12):
+        w = n >> v
+        run = len(triangular_and_pentagonal_terms(w)[1])
+        passes, bits = passes + run, bits + run * w
+    assert bench_cases._counted("parity", (1, 1, 1, n)) == expected_counts(
+        mod2_passes=passes, sums_passes=12, mod2_bits=bits + 12 * 3000)
+
+
+def test_bench_cases_identity_checks_run_the_sums(bench_cases):
+    # eq4 and lacunary expand by the sums, never by the level loop
+    for kind, args in (("theta_product_identity_check", (3, 10, 500)),
+                       ("lacunary_odd_support_check", (1, 2600))):
+        counts = bench_cases._counted(kind, args)
+        assert counts["mod2_passes"] == 0 and counts["sums_passes"] > 0, kind
 
 
 def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
@@ -130,17 +177,13 @@ def test_bench_cases_counts_the_values_and_prime_hits_of_the_sieve(bench_cases):
     values = range(5, 24 * 100 + 6, 24)
     primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
     hits = sum(1 for v in values for p in primes if v % p == 0)
+    # the check also reads the parity of (3, 1, 4), a theta quotient, through the level loop
+    level_loop = {key: bench_cases._counted("parity", (3, 1, 4, 100))[key]
+                  for key in ("mod2_passes", "mod2_bits")}
+    assert level_loop["mod2_passes"] > 0
     assert bench_cases._counted("even_guarantee_check", ("cp314", 100)) == expected_counts(
-        sieve_values=101, sieve_hits=hits)
+        sieve_values=101, sieve_hits=hits, **level_loop)
     assert hits > 0 and parity._sieve.__name__ == "_sieve"
-
-
-def test_bench_cases_theta_quotient_runs_no_gf2_pass(bench_cases):
-    assert bench_cases._counted("parity", (1, 3, 4, 3000))["mod2_passes"] == 0
-    # the identity check expands (3, 7, 10) by the pass kernel once
-    expected = series.mod2_passes(series.copartition_factors(CpParams(3, 7, 10)), 500)
-    counts = bench_cases._counted("theta_product_identity_check", (3, 10, 500))
-    assert counts["mod2_passes"] == expected.bit_count() > 0
 
 
 def test_bench_cases_coeff_bits_is_the_widest_coefficient_a_divide_leaves(bench_cases,

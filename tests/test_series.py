@@ -26,7 +26,7 @@ from copartitions import (
     triple_product_theta,
 )
 from copartitions import series as series_module
-from copartitions.series import _pass_progressions, copartition_factors, mod2_passes
+from copartitions.series import copartition_factors
 
 from oracles import (
     copartition_series_by_log_derivative,
@@ -34,8 +34,10 @@ from oracles import (
     count_restricted,
     expand_factors_chain_reference,
     expand_factors_folded_reference,
+    expand_factors_mod2_normal_form_reference,
     expand_factors_mod2_reference,
     expand_factors_reference,
+    mod2_passes,
     progression,
     signed_product_coefficient,
 )
@@ -60,6 +62,18 @@ def colliding_factors(draw):
     paired = [reciprocal(c, m), pochhammer(c * j, m * scale)]
     extra = draw(st.lists(factor_strategy, max_size=3))
     return draw(st.permutations(repeated + paired + extra))
+
+
+@st.composite
+def folding_factors(draw):
+    """Factor lists the fold nets per (c, m): up to three (c, m), each in all
+    three signs, every sign repeated 0 to 7 times, so the net counts run from
+    -14 to 7 and set up to four bits."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3))
+    factors = [FactorSpec(c, m, sign) for c, m in keys
+               for sign in ("pochhammer", "reciprocal", "negated-pochhammer")
+               for _ in range(draw(st.integers(0, 7)))]
+    return draw(st.permutations(factors))
 
 
 @st.composite
@@ -127,6 +141,14 @@ class TestExpandFactors:
     @given(colliding_factors(), st.integers(0, 2000))
     @settings(max_examples=100, deadline=None)
     def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
+        assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
+    @given(st.one_of(colliding_factors(), folding_factors()), st.integers(0, 2000))
+    @example([reciprocal(1, 1)] * 7, 2000)                  # net 7: sums at (1, 1), (2, 2), (4, 4)
+    @example([pochhammer(3, 2)] * 3 + [negated_pochhammer(3, 2)] * 3, 999)   # net -6
+    @example([reciprocal(2, 3)] * 2 + [pochhammer(2, 3)] * 2, 500)          # net 0: no sum
+    @settings(max_examples=60, deadline=None)
+    def test_the_fold_matches_the_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
 
     @given(colliding_factors(), st.integers(0, 2000))
@@ -284,15 +306,6 @@ def pass_set(factors, n):
     return ParitySeries(n, mod2_passes(factors, n)).odd_exponents()
 
 
-class TestPassPlan:
-    def test_reciprocal_chain_levels_double(self):
-        assert list(_pass_progressions([reciprocal(3, 5)], 20)) == [(3, 5), (6, 10), (12, 20)]
-
-    def test_pochhammer_levels_and_start_beyond_truncation(self):
-        plan = [pochhammer(2, 3), negated_pochhammer(4, 1), pochhammer(9, 2)]
-        assert list(_pass_progressions(plan, 8)) == [(2, 3), (4, 1)]
-
-
 @st.composite
 def complementary(draw, m_max):
     """(a, m - a, m) with 1 <= a < m <= m_max, the families the theta quotient
@@ -327,7 +340,7 @@ def test_three_paths_match_the_log_derivative_recurrence(abm, n):
 def test_theta_quotient_parity_matches_the_pass_kernels(abm, n):
     factors = copartition_factors(CpParams(*abm))
     parity = copartition_parity(CpParams(*abm), n)
-    assert parity == expand_factors_mod2(factors, n)
+    assert parity == expand_factors_mod2_normal_form_reference(factors, n)
     assert parity == expand_factors_mod2_reference(factors, n)
 
 
@@ -338,7 +351,8 @@ def test_theta_quotient_matches_the_pass_kernels_on_every_small_family(n):
             params = CpParams(a, m - a, m)
             factors = copartition_factors(params)
             assert copartition_series(params, n) == expand_factors(factors, n), (a, m)
-            assert copartition_parity(params, n) == expand_factors_mod2(factors, n), (a, m)
+            assert copartition_parity(params, n) == \
+                expand_factors_mod2_normal_form_reference(factors, n), (a, m)
 
 
 def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
@@ -346,7 +360,7 @@ def test_only_the_complementary_families_skip_the_pass_kernels(monkeypatch):
         raise AssertionError("pass kernel called")
 
     monkeypatch.setattr(series_module, "expand_factors", refuse)
-    monkeypatch.setattr(series_module, "_sums_product", refuse)
+    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
     assert copartition_series(CpParams(1, 13, 14), 50)[0] == 1
     assert copartition_parity(CpParams(3, 3, 6), 50).bit(0) == 1
     with pytest.raises(AssertionError, match="pass kernel"):
@@ -360,7 +374,7 @@ def test_the_collapsed_families_skip_the_pass_kernel(monkeypatch):
         raise AssertionError("pass kernel called")
 
     monkeypatch.setattr(series_module, "expand_factors", refuse)
-    monkeypatch.setattr(series_module, "_sums_product", refuse)
+    monkeypatch.setattr(series_module, "expand_factors_mod2", refuse)
     assert copartition_parity(CpParams(1, 1, 1), 50).bit(0) == 1
     assert copartition_series(CpParams(1, 1, 1), 50)[50] == 1295971
     assert copartition_parity(CpParams(2, 4, 2), 50).bit(0) == 1
@@ -446,21 +460,6 @@ class TestLevelLoop:
     def test_matches_the_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
 
-    @given(st.integers(0, 3000).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n // 2 + 1)) - 1))))
-    @example((0, 0))
-    @example((0, 1))
-    @example((14, (1 << 8) - 1))            # n // 2 + 1 = 8: one whole byte
-    @example((16, (1 << 9) - 1))            # 9 bits: one bit past a byte
-    @example((30, 1 << 15))
-    @example((32, (1 << 17) - 1))
-    @example((3000, 0))
-    @example((3000, 1 << 1500 | 1))
-    @settings(max_examples=80)
-    def test_unspread_undoes_spread(self, n_x):
-        n, x = n_x
-        assert series_module._unspread(series_module._spread(x, n)) == x
-
 
 def m_divides_a_and_b():
     return [(a, b, m) for m in range(1, 7) for a in range(m, 13, m) for b in range(m, 13, m)]
@@ -479,20 +478,21 @@ class TestCollapsedFamilies:
                 exact[key] = reduce_mod2(copartition_series(params, 1000))
             for n in (0, 1, 2, 7, 64, 1000):
                 parity = copartition_parity(params, n)
-                assert parity == expand_factors_mod2(copartition_factors(params), n), (a, b, m, n)
+                assert parity == expand_factors_mod2_normal_form_reference(
+                    copartition_factors(params), n), (a, b, m, n)
                 assert parity == exact[key].truncate(n), (a, b, m, n)
 
-    def test_finite_part_of_one_one_one_runs_15_passes(self, monkeypatch):
+    def test_finite_part_of_one_one_one_runs_15_chain_passes(self, monkeypatch):
         seen = []
+        real = series_module._chain_divide
 
-        def counted(factors, n):
-            passes = mod2_passes(factors, n)
-            seen.append(passes.bit_count())
-            return passes
+        def counted(g, d):
+            seen.extend(d << i for i in range(64) if d << i < g.bit_length())
+            return real(g, d)
 
-        monkeypatch.setattr(series_module, "mod2_passes", counted)
+        monkeypatch.setattr(series_module, "_chain_divide", counted)
         copartition_parity(CpParams(1, 1, 1), 32000)
-        assert seen == [15]         # 1/(1 - q): a pass at each 2^i <= 32000
+        assert seen == [1 << i for i in range(15)]  # 1/(1 - q): a pass at each 2^i <= 32000
 
 
 def route(params, mod2):
@@ -546,7 +546,7 @@ class TestPlan:
         params, n = CpParams(*abm), 40
         factors = copartition_factors(params)
         assert copartition_series(params, n) == expand_factors(factors, n)
-        assert copartition_parity(params, n) == expand_factors_mod2(factors, n)
+        assert copartition_parity(params, n) == expand_factors_mod2_normal_form_reference(factors, n)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_matches_the_pass_kernels_on_every_family_up_to_12(self, m):
@@ -559,26 +559,37 @@ class TestPlan:
                     for finite in series_module._plan(params, PLAN_N[-1], mod2)[1:]:
                         if finite:
                             firsts |= {min(finite) - 1, min(finite)}
-                parity = expand_factors_mod2(factors, PLAN_N[-1])
+                parity = expand_factors_mod2_normal_form_reference(factors, PLAN_N[-1])
                 exact = expand_factors(factors, EXACT_TOP)
                 for n in sorted(set(PLAN_N) | firsts):
                     assert copartition_parity(params, n) == parity.truncate(n), (a, b, m, n)
                     if n <= EXACT_TOP:
                         assert copartition_series(params, n) == exact.truncate(n), (a, b, m, n)
 
+    @pytest.mark.parametrize("abm", [(1, 1, 1), (11, 11, 2), (2, 6, 4), (1, 8, 8), (3, 3, 2),
+                                     (9, 9, 2), (1, 1, 6), (3, 3, 4), (1, 11, 14), (5, 9, 14),
+                                     (2, 2, 12)])
+    def test_matches_the_normal_form_at_32000(self, abm):
+        # every route, with the finite factors of routes 1 and 2 folded or not
+        params, n = CpParams(*abm), 32000
+        assert copartition_parity(params, n) == \
+            expand_factors_mod2_normal_form_reference(copartition_factors(params), n)
+
     @pytest.mark.parametrize("abm, n, route_taken", [
         ((1, 11, 14), 22475, 4), ((1, 11, 14), 32000, 4),
         ((3, 3, 4), 15000, 3), ((3, 3, 4), 100000, 3), ((1, 1, 6), 15000, 3),
         ((1, 13, 14), 32000, 2), ((5, 9, 14), 32000, 2), ((1, 11, 12), 32000, 2),
-        ((1, 2, 3), 100000, 2), ((1, 1, 2), 32000, 2), ((1, 1, 1), 32000, 1)])
+        ((1, 2, 3), 100000, 2), ((1, 1, 2), 32000, 2), ((1, 1, 1), 32000, 1),
+        ((11, 11, 2), 2000, 2), ((11, 11, 2), 32000, 2),          # C = 11 and C = 9
+        ((9, 9, 2), 2000, 2), ((9, 9, 2), 32000, 2)])
     def test_the_route_of_the_density_scan_families(self, monkeypatch, abm, n, route_taken):
         ran = []
 
         def spy(name, real):
             return lambda *args: ran.append(name) or real(*args)
 
-        monkeypatch.setattr(series_module, "_sums_product",
-                            spy("sums", series_module._sums_product))
+        monkeypatch.setattr(series_module, "expand_factors_mod2",
+                            spy("sums", series_module.expand_factors_mod2))
         monkeypatch.setattr(series_module, "_level_product",
                             spy("level loop", series_module._level_product))
         copartition_parity(CpParams(*abm), n)
@@ -619,17 +630,17 @@ class TestSums:
         abm, n = abm_n
         params = CpParams(*abm)
         factors = copartition_factors(params)
-        reference = expand_factors_mod2(factors, n)
+        reference = expand_factors_mod2_normal_form_reference(factors, n)
         assert copartition_parity(params, n) == reference
-        assert series_module._sums_product(factors, n) == reference
+        assert expand_factors_mod2(factors, n) == reference
         assert reference == reduce_mod2(copartition_series(params, n))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 64, 257])
     def test_every_generic_family_up_to_12_12_16(self, n):
         for a, b, m in GENERIC:
             factors = copartition_factors(CpParams(a, b, m))
-            reference = expand_factors_mod2(factors, n)
-            assert series_module._sums_product(factors, n) == reference, (a, b, m)
+            reference = expand_factors_mod2_normal_form_reference(factors, n)
+            assert expand_factors_mod2(factors, n) == reference, (a, b, m)
             assert copartition_parity(CpParams(a, b, m), n) == reference, (a, b, m)
 
 
