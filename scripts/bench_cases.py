@@ -123,7 +123,7 @@ def _call(package, kind: str, args: tuple):
     return getattr(package, kind)(*args)
 
 
-def _level_counts(n: int, steps, numerator=(), at: int = 0, levels=()) -> tuple[int, int]:
+def _level_counts(n: int, steps, numerator, at: int, levels=()) -> tuple[int, int]:
     """(passes, bits) of one run of the level loop, which walks the levels v
     from the top down: on each, one pass per term of ``steps`` at or below its
     width n >> v, one per term of ``numerator`` at level ``at``, and the set

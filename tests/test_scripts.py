@@ -103,24 +103,27 @@ def triangular_and_pentagonal_terms(w):
 
 @pytest.mark.parametrize("signature", ["parent", "current"])
 def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch, signature):
-    # a stand-in level loop with the parent's signature, passes by level first,
-    # or the current one; D = 1 + q + q^2 + q^5 reaches level 6 at n = 100, whose
+    # stand-in level loops with the parent's signature, passes by level first, and
+    # the current one; D = 1 + q + q^2 + q^5 reaches level 6 at n = 100, whose
     # widths are 100, 50, 25, 12, 6, 3, 1: 3 terms on levels 0-4, 2 on 5, 1 on 6
-    if signature == "parent":
-        def loop(n, levels, steps=(), numerator=(), at=0):
-            return 0
-        call = lambda: series._level_product(100, [0b1010, 0b10], steps=[1, 2, 5])  # noqa: E731
-        level_passes, level_bits = 3, 2 * 100 + 50
-    else:
-        def loop(n, steps, numerator, at):
-            return 0
-        call = lambda: series._level_product(100, [1, 2, 5], [1, 3], at=2)  # noqa: E731
-        level_passes, level_bits = 2, 2 * 25          # N = 1 + x + x^3 at level 2
+    def parent_loop(n, levels, steps=(), numerator=(), at=0):
+        return 0
+
+    def current_loop(n, steps, numerator, at):
+        return 0
+
+    if signature == "parent":       # passes 1 and 3 on level 0, 1 on level 1
+        loop, args, kwargs = parent_loop, (100, [0b1010, 0b10]), {"steps": [1, 2, 5]}
+        extra_passes, extra_bits = 3, 2 * 100 + 50
+    else:                           # N = 1 + x + x^3 at level 2, on 25 bits
+        loop, args, kwargs = current_loop, (100, [1, 2, 5], [1, 3]), {"at": 2}
+        extra_passes, extra_bits = 2, 2 * 25
     monkeypatch.setattr(series, "_level_product", loop)
-    monkeypatch.setattr(copartitions, "stand_in", call, raising=False)
+    monkeypatch.setattr(copartitions, "stand_in",
+                        lambda: series._level_product(*args, **kwargs), raising=False)
     assert bench_cases._counted("stand_in", ()) == expected_counts(
-        mod2_passes=18 + level_passes,
-        mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + level_bits)
+        mod2_passes=18 + extra_passes,
+        mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + extra_bits)
 
 
 def test_bench_cases_counts_the_sparse_terms_of_the_theta_quotient(bench_cases):

@@ -138,17 +138,12 @@ class TestExpandFactors:
     def test_packed_parity_expansion_matches_exact(self, factors, n):
         assert expand_factors_mod2(factors, n) == reduce_mod2(expand_factors(factors, n))
 
-    @given(colliding_factors(), st.integers(0, 2000))
-    @settings(max_examples=100, deadline=None)
-    def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
-        assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
-
     @given(st.one_of(colliding_factors(), folding_factors()), st.integers(0, 2000))
     @example([reciprocal(1, 1)] * 7, 2000)                  # net 7: sums at (1, 1), (2, 2), (4, 4)
     @example([pochhammer(3, 2)] * 3 + [negated_pochhammer(3, 2)] * 3, 999)   # net -6
     @example([reciprocal(2, 3)] * 2 + [pochhammer(2, 3)] * 2, 500)          # net 0: no sum
-    @settings(max_examples=60, deadline=None)
-    def test_the_fold_matches_the_per_pass_loop(self, factors, n):
+    @settings(max_examples=100, deadline=None)
+    def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
 
     @given(colliding_factors(), st.integers(0, 2000))
