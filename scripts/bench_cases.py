@@ -3,7 +3,12 @@ one or more source trees.  A ``kernel`` case expands a family by the exact
 kernel ``expand_factors``, a ``series`` or ``parity`` case asks the library
 for its exact or mod-2 series, whatever route it takes.
 
-    python scripts/bench_cases.py parent=../old/src change=src
+    python scripts/bench_cases.py parent=../old/src@a14ab8e change=src
+
+A side is NAME=SRC or NAME=SRC@COMMIT.  The document records each side's
+commit: the COMMIT given, or else ``git rev-parse`` in SRC; a side that
+names none and is not in a git checkout (a ``git archive`` copy) is a usage
+error, exit 2.
 
 Every NAME=SRC side is imported into this one interpreter, each as its own
 package (``bench_NAME``), so the sides share the heap and the warm-up.  Per
@@ -15,10 +20,11 @@ that do not depend on the machine:
 - ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
 - ``coeff_bits``: the largest bit length of a coefficient that any
   ``series._divide`` leaves, the width of the exact kernel's intermediates;
-- ``mod2_passes``: the passes ``series._level_product`` runs: on each 2-adic
-  level v one per term of the sparse denominator at or below the level's
-  width n >> v, one per term of the numerator at its level, and, on a source
-  whose level loop still takes passes by level, those of level v;
+- ``mod2_passes``: the sparse-term passes ``series._level_product`` runs: on
+  each 2-adic level v one per term of the sparse denominator at or below the
+  level's width n >> v, one per term of the numerator at its level, and, on a
+  source whose level loop still takes passes by level, those of level v; the
+  sums it runs count in ``sums_passes``;
 - ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
   the Euler and Cauchy sums; null for a source without them;
 - ``mod2_bits``: the bits both GF(2) loops' passes run on, each pass
@@ -78,6 +84,7 @@ CASES = {
     "parity 1 13 14 n=32000": ("series.mod2", "parity", (1, 13, 14, 32000)),  # sparse theta quotient
     "parity 1 1 6 n=15000": ("series.mod2", "parity", (1, 1, 6, 15000)),
     "parity 3 3 4 n=15000": ("series.mod2", "parity", (3, 3, 4, 15000)),
+    "parity 2 2 12 n=32000": ("series.mod2", "parity", (2, 2, 12, 32000)),   # route 3
     "parity 2 6 4 n=32000": ("series.mod2", "parity", (2, 6, 4, 32000)),
     "parity 1 8 8 n=32000": ("series.mod2", "parity", (1, 8, 8, 32000)),
     "parity 1 2 3 n=100000": ("series.mod2", "parity", (1, 2, 3, 100000)),   # theta quotient
@@ -123,11 +130,12 @@ def _call(package, kind: str, args: tuple):
     return getattr(package, kind)(*args)
 
 
-def _level_counts(n: int, steps, numerator, at: int, levels=()) -> tuple[int, int]:
+def _level_counts(n: int, steps, numerator, at: int, factors=(), levels=()) -> tuple[int, int]:
     """(passes, bits) of one run of the level loop, which walks the levels v
     from the top down: on each, one pass per term of ``steps`` at or below its
     width n >> v, one per term of ``numerator`` at level ``at``, and the set
-    bits of ``levels[v]``, each pass on n >> v bits."""
+    bits of ``levels[v]``, each pass on n >> v bits.  The sums of ``factors``
+    count through ``_chain_divide``."""
     top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
     passes = bits = 0
     for v in range(top + 1):
@@ -268,28 +276,37 @@ def _best_median_ms(times: list, prefix: str = "") -> dict:
             "samples": len(times)}
 
 
-def _commit(src: Path) -> str:
-    done = subprocess.run(["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or "unknown"
+def _side(text: str) -> tuple[str, Path, str]:
+    """(NAME, SRC, COMMIT) of a NAME=SRC[@COMMIT] side; without @COMMIT the
+    commit is git's HEAD at SRC, or empty outside a git checkout."""
+    name, _, src = text.partition("=")
+    src, _, commit = src.partition("@")
+    if not commit:
+        done = subprocess.run(["git", "-C", src, "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True)
+        commit = done.stdout.strip() if done.returncode == 0 else ""
+    return name, Path(src).resolve(), commit
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("sides", nargs="*", metavar="NAME=SRC")
+    parser.add_argument("sides", nargs="*", metavar="NAME=SRC[@COMMIT]")
     args = parser.parse_args(argv)
     if not args.sides:
         parser.error("give at least one NAME=SRC side")
-    sides = dict(side.split("=", 1) for side in args.sides)
-    srcs = {name: Path(src).resolve() for name, src in sides.items()}
+    srcs, commits = {}, {}
+    for side in args.sides:
+        name, srcs[name], commits[name] = _side(side)
+        if not commits[name]:
+            parser.error(f"{side}: not a git checkout; name its commit as NAME=SRC@COMMIT")
     packages = {name: _load(f"bench_{name}", src) for name, src in srcs.items()}
     times = timed(packages)
     for src in srcs.values():
         if not compileall.compile_dir(str(src / "copartitions"), quiet=1):
             raise SystemExit(f"bench_cases: bytecode compilation failed in {src}")
-    processes = {name: [] for name in sides}
+    processes = {name: [] for name in srcs}
     for r in range(SAMPLES):
-        for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+        for name in (list(srcs) if r % 2 == 0 else list(srcs)[::-1]):
             processes[name].append(process_run(srcs[name]))
     doc = {"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
            "samples": SAMPLES, "sides": {}}
@@ -305,7 +322,7 @@ def main(argv=None) -> int:
                                **_best_median_ms([p["importtime_s"] for p in started],
                                                  "importtime_"),
                                "modules_loaded": started[0]["modules_loaded"]}
-        doc["sides"][name] = {"commit": _commit(srcs[name]), "cases": cases}
+        doc["sides"][name] = {"commit": commits[name], "cases": cases}
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -22,6 +22,7 @@ from .enumeration import (
 from .params import CpParams, Record, _set
 from .series import (
     ParitySeries,
+    _odd_steps,
     copartition_factors,
     copartition_parity,
     copartition_series,
@@ -31,7 +32,6 @@ from .series import (
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
-    triple_product_theta,
 )
 
 TWO_SQUARES = "two_squares"
@@ -462,6 +462,11 @@ def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
     return _compare(observed, expected, {"a": a, "n": n})
 
 
+def _theta_parity(a: int, m: int, n: int) -> ParitySeries:
+    """theta(a, m) mod 2 through n, from its exponents of odd multiplicity."""
+    return ParitySeries.from_support([0, *_odd_steps(a, m, n)], n)
+
+
 def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     """Mod 2, the (a, m-a, m) counting series times the signed theta series
     of its denominator equals the indicator of {m * k * (3k - 1)} through n."""
@@ -471,8 +476,7 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
         raise ValueError("needs n >= 0")
     # the sums: the theta quotient would make the identity a tautology
     counting = expand_factors_mod2(copartition_factors(CpParams(a, m - a, m)), n)
-    theta = reduce_mod2(triple_product_theta(a, m, n))
-    left = mul(counting, theta, n)
+    left = mul(counting, _theta_parity(a, m, n), n)
     right = ParitySeries.from_support(pentagonal_support(m, n), n)
     return _compare(left, right, {"a": a, "m": m, "n": n})
 
@@ -541,7 +545,7 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
         clipped = min(length, top - start + 1)
         blocks |= ((1 << clipped) - 1) << start
         j += 1
-    theta = reduce_mod2(triple_product_theta(a, m, top))
+    theta = _theta_parity(a, m, top)
     ones = ParitySeries(top, (1 << (top + 1)) - 1)
     expansion = _compare(mul(theta, ones, top), ParitySeries(top, blocks), dict(row))
     if not expansion:

@@ -16,7 +16,8 @@ residue class mod k.  It runs the Pochhammer and negated sums first, on the
 bare 1: their terms then divide a sparse series, and the coefficients stay
 near the final ones' size (89 bits at most for (1, 1, 3) at n = 2000, against
 140 with the reciprocal sums first).  The GF(2) kernel ``expand_factors_mod2``
-folds the factor list first (step 2).
+folds the factor list first (step 2) and runs each sum on its 2-adic level
+of the level walk (step 3).
 
 1. Sums.  Two classical sums (Andrews, *The Theory of Partitions*, ch. 2)
    take about sqrt(2n/m) terms for a factor whose progression has n/m, with
@@ -41,19 +42,26 @@ folds the factor list first (step 2).
 
 2. Fold (GF(2) only).  Mod 2, f(q)^2 = f(q^2) for every series f, so
    (q^c;q^m)^2 = (q^2c;q^2m); f cancels 1/f; and (q^c;q^m) and (-q^c;q^m) are
-   equal.  ``_sums`` nets the factors per (c, m), reciprocal ones +1 and
-   Pochhammer ones, negated or not, -1, and runs one sum at (c * 2^j, m * 2^j)
-   for each set bit j of the net count, Cauchy's where it is positive.  These
-   are the identities behind the paper's parity results: the (a, a, 2a)
+   equal.  ``_level_product`` writes each factor (q^c;q^m) as
+   (q^c';q^m')^(2^v), with 2^v the largest power of 2 dividing both c and m
+   (c alone for a factor of one term, m above n, which takes m' = n + 1 on
+   every level; a factor with c above n is 1), and nets the factors per
+   (c', m'): reciprocal ones +2^v and Pochhammer ones, negated or not, -2^v.
+   Each set bit j of a net count runs one sum at (c', m') in x = q^(2^j) on
+   level j of the walk, on n >> j bits, Cauchy's where the count is positive.
+   These are the identities behind the paper's parity results: the (a, a, 2a)
    product (q^2a;q^2a) / (q^a;q^2a)^2 folds to (q^2a;q^2a) / (q^2a;q^4a), an
-   Euler and a Cauchy sum, and that is (q^4a;q^4a) (step 4, route 3).
+   Euler and a Cauchy sum that both run on level 1 for odd a, and that is
+   (q^4a;q^4a) (step 4, route 3).
 
-3. Sparse quotient (GF(2) only).  ``_level_product`` divides by a sparse D as
-   1/D(q) = D(q) D(q^2) D(q^4) ... through q^n.  It walks the 2-adic levels
-   v from the top down, holding the series in x = q^(2^v) reversed through
-   x^(n >> v): level v multiplies D(x) in, one right shift-XOR per term of D
-   up to x^(n >> v), and spreads x to x^2 for the level below.  A numerator
-   N(q^(2^at)) multiplies in at level ``at``, on that level's width.
+3. Level walk (GF(2) only).  ``_level_product`` is the one GF(2) product
+   loop.  It divides by a sparse D as 1/D(q) = D(q) D(q^2) D(q^4) ... through
+   q^n, and runs the folded sums.  It walks the 2-adic levels v from the top
+   down, holding the series in x = q^(2^v) reversed through x^(n >> v):
+   level v multiplies D(x) in, one right shift-XOR per term of D up to
+   x^(n >> v), runs the sums of level v on that width, and spreads x to x^2
+   for the level below.  A numerator N(q^(2^at)) multiplies in at level
+   ``at``, on that level's width.
 
 4. Plan: ``copartition_series`` and ``copartition_parity`` route the product
    P = (q^(a+b);q^m) / ((q^a;q^m)(q^b;q^m)) by the residue coincidences of
@@ -74,12 +82,12 @@ folds the factor list first (step 2).
    On routes 1 and 2 the sparse quotient is solved over the integers one
    coefficient at a time, and the finite factors run as ``_divide`` and
    ``_scaled_add`` passes.  Mod 2 the level loop divides by the theta series
-   and multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m); the finite
-   factors then run through ``_sums`` as sums of one or two terms, folded:
-   (1 - q^k) is one pass, 1/(1 - q^k) a doubling chain, 15 chain passes for
-   (1, 1, 1) at n = 32000.  Routes 3 and 4 take the sums mod 2 through
-   ``expand_factors_mod2``, and route 4 takes them over the integers too,
-   through ``expand_factors``.
+   and multiplies E(q^m)^2 = E(q^(2m)) in at level 1 + v(m); the same walk
+   runs the finite factors as sums of one or two terms, folded, each on the
+   level of its k: (1 - q^k) is one pass, 1/(1 - q^k) a doubling chain, 15
+   chain passes for (1, 1, 1) at n = 32000.  Routes 3 and 4 take the sums mod
+   2 through ``expand_factors_mod2``, the walk with no sparse term, and route
+   4 takes them over the integers too, through ``expand_factors``.
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
@@ -328,28 +336,11 @@ def _sum_factor(rev: int, c: int, m: int, cauchy: bool) -> int:
     return s
 
 
-def _sums(rev: int, factors: Sequence[FactorSpec]) -> int:
-    """``rev`` times the factors mod 2 on reversed bits, folded (module
-    docstring, step 2): per (c, m) the reciprocal factors count +1 and the
-    Pochhammer ones, negated or not, -1, and each set bit j of the net count
-    runs one sum at (c * 2^j, m * 2^j), Cauchy's where the count is positive."""
-    net: dict = {}
-    for f in factors:
-        net[f.c, f.m] = net.get((f.c, f.m), 0) + (1 if f.sign == RECIPROCAL else -1)
-    for (c, m), count in net.items():
-        cauchy, count = count > 0, abs(count)
-        while count:
-            if count & 1:
-                rev = _sum_factor(rev, c, m, cauchy)
-            c, m, count = 2 * c, 2 * m, count >> 1
-    return rev
-
-
 def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
-    """Parity of ``expand_factors(factors, n)``: ``_sums`` on the bare 1."""
+    """Parity of ``expand_factors(factors, n)``: the level walk's sums alone."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    return ParitySeries(n, _reverse(_sums(1 << n, factors), n))
+    return ParitySeries(n, _reverse(_level_product(n, (), (), 0, factors), n))
 
 
 # _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
@@ -371,12 +362,28 @@ def _spread(x: int, n: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: int) -> int:
-    """N(q^(2^at)) / D(q) mod 2 through q^n, reversed through q^n; D (N) is 1
-    plus q^e over the increasing nonzero ``steps`` (``numerator``).  Level v
-    holds F_v(x) = D(x) F_(v+1)(x^2) (times N(x) at v = at) in x = q^(2^v),
-    reversed through x^(n >> v); F_0 is the quotient (module docstring, step 3)."""
-    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0)
+def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: int,
+                   factors: Sequence[FactorSpec]) -> int:
+    """N(q^(2^at)) / D(q) times the factors, mod 2 through q^n, reversed
+    through q^n; D (N) is 1 plus q^e over the increasing nonzero ``steps``
+    (``numerator``).  Level v holds F_v(x) = D(x) S_v(x) F_(v+1)(x^2) (times
+    N(x) at v = at) in x = q^(2^v), reversed through x^(n >> v), where S_v
+    is the product of the folded sums of level v; F_0 is the product (module
+    docstring, steps 2 and 3)."""
+    net: dict = {}                  # (c, m) in x = q^(2^v): the net count in q
+    for f in factors:
+        if f.c <= n:
+            m = f.m if f.m <= n else 0          # a factor of one term: c alone sets v,
+            low = f.c | m
+            v = (low & -low).bit_length() - 1
+            key = f.c >> v, m >> v or n + 1     # and its step is n + 1 on every level
+            net[key] = net.get(key, 0) + ((1 if f.sign == RECIPROCAL else -1) << v)
+    sums: dict = {}                 # level: its sums, (c, m, cauchy) in x
+    for (c, m), count in net.items():
+        for j in range(abs(count).bit_length()):
+            if abs(count) >> j & 1:
+                sums.setdefault(j, []).append((c, m, count > 0))
+    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0, *sums)
     rev = 1 << (n >> top)
     for v in range(top, -1, -1):
         w = n >> v
@@ -389,6 +396,8 @@ def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: i
                     break
                 acc ^= rev >> e
             rev = acc
+        for c, m, cauchy in sums.get(v, ()):
+            rev = _sum_factor(rev, c, m, cauchy)
     return rev
 
 
@@ -401,17 +410,27 @@ def copartition_factors(params: CpParams) -> list[FactorSpec]:
     ]
 
 
-def _theta_terms(a: int, m: int, n: int):
-    """Yield (exponent, sign) for the terms of sum_k (-1)^k q^(a*k + m*k*(k-1)/2)
-    over every integer k with exponent <= n; needs 0 <= a <= m so that no
-    exponent is negative.  By the Jacobi triple product the sum is
-    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m); Euler's (q^m;q^m) is the case (m, 3m).
-    Exponents repeat when 2a = m (a*k^2 for k and -k)."""
-    top = isqrt(2 * max(n, 0) // m) + 2     # the exponent is >= m*|k|*(|k|-1)/2 > n once |k| >= top
-    for k in range(1 - top, top):
-        e = a * k + m * k * (k - 1) // 2
-        if e <= n:
-            yield e, -1 if k & 1 else 1
+def _theta_terms(a: int, m: int, n: int) -> list[list[int]]:
+    """The exponents up to n >= 0 of theta(a, m) = sum_k (-1)^k q^(a*k + m*k*(k-1)/2)
+    for k = 1, 2, ... and for k = -1, -2, ..., each increasing: the partial
+    sums of a, a + m, a + 2m, ... and of m - a, 2m - a, ...  Needs 0 <= a <= m
+    so that no exponent is negative; the term of k = 0 is 1.  By the Jacobi
+    triple product theta(a, m) is (q^a;q^m)(q^(m-a);q^m)(q^m;q^m); Euler's
+    (q^m;q^m) is the case (m, 3m).  For 0 < a < m the exponents are distinct
+    unless 2a = m (a*k^2 for k and -k)."""
+    # partial sum j of d, d + m, ... is d*j + m*j*(j-1)/2, at most n for j up
+    # to (r + m - 2d) // 2m, r the isqrt of the discriminant (m - 2d)^2 + 8mn,
+    # the same for d = a and d = m - a
+    r = isqrt((m - 2 * a) ** 2 + 8 * m * n)
+    return [list(accumulate(range(d, d + m * ((r + m - 2 * d) // (2 * m)), m)))
+            for d in (a, m - a)]
+
+
+def _signed_terms(a: int, m: int, n: int) -> list[tuple[int, int]]:
+    """(exponent, sign) for every term of theta(a, m) through q^n, the term
+    of k = 0 first: term k of either side of ``_theta_terms`` has sign (-1)^k."""
+    return [(0, 1)] + [(e, 1 if k & 1 else -1) for side in _theta_terms(a, m, n)
+                       for k, e in enumerate(side)]
 
 
 def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
@@ -419,12 +438,12 @@ def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
     ``square``, for 1 <= c < step: solves x * theta = N by
     x[j] = N[j] - sum_{e > 0} theta_e * x[j - e]."""
     theta: dict[int, int] = {}
-    for e, sign in _theta_terms(c, step, n):
-        theta[e] = theta.get(e, 0) + sign
-    steps = sorted((e, t) for e, t in theta.items() if e and t)
+    for e, sign in _signed_terms(c, step, n)[1:]:
+        theta[e] = theta.get(e, 0) + sign       # 2c = step: k and -k add up
+    steps = sorted(theta.items())
     x = [1] + [0] * n
     if square:
-        euler = list(_theta_terms(step, 3 * step, n))
+        euler = _signed_terms(step, 3 * step, n)
         x[0] = 0
         for e, s in euler:
             for f, t in euler:
@@ -442,7 +461,8 @@ def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
 
 def _odd_steps(a: int, m: int, n: int) -> list[int]:
     """Nonzero exponents of theta(a, m) mod 2 through q^n, increasing; none when 2a = m."""
-    return [] if 2 * a == m else sorted({e for e, _ in _theta_terms(a, m, n)} - {0})
+    up, down = _theta_terms(a, m, n)
+    return [] if 2 * a == m else sorted(up + down)
 
 
 def _plan(params: CpParams, n: int, mod2: bool):
@@ -498,8 +518,8 @@ def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     if square:
         at = (step & -step).bit_length()    # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
         euler = _odd_steps(step >> at - 1, 3 * step >> at - 1, n >> at)
-    rev = _level_product(n, _odd_steps(c, step, n), euler, at if euler else 0)
-    return ParitySeries(n, _reverse(_sums(rev, finite), n))
+    rev = _level_product(n, _odd_steps(c, step, n), euler, at if euler else 0, finite)
+    return ParitySeries(n, _reverse(rev, n))
 
 
 def self_conjugate_series(a: int, m: int, n: int) -> ExactSeries:
@@ -528,7 +548,7 @@ def triple_product_theta(a: int, m: int, n: int) -> ExactSeries:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     coeffs = [0] * (n + 1)
-    for e, sign in _theta_terms(a, m, n):
+    for e, sign in _signed_terms(a, m, n):
         coeffs[e] += sign
     return ExactSeries(n, tuple(coeffs))
 
@@ -538,7 +558,7 @@ def pentagonal_support(scale: int, n: int) -> set[int]:
     exponents of Euler's (q^(2 scale); q^(2 scale)), theta(2 scale, 6 scale)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    return {e for e, _ in _theta_terms(2 * scale, 6 * scale, n)}
+    return {0, *_odd_steps(2 * scale, 6 * scale, n)} if n >= 0 else set()
 
 
 def mul(x, y, n: int):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import copartitions
-from copartitions import CpParams, cli, copartition_parity, density_report
+from copartitions import CpParams, cli
 from copartitions import enumeration, parity, series
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,19 +20,6 @@ def run_script(name, *args):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
                           env=env, capture_output=True, text=True, check=True)
     return done.stdout
-
-
-def test_parity_scan_prints_the_density_report():
-    out = run_script("parity_scan.py", 1, 13, 14, "--top", 2000)
-    params = CpParams(1, 13, 14)
-    parity = copartition_parity(params, 2000)
-    report = density_report(params, (1000, 2000), parity)
-    lines = out.splitlines()
-    assert lines[0] == "family cp_1_13_14, even-value proportion over 1..n"
-    for line, n, even, shown in zip(lines[1:3], report.checkpoints, report.even_counts,
-                                    report.rounded):
-        assert line.replace(" ", "") == f"n={n}even={even}proportion={shown}"
-    assert lines[3].startswith(f"odd count up to 2000: {len(parity.odd_exponents())};")
 
 
 def test_regenerated_tables_match_the_cli(tmp_path, capsys):
@@ -109,14 +96,14 @@ def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch, sign
     def parent_loop(n, levels, steps=(), numerator=(), at=0):
         return 0
 
-    def current_loop(n, steps, numerator, at):
+    def current_loop(n, steps, numerator, at, factors):
         return 0
 
     if signature == "parent":       # passes 1 and 3 on level 0, 1 on level 1
         loop, args, kwargs = parent_loop, (100, [0b1010, 0b10]), {"steps": [1, 2, 5]}
         extra_passes, extra_bits = 3, 2 * 100 + 50
-    else:                           # N = 1 + x + x^3 at level 2, on 25 bits
-        loop, args, kwargs = current_loop, (100, [1, 2, 5], [1, 3]), {"at": 2}
+    else:                           # N = 1 + x + x^3 at level 2, on 25 bits; sums not counted here
+        loop, args, kwargs = current_loop, (100, [1, 2, 5], [1, 3]), {"at": 2, "factors": []}
         extra_passes, extra_bits = 2, 2 * 25
     monkeypatch.setattr(series, "_level_product", loop)
     monkeypatch.setattr(copartitions, "stand_in",
@@ -155,7 +142,7 @@ def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
 
 
 def test_bench_cases_identity_checks_run_the_sums(bench_cases):
-    # eq4 and lacunary expand by the sums, never by the level loop
+    # eq4 and lacunary expand by the sums alone: the level walk runs no sparse term
     for kind, args in (("theta_product_identity_check", (3, 10, 500)),
                        ("lacunary_odd_support_check", (1, 2600))):
         counts = bench_cases._counted(kind, args)
@@ -163,10 +150,12 @@ def test_bench_cases_identity_checks_run_the_sums(bench_cases):
 
 
 def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
-    # (1, 11, 14) at 3000 takes the sums: 367 chain passes on 865091 bits, and no
-    # level-loop pass; the bits are the sum over the chain passes of the term's width
+    # (1, 11, 14) at 3000 takes the sums: 367 chain passes on 763616 bits, and no
+    # sparse-term pass; the bits are the sum over the chain passes of the term's
+    # width.  Euler's sum (q^12;q^14) runs as (x^6;x^7) on level 1, 86 chain passes
+    # on 101561 bits where it took 203036 at full width (865091 bits in all)
     assert bench_cases._counted("parity", (1, 11, 14, 3000)) == expected_counts(
-        sums_passes=367, mod2_bits=865091)
+        sums_passes=367, mod2_bits=763616)
     assert series._chain_divide.__name__ == "_chain_divide"
 
 
@@ -216,6 +205,21 @@ def test_bench_cases_times_two_sources_side_by_side(bench_cases, monkeypatch):
     monkeypatch.setattr(bench_cases, "CASES", {"k": ("series.exact", "kernel", (1, 1, 3, 60))})
     times = bench_cases.timed({"one": one, "two": two})
     assert [len(times[name]["k"]) for name in ("one", "two")] == [bench_cases.SAMPLES] * 2
+
+
+def test_bench_cases_takes_each_side_commit(bench_cases, tmp_path, capsys):
+    # a side outside a git checkout names its commit, or the run is refused
+    # before any case runs
+    assert bench_cases._side(f"parent={tmp_path}@a14ab8e") == ("parent", tmp_path, "a14ab8e")
+    assert bench_cases._side(f"parent={tmp_path}") == ("parent", tmp_path, "")
+    name, src, commit = bench_cases._side(f"change={ROOT / 'src'}")
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    assert (name, src) == ("change", ROOT / "src") and commit == head.stdout.strip()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_cases.main([f"parent={tmp_path}", f"change={ROOT / 'src'}"])
+    assert exit_info.value.code == 2
+    assert "not a git checkout" in capsys.readouterr().err
 
 
 def test_bench_cases_has_no_timing_options(bench_cases):

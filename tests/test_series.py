@@ -66,11 +66,13 @@ def colliding_factors(draw):
 
 @st.composite
 def folding_factors(draw):
-    """Factor lists the fold nets per (c, m): up to three (c, m), each in all
-    three signs, every sign repeated 0 to 7 times, so the net counts run from
-    -14 to 7 and set up to four bits."""
-    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3))
-    factors = [FactorSpec(c, m, sign) for c, m in keys
+    """Factor lists the fold nets per (c, m): up to three (c, m), each scaled
+    by 2^s for s in 0..3 and in all three signs, every sign repeated 0 to 7
+    times, so the net counts run from -14 to 7 and set up to four bits, and
+    the sums run on levels 0 to 6."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3)),
+                         min_size=1, max_size=3))
+    factors = [FactorSpec(c << s, m << s, sign) for c, m, s in keys
                for sign in ("pochhammer", "reciprocal", "negated-pochhammer")
                for _ in range(draw(st.integers(0, 7)))]
     return draw(st.permutations(factors))
@@ -145,6 +147,28 @@ class TestExpandFactors:
     @settings(max_examples=100, deadline=None)
     def test_normalised_kernel_matches_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
+    @given(folding_factors(), st.integers(0, 2000))
+    @example([reciprocal(2, 4)] + [pochhammer(1, 2)] * 2, 700)     # (1, 2) nets to 0 on level 1
+    @example([pochhammer(8, 24), reciprocal(4, 12), reciprocal(1, 3)], 999)   # levels 3, 2, 0
+    @example([reciprocal(16, 48)] * 7, 2000)                        # levels 4 to 6
+    @settings(max_examples=100, deadline=None)
+    def test_the_sums_on_their_levels_match_the_normal_form(self, factors, n):
+        assert expand_factors_mod2(factors, n) == \
+            expand_factors_mod2_normal_form_reference(factors, n)
+
+    def test_factors_of_one_term_net_across_levels(self, monkeypatch):
+        # up to q^2000 each factor is one term, whatever its step above n, and mod 2
+        # (1 - q^3)^2 = 1 - q^6 cancels 1/(1 - q^6): 1/(1 - q^12) alone is left,
+        # the Cauchy sum of (x^3; x^2001) in x = q^4
+        ran = []
+        real = series_module._sum_factor
+        monkeypatch.setattr(series_module, "_sum_factor",
+                            lambda rev, *run: ran.append(run) or real(rev, *run))
+        factors = [pochhammer(3, 2001), pochhammer(3, 4000), reciprocal(6, 2500),
+                   reciprocal(12, 2001)]
+        assert expand_factors_mod2(factors, 2000) == expand_factors_mod2_reference(factors, 2000)
+        assert ran == [(3, 2001, True)]
 
     @given(colliding_factors(), st.integers(0, 2000))
     # both division branches (k^2 <= n + 1 and above), cancelling factors, negated terms
@@ -578,18 +602,19 @@ class TestPlan:
         ((11, 11, 2), 2000, 2), ((11, 11, 2), 32000, 2),          # C = 11 and C = 9
         ((9, 9, 2), 2000, 2), ((9, 9, 2), 32000, 2)])
     def test_the_route_of_the_density_scan_families(self, monkeypatch, abm, n, route_taken):
-        ran = []
+        # one level walk per product; only routes 1 and 2 pass it sparse theta
+        # terms, as steps or as the numerator E(q^(2m)) (none in steps when 2a0 = m)
+        sparse = []
+        real = series_module._level_product
 
-        def spy(name, real):
-            return lambda *args: ran.append(name) or real(*args)
+        def spy(n, steps, numerator, at, factors):
+            sparse.append(bool(steps or numerator))
+            return real(n, steps, numerator, at, factors)
 
-        monkeypatch.setattr(series_module, "expand_factors_mod2",
-                            spy("sums", series_module.expand_factors_mod2))
-        monkeypatch.setattr(series_module, "_level_product",
-                            spy("level loop", series_module._level_product))
+        monkeypatch.setattr(series_module, "_level_product", spy)
         copartition_parity(CpParams(*abm), n)
         assert route(CpParams(*abm), True) == route_taken
-        assert ran == ["sums" if route_taken > 2 else "level loop"]
+        assert sparse == [route_taken <= 2]
 
 
 def generic(a, b, m):
@@ -639,6 +664,29 @@ class TestSums:
             assert copartition_parity(CpParams(a, b, m), n) == reference, (a, b, m)
 
 
+@pytest.mark.parametrize("factors, s, n", [
+    ([pochhammer(10, 8)], 1, 100000),                  # route 3 of (3, 3, 4)
+    ([pochhammer(8, 12)], 2, 15000),                   # route 3 of (1, 1, 6)
+    ([pochhammer(16, 24)], 3, 32000),                  # route 3 of (2, 2, 12)
+    (copartition_factors(CpParams(1, 1, 2)), 1, 5800),  # the lacunary a = 1 check
+])
+def test_the_sums_run_on_their_level_width(monkeypatch, factors, s, n):
+    # every (c, m) of the product, folded, is a multiple of 2^s: each chain
+    # divides a term of the product in x = q^(2^s), through x^(n >> s)
+    widths = []
+    real = series_module._chain_divide
+
+    def spy(g, d):
+        widths.append(g.bit_length())
+        return real(g, d)
+
+    monkeypatch.setattr(series_module, "_chain_divide", spy)
+    got = expand_factors_mod2(factors, n)
+    monkeypatch.setattr(series_module, "_chain_divide", real)
+    assert got == expand_factors_mod2_normal_form_reference(factors, n)
+    assert widths and max(widths) <= (n >> s) + 1
+
+
 class TestSelfConjugateSeries:
     def test_distinct_multiples_of_four(self):
         s = self_conjugate_series(1, 2, 12)
@@ -681,6 +729,16 @@ class TestThetaSeries:
         product = expand_factors(
             [pochhammer(a, m), pochhammer(m - a, m), pochhammer(m, m)], n)
         assert theta == product
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 100, 5000])
+    def test_the_odd_steps_are_the_distinct_nonzero_exponents(self, n):
+        # the exponents as a set, one k at a time: 2a = m pairs every k with -k
+        for m in range(2, 33):
+            for a in range(1, m):
+                top = isqrt(2 * n // m) + 2
+                exponents = {e for k in range(1 - top, top) if (e := a * k + m * k * (k - 1) // 2) <= n}
+                expected = [] if 2 * a == m else sorted(exponents - {0})
+                assert series_module._odd_steps(a, m, n) == expected, (a, m)
 
     def test_rejects_a_above_m(self):
         with pytest.raises(ValueError):
