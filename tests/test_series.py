@@ -68,8 +68,8 @@ def colliding_factors(draw):
 def folding_factors(draw):
     """Factor lists the fold nets per (c, m): up to three (c, m), each scaled
     by 2^s for s in 0..3 and in all three signs, every sign repeated 0 to 7
-    times, so the net counts run from -14 to 7 and set up to four bits, and
-    the sums run on levels 0 to 6."""
+    times, so a net count of one scale runs from -14 to 7, sets up to four
+    bits and puts its sums on levels s to s + 3."""
     keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3)),
                          min_size=1, max_size=3))
     factors = [FactorSpec(c << s, m << s, sign) for c, m, s in keys
@@ -150,7 +150,7 @@ class TestExpandFactors:
 
     @given(folding_factors(), st.integers(0, 2000))
     @example([reciprocal(2, 4)] + [pochhammer(1, 2)] * 2, 700)     # (1, 2) nets to 0 on level 1
-    @example([pochhammer(8, 24), reciprocal(4, 12), reciprocal(1, 3)], 999)   # levels 3, 2, 0
+    @example([pochhammer(8, 24), reciprocal(4, 12), reciprocal(1, 3)], 999)   # -8 + 4 + 1: levels 0, 1
     @example([reciprocal(16, 48)] * 7, 2000)                        # levels 4 to 6
     @settings(max_examples=100, deadline=None)
     def test_the_sums_on_their_levels_match_the_normal_form(self, factors, n):
