@@ -22,11 +22,10 @@ that do not depend on the machine:
   ``series._divide`` leaves, the width of the exact kernel's intermediates;
 - ``mod2_passes``: the sparse-term passes ``series._level_product`` runs: on
   each 2-adic level v one per term of the sparse denominator at or below the
-  level's width n >> v, one per term of the numerator at its level, and, on a
-  source whose level loop still takes passes by level, those of level v; the
+  level's width n >> v and one per term of the numerator at its level; the
   sums it runs count in ``sums_passes``;
 - ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
-  the Euler and Cauchy sums; null for a source without them;
+  the Euler and Cauchy sums;
 - ``mod2_bits``: the bits both GF(2) loops' passes run on, each pass
   weighted by the width of the series it shifts: n >> v on level v of the
   level loop, the term's width in a sum;
@@ -35,8 +34,8 @@ that do not depend on the machine:
   divides a value;
 - ``partitions_walked``: the partitions the enumeration walk yields.
 
-A side whose source has none of the wrapped pass, level-loop, sieve or walk
-functions is an error, so a renamed function cannot read as 0.
+A side whose source has none of the wrapped pass, level-loop, chain, sieve or
+walk functions is an error, so a renamed function cannot read as 0.
 
 The process case compiles each side's bytecode first, then starts SAMPLES
 fresh interpreters per side, alternating, that each run
@@ -51,7 +50,6 @@ from __future__ import annotations
 import argparse
 import compileall
 import importlib.util
-import inspect
 import json
 import os
 import statistics
@@ -96,6 +94,7 @@ CASES = {
     "self_conjugate_parity 1 4 2000": ("series.mod2", "self_conjugate_parity", (1, 4, 2000)),
     "theta_product_identity_check 3 10 2000": ("parity", "theta_product_identity_check",
                                                (3, 10, 2000)),
+    "odd_term_count_check 3 8 30": ("parity", "odd_term_count_check", (3, 8, 30)),
     "parity_gf_check 1 3 780": ("parity", "parity_gf_check", (1, 3, 780)),
     "form_equivalence_sweep_check 10000": ("parity", "form_equivalence_sweep_check", (10000,)),
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
@@ -130,17 +129,16 @@ def _call(package, kind: str, args: tuple):
     return getattr(package, kind)(*args)
 
 
-def _level_counts(n: int, steps, numerator, at: int, factors=(), levels=()) -> tuple[int, int]:
+def _level_counts(n: int, steps, numerator, at: int, factors) -> tuple[int, int]:
     """(passes, bits) of one run of the level loop, which walks the levels v
     from the top down: on each, one pass per term of ``steps`` at or below its
-    width n >> v, one per term of ``numerator`` at level ``at``, and the set
-    bits of ``levels[v]``, each pass on n >> v bits.  The sums of ``factors``
-    count through ``_chain_divide``."""
-    top = max(len(levels) - 1, at, (n // steps[0]).bit_length() - 1 if steps else 0)
+    width n >> v and one per term of ``numerator`` at level ``at``, each pass
+    on n >> v bits.  The sums of ``factors`` count through ``_chain_divide``."""
+    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0)
     passes = bits = 0
     for v in range(top + 1):
         w = n >> v
-        run = sum(1 for e in steps if e <= w) + (levels[v].bit_count() if v < len(levels) else 0)
+        run = sum(1 for e in steps if e <= w)
         if v == at:
             run += sum(1 for e in numerator if e <= w)
         passes, bits = passes + run, bits + run * w
@@ -173,12 +171,8 @@ def _counted(kind: str, args: tuple, package=None) -> dict:
         return run
 
     def level_loop(kernel):
-        signature = inspect.signature(kernel)
-
         def run(*a, **kw):
-            bound = signature.bind(*a, **kw)        # by name: either source's signature
-            bound.apply_defaults()
-            run_passes, bits = _level_counts(**bound.arguments)
+            run_passes, bits = _level_counts(*a, **kw)      # the loop's own parameter names
             counts["mod2_passes"] += run_passes
             counts["mod2_bits"] += bits
             return kernel(*a, **kw)
@@ -223,11 +217,9 @@ def _counted(kind: str, args: tuple, package=None) -> dict:
              "_partitions_upto": walk}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
-    for counter in (divide, level_loop, primes, sieve, walk):
+    for counter in (divide, level_loop, chain, primes, sieve, walk):
         if not any(wraps[name] is counter for _, name, _ in saved):
             raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
-    if not any(name == "_chain_divide" for _, name, _ in saved):
-        counts["sums_passes"] = None            # a source without the sums
     for module, name, real in saved:
         setattr(module, name, wraps[name](real))
     try:

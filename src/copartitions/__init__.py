@@ -13,7 +13,6 @@ from .series import (
     copartition_series,
     expand_factors,
     expand_factors_mod2,
-    mul,
     negated_pochhammer,
     pentagonal_support,
     pochhammer,
@@ -21,7 +20,6 @@ from .series import (
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
-    triple_product_theta,
 )
 from .enumeration import (
     Copartition,

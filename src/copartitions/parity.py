@@ -22,13 +22,13 @@ from .enumeration import (
 from .params import CpParams, Record, _set
 from .series import (
     ParitySeries,
-    _odd_steps,
+    _theta_times_mod2,
     copartition_factors,
     copartition_parity,
     copartition_series,
     expand_factors_mod2,
-    mul,
     pentagonal_support,
+    reciprocal,
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
@@ -42,24 +42,26 @@ class CheckResult(Record):
     """Outcome of one verification.
 
     ``checked`` counts the indices the check actually tested; a check that
-    tested none passes vacuously.  On failure ``counterexample`` is the
+    tested none is ``vacuous``.  On failure ``counterexample`` is the
     first failing index and ``left`` and ``right`` are the values the two
     sides of the claim take there.  ``rows`` are the report rows, one per
     check, in the shape the CLI prints them.
     """
 
-    __slots__ = ("passed", "vacuous", "checked", "counterexample", "left", "right", "rows")
+    __slots__ = ("passed", "checked", "counterexample", "left", "right", "rows")
 
-    def __init__(self, passed: bool, vacuous: bool = False, checked: int = 0,
-                 counterexample: int | None = None, left: object = None, right: object = None,
-                 rows: tuple[dict, ...] = ()):
+    def __init__(self, passed: bool, checked: int = 0, counterexample: int | None = None,
+                 left: object = None, right: object = None, rows: tuple[dict, ...] = ()):
         _set(self, "passed", passed)
-        _set(self, "vacuous", vacuous)
         _set(self, "checked", checked)
         _set(self, "counterexample", counterexample)
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "rows", rows)
+
+    @property
+    def vacuous(self) -> bool:
+        return self.checked == 0
 
     def __bool__(self) -> bool:
         return self.passed
@@ -74,7 +76,7 @@ def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None
         row[count_key] = checked
     row.update(status="fail" if bad is not None else "pass" if checked else "vacuous",
                counterexample=bad)
-    return CheckResult(bad is None, checked == 0, checked, bad, left, right, (row,))
+    return CheckResult(bad is None, checked, bad, left, right, (row,))
 
 
 def _compare(left: ParitySeries, right: ParitySeries, row: dict) -> CheckResult:
@@ -115,8 +117,8 @@ def merge_checks(results: Iterable[CheckResult]) -> CheckResult:
     results = list(results)
     first = next((r for r in results if r.counterexample is not None), CheckResult(True))
     checked = sum(r.checked for r in results)
-    return CheckResult(all(results), checked == 0, checked, first.counterexample,
-                       first.left, first.right, tuple(row for r in results for row in r.rows))
+    return CheckResult(all(results), checked, first.counterexample, first.left, first.right,
+                       tuple(row for r in results for row in r.rows))
 
 
 def is_prime(n: int) -> bool:
@@ -387,7 +389,7 @@ def progression_check(family: str, p: int, n: int) -> CheckResult:
     parity = copartition_parity(fam.params, n)
     header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,
               "delta": fam.delta, "residues": list(fam.residues)}
-    return merge_checks([CheckResult(True, True, rows=(header,))] + [
+    return merge_checks([CheckResult(True, rows=(header,))] + [
         verify_even_progression(fam.params, fam.modulus, r, n, parity) for r in fam.residues])
 
 
@@ -462,11 +464,6 @@ def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
     return _compare(observed, expected, {"a": a, "n": n})
 
 
-def _theta_parity(a: int, m: int, n: int) -> ParitySeries:
-    """theta(a, m) mod 2 through n, from its exponents of odd multiplicity."""
-    return ParitySeries.from_support([0, *_odd_steps(a, m, n)], n)
-
-
 def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     """Mod 2, the (a, m-a, m) counting series times the signed theta series
     of its denominator equals the indicator of {m * k * (3k - 1)} through n."""
@@ -475,8 +472,7 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     if n < 0:
         raise ValueError("needs n >= 0")
     # the sums: the theta quotient would make the identity a tautology
-    counting = expand_factors_mod2(copartition_factors(CpParams(a, m - a, m)), n)
-    left = mul(counting, _theta_parity(a, m, n), n)
+    left = _theta_times_mod2(a, m, copartition_factors(CpParams(a, m - a, m)), n)
     right = ParitySeries.from_support(pentagonal_support(m, n), n)
     return _compare(left, right, {"a": a, "m": m, "n": n})
 
@@ -545,9 +541,8 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
         clipped = min(length, top - start + 1)
         blocks |= ((1 << clipped) - 1) << start
         j += 1
-    theta = _theta_parity(a, m, top)
-    ones = ParitySeries(top, (1 << (top + 1)) - 1)
-    expansion = _compare(mul(theta, ones, top), ParitySeries(top, blocks), dict(row))
+    quotient = _theta_times_mod2(a, m, [reciprocal(1, top + 1)], top)     # 1/(1 - q)
+    expansion = _compare(quotient, ParitySeries(top, blocks), dict(row))
     if not expansion:
         return expansion
     for n in range(1, n_max + 1):
@@ -570,7 +565,7 @@ def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> Chec
     passed = odd >= witness_min and even >= witness_min
     row = {"a": a, "m": m, "n": n, "witness_min": witness_min,
            "status": "pass" if passed else "fail"}
-    return CheckResult(passed, False, n + 1, rows=(row,))
+    return CheckResult(passed, n + 1, rows=(row,))
 
 
 ENUMERABLE_CRANK_SIZES = (4, 9, 14, 19, 24)
@@ -593,5 +588,5 @@ def andrews_mod5_check(n: int, enum_sizes: Iterable[int] = (4, 9, 14)) -> CheckR
         uniform = set(dist) == set(range(5)) and len(set(dist.values())) == 1
         row = {"size": s, "distribution": {str(k): v for k, v in dist.items()},
                "status": "pass" if uniform else "fail"}
-        results.append(CheckResult(uniform, False, 1, None if uniform else s, rows=(row,)))
+        results.append(CheckResult(uniform, 1, None if uniform else s, rows=(row,)))
     return merge_checks(results)

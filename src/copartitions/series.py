@@ -61,7 +61,9 @@ of the level walk (step 3).
    level v multiplies D(x) in, one right shift-XOR per term of D up to
    x^(n >> v), runs the sums of level v on that width, and spreads x to x^2
    for the level below.  A numerator N(q^(2^at)) multiplies in at level
-   ``at``, on that level's width.
+   ``at``, on that level's width: Euler's E(q^(2m)) on route 2 (step 4), and
+   theta(a, m) on level 0 for the checks that multiply it into a product
+   (``_theta_times_mod2``: eq4 and the odd-term check of ``parity``).
 
 4. Plan: ``copartition_series`` and ``copartition_parity`` route the product
    P = (q^(a+b);q^m) / ((q^a;q^m)(q^b;q^m)) by the residue coincidences of
@@ -465,6 +467,12 @@ def _odd_steps(a: int, m: int, n: int) -> list[int]:
     return [] if 2 * a == m else sorted(up + down)
 
 
+def _theta_times_mod2(a: int, m: int, factors: Sequence[FactorSpec], n: int) -> ParitySeries:
+    """theta(a, m) times the factors, mod 2 through q^n: the level walk's sums
+    with theta's odd steps as its numerator on level 0."""
+    return ParitySeries(n, _reverse(_level_product(n, (), _odd_steps(a, m, n), 0, factors), n))
+
+
 def _plan(params: CpParams, n: int, mod2: bool):
     """The route of the family's product through q^n (module docstring, step
     4), from the residue coincidences of (a, b, m): (head, up, down), the
@@ -537,61 +545,12 @@ def self_conjugate_parity(a: int, m: int, n: int) -> ParitySeries:
     return expand_factors_mod2([negated_pochhammer(m + 2 * a, 2 * m)], n)
 
 
-def triple_product_theta(a: int, m: int, n: int) -> ExactSeries:
-    """Signed theta expansion of (q^a;q^m)(q^(m-a);q^m)(q^m;q^m): the term for
-    integer k sits at exponent a*k + m*k*(k-1)/2 with sign (-1)^k.
-
-    Requires a <= m so that no exponent is negative.
-    """
-    if not 1 <= a <= m:
-        raise ValueError(f"need 1 <= a <= m, got a={a}, m={m}")
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    coeffs = [0] * (n + 1)
-    for e, sign in _signed_terms(a, m, n):
-        coeffs[e] += sign
-    return ExactSeries(n, tuple(coeffs))
-
-
 def pentagonal_support(scale: int, n: int) -> set[int]:
     """{scale * k * (3k - 1) : k any integer} intersected with [0, n]: the
     exponents of Euler's (q^(2 scale); q^(2 scale)), theta(2 scale, 6 scale)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     return {0, *_odd_steps(2 * scale, 6 * scale, n)} if n >= 0 else set()
-
-
-def mul(x, y, n: int):
-    """Truncated product of two series of the same kind and truncation.
-
-    Both inputs must be known through n and carry the same truncation;
-    mixing truncations is an error rather than an implicit minimum.
-    """
-    if type(x) is not type(y):
-        raise TypeError("cannot multiply exact and parity series together")
-    if x.trunc != y.trunc:
-        raise ValueError(f"truncation mismatch: {x.trunc} != {y.trunc}")
-    if not 0 <= n <= x.trunc:
-        raise ValueError(f"product truncation {n} outside the inputs' range 0..{x.trunc}")
-    if isinstance(x, ParitySeries):
-        mask = (1 << (n + 1)) - 1
-        a, b = x.bits & mask, y.bits & mask
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        b_rev, acc = _reverse(b, n), 0
-        for base, flags in _bit_chunks(a):
-            for i in compress(_OFFSETS, flags):
-                acc ^= b_rev >> (base + i)
-        return ParitySeries(n, _reverse(acc, n))
-    out = [0] * (n + 1)
-    sparse = [(i, c) for i, c in enumerate(x.coeffs[: n + 1]) if c]
-    dense = y.coeffs
-    for i, c in sparse:
-        for j in range(n + 1 - i):
-            d = dense[j]
-            if d:
-                out[i + j] += c * d
-    return ExactSeries(n, tuple(out))
 
 
 def reduce_mod2(x: ExactSeries) -> ParitySeries:

@@ -396,3 +396,52 @@ def reference_triples(params, n):
     sorted, from a recursive search of one size by part counts; it shares
     nothing with the library's walk over all sizes."""
     return sorted(_raw_triples(params, n))
+
+
+def triple_product_theta(a, m, n):
+    """theta(a, m) through q^n by its defining sum: (-1)^k q^(a*k + m*k*(k-1)/2)
+    over the integers k, each of whose exponents up to n lies in
+    -n - 2 < k < n + 2.  Needs 1 <= a <= m, so that no exponent is negative."""
+    from copartitions.series import ExactSeries
+
+    if not 1 <= a <= m:
+        raise ValueError(f"need 1 <= a <= m, got a={a}, m={m}")
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    coeffs = [0] * (n + 1)
+    for k in range(-n - 1, n + 2):
+        e = a * k + m * k * (k - 1) // 2
+        if e <= n:
+            coeffs[e] += -1 if k % 2 else 1
+    return ExactSeries(n, tuple(coeffs))
+
+
+def mul(x, y, n: int):
+    """Truncated product of two series of the same kind and truncation: the
+    dense convolution over the integers, and mod 2 one shift-XOR of y's
+    reversed bits per set bit of the sparser side.  Mixing truncations is an
+    error rather than an implicit minimum."""
+    from copartitions.series import ExactSeries, ParitySeries
+
+    if type(x) is not type(y):
+        raise TypeError("cannot multiply exact and parity series together")
+    if x.trunc != y.trunc:
+        raise ValueError(f"truncation mismatch: {x.trunc} != {y.trunc}")
+    if not 0 <= n <= x.trunc:
+        raise ValueError(f"product truncation {n} outside the inputs' range 0..{x.trunc}")
+    if isinstance(x, ParitySeries):
+        mask = (1 << (n + 1)) - 1
+        a, b = x.bits & mask, y.bits & mask
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        b_rev, acc = _reverse(b, n), 0
+        for base, flags in _bit_chunks(a):
+            for i in compress(_OFFSETS, flags):
+                acc ^= b_rev >> (base + i)
+        return ParitySeries(n, _reverse(acc, n))
+    out = [0] * (n + 1)
+    for i, c in enumerate(x.coeffs[: n + 1]):
+        if c:
+            for j in range(n + 1 - i):
+                out[i + j] += c * y.coeffs[j]
+    return ExactSeries(n, tuple(out))

@@ -72,8 +72,13 @@ class TestCheckResult:
     def test_merge_of_nothing_is_vacuous(self):
         merged = merge_checks([])
         assert merged.passed and merged.vacuous and merged.checked == 0
-        merged = merge_checks([CheckResult(True, True, 0), CheckResult(True, True, 0)])
+        merged = merge_checks([CheckResult(True, 0), CheckResult(True, 0)])
         assert merged.passed and merged.vacuous
+
+    def test_vacuous_is_nothing_checked(self):
+        # the default result checked nothing, so it cannot read as a plain pass
+        assert CheckResult(True).vacuous is True
+        assert CheckResult(True, checked=1).vacuous is False
 
 
 class TestCounterexamples:

@@ -29,12 +29,15 @@ from copartitions import (
     is_x2_plus_3y2,
     lacunary_odd_support_check,
     odd_term_count_check,
+    pentagonal_support,
     progression_family,
     theta_product_identity_check,
     verify_even_progression,
 )
 from copartitions import parity, series
 from copartitions.series import ParitySeries
+
+from oracles import triple_product_theta
 
 
 def test_is_prime():
@@ -336,7 +339,6 @@ class TestThetaProductIdentity:
         # back-substitution in counting * theta = pentagonal indicator
         # rederives the counting parity without the expansion machinery;
         # pins the disputed m=12 reference cell to 995 evens in [1, 2000]
-        from copartitions import pentagonal_support, triple_product_theta
         a, m, n = 1, 12, 2000
         theta = triple_product_theta(a, m, n)
         marks = pentagonal_support(m, n)
@@ -361,25 +363,25 @@ class TestThetaProductIdentity:
 def test_identity_checks_read_the_sums(monkeypatch):
     # the theta quotient builds on the same identities, so a check that read
     # it would still pass with one bit of the sums flipped
-    real_sums, real_quotient = parity.expand_factors_mod2, series._level_product
+    real_walk = series._level_product
 
-    def flipped_sums(factors, n):
-        return ParitySeries(n, real_sums(factors, n).bits ^ (1 << 450))
-
-    def flipped_quotient(n, steps, numerator, *rest):
-        # the theta routes alone, which pass sparse terms: the sums run in the
-        # same walk with none; bit 450 is bit n - 450 of the reversed bits
-        rev = real_quotient(n, steps, numerator, *rest)
-        return rev ^ (1 << (n - 450)) if steps or numerator else rev
+    def flipped(quotient):
+        # bit 450 of the walks that divide by theta's sparse terms (the theta
+        # routes), or of those that do not (the sums, times theta for eq4);
+        # it is bit n - 450 of the reversed bits
+        def walk(n, steps, *rest):
+            rev = real_walk(n, steps, *rest)
+            return rev ^ (1 << (n - 450)) if bool(steps) == quotient else rev
+        return walk
 
     assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)
     good = copartition_parity(CpParams(3, 5, 8), 900)
     # with the theta quotient wrong, the theta families are wrong and both checks still pass
-    monkeypatch.setattr(series, "_level_product", flipped_quotient)
+    monkeypatch.setattr(series, "_level_product", flipped(True))
     assert copartition_parity(CpParams(3, 5, 8), 900).bits == good.bits ^ (1 << 450)
     assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)
-    monkeypatch.setattr(series, "_level_product", real_quotient)
-    monkeypatch.setattr(parity, "expand_factors_mod2", flipped_sums)
+    monkeypatch.setattr(series, "_level_product", flipped(False))
+    assert copartition_parity(CpParams(3, 5, 8), 900) == good
     lacunary = lacunary_odd_support_check(3, 900)
     eq4 = theta_product_identity_check(3, 8, 900)
     assert not lacunary and lacunary.counterexample == 450

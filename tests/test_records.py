@@ -30,9 +30,8 @@ RECORDS = [
     (ParitySeries, (2, 5), (2, 4), "ParitySeries(trunc=2, bits=5)"),
     (Copartition, ((4, 1), (6,), (2,), P), ((1,), (3,), (2,), P),
      "Copartition(ground=(4, 1), rectangle=(6,), sky=(2,), params=CpParams(a=1, b=2, m=3))"),
-    (CheckResult, (False, False, 3, 2, 1, 0, ()), (False, False, 3, 2, 1, 1, ()),
-     "CheckResult(passed=False, vacuous=False, checked=3, counterexample=2, left=1, right=0, "
-     "rows=())"),
+    (CheckResult, (False, 3, 2, 1, 0, ()), (False, 3, 2, 1, 1, ()),
+     "CheckResult(passed=False, checked=3, counterexample=2, left=1, right=0, rows=())"),
     (ProgressionFamily, ("cp314", 19), ("cp314", 23),
      "ProgressionFamily(family='cp314', p=19)"),
     (DensityReport, (P, (1, 2), (0, 1)), (P, (1, 2), (0, 2)),
@@ -113,8 +112,8 @@ def test_record_validation_text(cls, args, text):
 
 
 def test_check_result_keywords_defaults_and_truth():
-    assert CheckResult(True) == CheckResult(passed=True, vacuous=False, checked=0,
-                                            counterexample=None, left=None, right=None, rows=())
+    assert CheckResult(True) == CheckResult(passed=True, checked=0, counterexample=None,
+                                            left=None, right=None, rows=())
     failed = CheckResult(False, checked=4, rows=({"n": 4},))
     assert (failed.vacuous, failed.counterexample, failed.left, failed.right) == (False, None,
                                                                                  None, None)

@@ -71,6 +71,7 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
                                      [(enumeration, "_partitions_upto"),
                                       (parity, "_partitions_upto")],
                                      [(series, "_level_product")],
+                                     [(series, "_chain_divide")],
                                      [(parity, "_sieve")]])
 def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
                                                                     missing):
@@ -88,29 +89,19 @@ def triangular_and_pentagonal_terms(w):
     return triangular, pentagonal
 
 
-@pytest.mark.parametrize("signature", ["parent", "current"])
-def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch, signature):
-    # stand-in level loops with the parent's signature, passes by level first, and
-    # the current one; D = 1 + q + q^2 + q^5 reaches level 6 at n = 100, whose
-    # widths are 100, 50, 25, 12, 6, 3, 1: 3 terms on levels 0-4, 2 on 5, 1 on 6
-    def parent_loop(n, levels, steps=(), numerator=(), at=0):
+def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch):
+    # a stand-in level loop called partly by keyword; D = 1 + q + q^2 + q^5 reaches
+    # level 6 at n = 100, whose widths are 100, 50, 25, 12, 6, 3, 1: 3 terms on
+    # levels 0-4, 2 on 5, 1 on 6; N = 1 + x + x^3 at level 2, on 25 bits; sums not counted here
+    def loop(n, steps, numerator, at, factors):
         return 0
 
-    def current_loop(n, steps, numerator, at, factors):
-        return 0
-
-    if signature == "parent":       # passes 1 and 3 on level 0, 1 on level 1
-        loop, args, kwargs = parent_loop, (100, [0b1010, 0b10]), {"steps": [1, 2, 5]}
-        extra_passes, extra_bits = 3, 2 * 100 + 50
-    else:                           # N = 1 + x + x^3 at level 2, on 25 bits; sums not counted here
-        loop, args, kwargs = current_loop, (100, [1, 2, 5], [1, 3]), {"at": 2, "factors": []}
-        extra_passes, extra_bits = 2, 2 * 25
     monkeypatch.setattr(series, "_level_product", loop)
     monkeypatch.setattr(copartitions, "stand_in",
-                        lambda: series._level_product(*args, **kwargs), raising=False)
+                        lambda: series._level_product(100, [1, 2, 5], [1, 3], at=2, factors=[]),
+                        raising=False)
     assert bench_cases._counted("stand_in", ()) == expected_counts(
-        mod2_passes=18 + extra_passes,
-        mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + extra_bits)
+        mod2_passes=18 + 2, mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + 2 * 25)
 
 
 def test_bench_cases_counts_the_sparse_terms_of_the_theta_quotient(bench_cases):
@@ -142,11 +133,22 @@ def test_bench_cases_counts_the_finite_part_of_a_collapsed_family(bench_cases):
 
 
 def test_bench_cases_identity_checks_run_the_sums(bench_cases):
-    # eq4 and lacunary expand by the sums alone: the level walk runs no sparse term
-    for kind, args in (("theta_product_identity_check", (3, 10, 500)),
-                       ("lacunary_odd_support_check", (1, 2600))):
-        counts = bench_cases._counted(kind, args)
-        assert counts["mod2_passes"] == 0 and counts["sums_passes"] > 0, kind
+    # eq4 multiplies theta(3, 10) into the walk of the (3, 7, 10) sums on level 0:
+    # its 19 terms on 500 bits each, and the sums' 129 chain passes on 46596 bits;
+    # lacunary runs the sums alone
+    sums = bench_cases._counted("expand_factors_mod2",
+                                (series.copartition_factors(CpParams(3, 7, 10)), 500))
+    assert sums == expected_counts(sums_passes=129, mod2_bits=46596)
+    assert len(series._odd_steps(3, 10, 500)) == 19
+    assert bench_cases._counted("theta_product_identity_check", (3, 10, 500)) == expected_counts(
+        mod2_passes=19, sums_passes=129, mod2_bits=19 * 500 + 46596)
+    # the odd-term check multiplies theta(3, 8) into 1/(1 - q) through 3600: its
+    # 59 terms and the chain's 12 passes, at d = 2^i < 3600, all on 3600 bits
+    assert len(series._odd_steps(3, 8, 3600)) == 59
+    assert bench_cases._counted("odd_term_count_check", (3, 8, 30)) == expected_counts(
+        mod2_passes=59, sums_passes=12, mod2_bits=(59 + 12) * 3600)
+    counts = bench_cases._counted("lacunary_odd_support_check", (1, 2600))
+    assert counts["mod2_passes"] == 0 and counts["sums_passes"] > 0
 
 
 def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
@@ -157,11 +159,6 @@ def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):
     assert bench_cases._counted("parity", (1, 11, 14, 3000)) == expected_counts(
         sums_passes=367, mod2_bits=763616)
     assert series._chain_divide.__name__ == "_chain_divide"
-
-
-def test_bench_cases_reads_no_sums_counter_without_the_sums(bench_cases, monkeypatch):
-    monkeypatch.delattr(series, "_chain_divide")
-    assert bench_cases._counted("kernel", (1, 1, 1, 5))["sums_passes"] is None
 
 
 def test_bench_cases_counts_the_values_and_prime_hits_of_the_sieve(bench_cases):

@@ -15,7 +15,6 @@ from copartitions import (
     count_copartitions,
     expand_factors,
     expand_factors_mod2,
-    mul,
     negated_pochhammer,
     pentagonal_support,
     pochhammer,
@@ -23,7 +22,6 @@ from copartitions import (
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
-    triple_product_theta,
 )
 from copartitions import series as series_module
 from copartitions.series import copartition_factors
@@ -38,8 +36,10 @@ from oracles import (
     expand_factors_mod2_reference,
     expand_factors_reference,
     mod2_passes,
+    mul,
     progression,
     signed_product_coefficient,
+    triple_product_theta,
 )
 
 factor_strategy = st.builds(
@@ -49,6 +49,19 @@ factor_strategy = st.builds(
     sign=st.sampled_from(["pochhammer", "reciprocal", "negated-pochhammer"]),
 )
 
+
+
+@st.composite
+def theta_products(draw):
+    """(a, m, factors, n) with 1 <= a < m <= 24 and n <= 3000: the factors
+    are eq4's (a, m - a, m) product, 1/(1 - q) as one term, or drawn."""
+    m = draw(st.integers(2, 24))
+    a = draw(st.integers(1, m - 1))
+    n = draw(st.integers(0, 3000) | st.sampled_from([0, 1]))
+    factors = draw(st.sampled_from([copartition_factors(CpParams(a, m - a, m)),
+                                    [reciprocal(1, n + 1)]])
+                   | st.lists(factor_strategy, max_size=3))
+    return a, m, factors, n
 
 
 @st.composite
@@ -746,15 +759,26 @@ class TestThetaSeries:
 
     @pytest.mark.parametrize("n", [59, 997, 2000])
     def test_matches_the_defining_sum(self, n):
-        # every k with a*k + m*k*(k-1)/2 <= n lies in -2n-2 < k < n+2
+        # the signed terms the exact theta quotient divides by
         for m in range(1, 25):
             for a in range(1, m + 1):
                 coeffs = [0] * (n + 1)
-                for k in range(-2 * n - 2, n + 2):
-                    e = a * k + m * k * (k - 1) // 2
-                    if e <= n:
-                        coeffs[e] += -1 if k % 2 else 1
-                assert triple_product_theta(a, m, n) == ExactSeries(n, tuple(coeffs)), (a, m)
+                for e, sign in series_module._signed_terms(a, m, n):
+                    coeffs[e] += sign
+                assert ExactSeries(n, tuple(coeffs)) == triple_product_theta(a, m, n), (a, m)
+
+    @given(theta_products())
+    @example((3, 6, copartition_factors(CpParams(3, 3, 6)), 500))     # 2a = m: theta is 1 mod 2
+    @example((1, 5, copartition_factors(CpParams(1, 4, 5)), 0))
+    @example((2, 7, copartition_factors(CpParams(2, 5, 7)), 1))
+    @example((3, 8, [reciprocal(1, 3001)], 3000))                      # 1/(1 - q)
+    @example((1, 24, [], 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_theta_times_the_factors_is_the_product(self, a_m_factors_n):
+        a, m, factors, n = a_m_factors_n
+        theta = reduce_mod2(triple_product_theta(a, m, n))
+        assert series_module._theta_times_mod2(a, m, factors, n) == \
+            mul(expand_factors_mod2(factors, n), theta, n)
 
 
 class TestPentagonalSupport:
