@@ -1,7 +1,9 @@
-"""Time the exact-kernel, GF(2)-kernel and check cases and a CLI import on
-one or more source trees.  A ``kernel`` case expands a family by the exact
-kernel ``expand_factors``, a ``series`` or ``parity`` case asks the library
-for its exact or mod-2 series, whatever route it takes.
+"""Time the exact-kernel, GF(2)-kernel, enumeration and check cases and a
+CLI import on one or more source trees.  A ``kernel`` case expands a family
+by the exact kernel ``expand_factors``, a ``series`` or ``parity`` case asks
+the library for its exact or mod-2 series, whatever route it takes, and a
+``walk`` case counts every copartition of size <= n by enumeration
+(``size_counts``).
 
     python scripts/bench_cases.py parent=../old/src@a14ab8e change=src
 
@@ -32,10 +34,17 @@ that do not depend on the machine:
 - ``sieve_values`` and ``sieve_hits``: the values ``parity._sieve`` decides
   and its prime hits, one per prime of its table (``parity._primes``) that
   divides a value;
-- ``partitions_walked``: the partitions the enumeration walk yields.
+- ``partitions_walked``: the partitions ``enumeration._partitions_upto``
+  yields, and only those.  A ``size_counts`` that counts in a flat loop of
+  its own reads 0 here on a ``walk`` case: the generator layer is gone, not
+  the copartitions it visits;
+- ``copartitions_counted``: the sum of the counts ``size_counts`` returns,
+  one per copartition the enumeration oracle visits, so equal on two sides
+  that visit the same copartitions.
 
-A side whose source has none of the wrapped pass, level-loop, chain, sieve or
-walk functions is an error, so a renamed function cannot read as 0.
+A side whose source has none of the wrapped pass, level-loop, chain, sieve,
+walk or ``size_counts`` functions is an error, so a renamed function cannot
+read as 0.
 
 The process case compiles each side's bytecode first, then starts SAMPLES
 fresh interpreters per side, alternating, that each run
@@ -100,6 +109,9 @@ CASES = {
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
     "even_guarantee_check cp314 5000": ("parity", "even_guarantee_check", ("cp314", 5000)),
     "even_guarantee_check cp516 5000": ("parity", "even_guarantee_check", ("cp516", 5000)),
+    "walk 1 1 1 n=20": ("enumeration", "walk", (1, 1, 1, 20)),
+    "walk 1 1 2 n=25": ("enumeration", "walk", (1, 1, 2, 25)),
+    "walk 3 4 3 n=16": ("enumeration", "walk", (3, 4, 3, 16)),
 }
 PROCESS_CASE = "process import copartitions.cli"
 
@@ -118,9 +130,11 @@ def _load(name: str, src: Path):
 
 def _call(package, kind: str, args: tuple):
     series = package.series
-    if kind in ("kernel", "series", "parity"):
+    if kind in ("kernel", "series", "parity", "walk"):
         *abm, n = args
         params = package.CpParams(*abm)
+        if kind == "walk":
+            return package.enumeration.size_counts(params, n)
         if kind == "kernel":
             return series.expand_factors(series.copartition_factors(params), n)
         if kind == "series":
@@ -147,14 +161,15 @@ def _level_counts(n: int, steps, numerator, at: int, factors) -> tuple[int, int]
 
 def _counted(kind: str, args: tuple, package=None) -> dict:
     """Run the case once on ``package`` (by default ``copartitions`` from the
-    import path) with the pass, level-loop, sum, sieve and walk functions
-    wrapped."""
+    import path) with the pass, level-loop, sum, sieve, walk and counting
+    functions wrapped."""
     if package is None:
         import copartitions as package
     series, enumeration, parity = package.series, package.enumeration, package.parity
 
     counts = dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
-                            "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked"), 0)
+                            "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked",
+                            "copartitions_counted"), 0)
     table = []                      # the sieve's primes, as last built
 
     def passes(kernel):
@@ -212,12 +227,19 @@ def _counted(kind: str, args: tuple, package=None) -> dict:
                 yield item
         return run
 
+    def tally(size_counts):
+        def run(*a):
+            result = size_counts(*a)
+            counts["copartitions_counted"] += sum(result)
+            return result
+        return run
+
     wraps = {"_scaled_add": passes, "_divide": divide, "_level_product": level_loop,
              "_chain_divide": chain, "_primes": primes, "_sieve": sieve,
-             "_partitions_upto": walk}
+             "_partitions_upto": walk, "size_counts": tally}
     saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
              for name in wraps if name in vars(module)]
-    for counter in (divide, level_loop, chain, primes, sieve, walk):
+    for counter in (divide, level_loop, chain, primes, sieve, walk, tally):
         if not any(wraps[name] is counter for _, name, _ in saved):
             raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
     for module, name, real in saved:

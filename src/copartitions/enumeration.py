@@ -109,15 +109,38 @@ def _walk(params: CpParams, n: int) -> Iterator[tuple[int, Parts, Parts]]:
 
 
 def size_counts(params: CpParams, n: int) -> list[int]:
-    """Number of copartitions of each size 0..n, by direct enumeration: one
-    walk visits each copartition of size <= n once.
+    """Number of copartitions of each size 0..n, by direct enumeration: the
+    nodes of :func:`_walk`, one per copartition of size <= n, each counted
+    once, in one flat loop that builds no parts.  A ground node is (total,
+    number of parts, largest part allowed); under each, a sky node is (size,
+    largest part allowed), where a sky part also pays m cells per ground part.
 
     This is the counting oracle the generating series is checked against;
     it never touches the series code.
     """
+    if n < 0:
+        raise ValueError("size must be >= 0")
+    a, b, m = params.a, params.b, params.m
     counts = [0] * (n + 1)
-    for size, _, _ in _walk(params, n):
-        counts[size] += 1
+    grounds, skies = [(0, 0, n)], []
+    pop, push = skies.pop, skies.append
+    while grounds:
+        total, length, top = grounds.pop()
+        for p in range(a, min(top, n - total) + 1, m):
+            grounds.append((total + p, length + 1, p))
+        row = m * length
+        room = n - row                  # a sky node of size s has room - s cells left
+        push((total, n))
+        while skies:
+            size, top = pop()
+            counts[size] += 1
+            hi = room - size
+            if top < hi:
+                hi = top
+            if hi >= b:
+                size += row
+                for p in range(b, hi + 1, m):
+                    push((size + p, p))
     return counts
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copartitions import (
@@ -115,6 +115,23 @@ class TestWalk:
         nodes = sum(1 for _ in _walk(params, n))
         assert nodes == sum(copartition_series(params, n).coeffs)
         assert nodes == len(set(_walk(params, n)))
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 18))
+    @example(2, 3, 4, 0)
+    @example(7, 1, 9, 6)                        # a > n and m > n: the skies are 1^k alone
+    @example(10 ** 9, 10 ** 9, 10 ** 9, 5)
+    @settings(max_examples=100, deadline=None)
+    def test_counting_loop_matches_the_walk(self, a, b, m, n):
+        # size_counts counts in a loop of its own: the size histogram of _walk
+        params = CpParams(a, b, m)
+        by_size = [0] * (n + 1)
+        for size, _, _ in _walk(params, n):
+            by_size[size] += 1
+        assert size_counts(params, n) == by_size
+
+    def test_counting_loop_never_walks_parts_beyond_n(self):
+        assert size_counts(CpParams(10 ** 9, 10 ** 9, 10 ** 9), 5) == [1, 0, 0, 0, 0, 0]
+        assert size_counts(CpParams(7, 1, 9), 6) == [1] * 7
 
 
 class TestCopartitionType:

@@ -51,7 +51,8 @@ def bench_cases():
 
 def expected_counts(**nonzero):
     return {**dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
-                             "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked"), 0),
+                             "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked",
+                             "copartitions_counted"), 0),
             **nonzero}
 
 
@@ -72,13 +73,25 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
                                       (parity, "_partitions_upto")],
                                      [(series, "_level_product")],
                                      [(series, "_chain_divide")],
-                                     [(parity, "_sieve")]])
+                                     [(parity, "_sieve")],
+                                     [(enumeration, "size_counts"), (parity, "size_counts")]])
 def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
                                                                     missing):
     for module, name in missing:
         monkeypatch.delattr(module, name)
     with pytest.raises(SystemExit, match="no .* function to count"):
         bench_cases._counted("kernel", (1, 1, 1, 5))
+
+
+@pytest.mark.parametrize("a,b,m,n,total", [(1, 1, 2, 25, 2696), (1, 1, 1, 20, 10980)])
+def test_bench_cases_counts_each_copartition_the_oracle_visits(bench_cases, a, b, m, n, total):
+    # one count per copartition of size <= n, the coefficient sum of the series;
+    # the counting loop yields no partition through _partitions_upto
+    params = CpParams(a, b, m)
+    assert sum(series.copartition_series(params, n).coeffs) == total
+    assert bench_cases._counted("walk", (a, b, m, n)) == expected_counts(copartitions_counted=total)
+    assert bench_cases._counted("oracle_check", (params, n))["copartitions_counted"] == total
+    assert enumeration.size_counts.__name__ == parity.size_counts.__name__ == "size_counts"
 
 
 def triangular_and_pentagonal_terms(w):
