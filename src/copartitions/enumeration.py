@@ -129,7 +129,7 @@ def size_counts(params: CpParams, n: int) -> list[int]:
         for p in range(a, min(top, n - total) + 1, m):
             grounds.append((total + p, length + 1, p))
         row = m * length
-        room = n - row                  # a sky node of size s has room - s cells left
+        room = n - row                  # a sky part p fits under size s when p <= room - s
         push((total, n))
         while skies:
             size, top = pop()
