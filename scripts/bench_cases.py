@@ -16,35 +16,11 @@ Every NAME=SRC side is imported into this one interpreter, each as its own
 package (``bench_NAME``), so the sides share the heap and the warm-up.  Per
 case each side runs once to warm up, then the sides alternate SAMPLES times,
 one call each, and which goes first flips every sample.  Per case the JSON
-document on stdout holds each side's best and median wall time and counters
-that do not depend on the machine:
-
-- ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
-- ``coeff_bits``: the largest bit length of a coefficient that any
-  ``series._divide`` leaves, the width of the exact kernel's intermediates;
-- ``mod2_passes``: the sparse-term passes ``series._level_product`` runs: on
-  each 2-adic level v one per term of the sparse denominator at or below the
-  level's width n >> v and one per term of the numerator at its level; the
-  sums it runs count in ``sums_passes``;
-- ``sums_passes``: the passes of ``series._chain_divide``, the divisions of
-  the Euler and Cauchy sums;
-- ``mod2_bits``: the bits both GF(2) loops' passes run on, each pass
-  weighted by the width of the series it shifts: n >> v on level v of the
-  level loop, the term's width in a sum;
-- ``sieve_values`` and ``sieve_hits``: the values ``parity._sieve`` decides
-  and its prime hits, one per prime of its table (``parity._primes``) that
-  divides a value;
-- ``partitions_walked``: the partitions ``enumeration._partitions_upto``
-  yields, and only those.  A ``size_counts`` that counts in a flat loop of
-  its own reads 0 here on a ``walk`` case: the generator layer is gone, not
-  the copartitions it visits;
-- ``copartitions_counted``: the sum of the counts ``size_counts`` returns,
-  one per copartition the enumeration oracle visits, so equal on two sides
-  that visit the same copartitions.
-
-A side whose source has none of the wrapped pass, level-loop, chain, sieve,
-walk or ``size_counts`` functions is an error, so a renamed function cannot
-read as 0.
+document on stdout holds each side's best and median wall time and the
+counters that do not depend on the machine, from one more call under the
+library's own recorder, ``copartitions.stats.recording()``, whose module
+docstring says what each counts.  A side whose source has no
+``copartitions.stats`` is refused.
 
 The process case compiles each side's bytecode first, then starts SAMPLES
 fresh interpreters per side, alternating, that each run
@@ -114,6 +90,8 @@ CASES = {
     "walk 3 4 3 n=16": ("enumeration", "walk", (3, 4, 3, 16)),
 }
 PROCESS_CASE = "process import copartitions.cli"
+COUNTERS = ("exact_passes", "coeff_bits", "mod2_passes", "sums_passes", "mod2_bits",
+            "sieve_values", "sieve_hits", "partitions_walked", "copartitions_counted")
 
 
 def _load(name: str, src: Path):
@@ -125,6 +103,8 @@ def _load(name: str, src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    if not hasattr(package, "stats"):
+        raise SystemExit(f"bench_cases: {src} has no copartitions.stats to record counters with")
     return package
 
 
@@ -143,113 +123,14 @@ def _call(package, kind: str, args: tuple):
     return getattr(package, kind)(*args)
 
 
-def _level_counts(n: int, steps, numerator, at: int, factors) -> tuple[int, int]:
-    """(passes, bits) of one run of the level loop, which walks the levels v
-    from the top down: on each, one pass per term of ``steps`` at or below its
-    width n >> v and one per term of ``numerator`` at level ``at``, each pass
-    on n >> v bits.  The sums of ``factors`` count through ``_chain_divide``."""
-    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0)
-    passes = bits = 0
-    for v in range(top + 1):
-        w = n >> v
-        run = sum(1 for e in steps if e <= w)
-        if v == at:
-            run += sum(1 for e in numerator if e <= w)
-        passes, bits = passes + run, bits + run * w
-    return passes, bits
-
-
 def _counted(kind: str, args: tuple, package=None) -> dict:
-    """Run the case once on ``package`` (by default ``copartitions`` from the
-    import path) with the pass, level-loop, sum, sieve, walk and counting
-    functions wrapped."""
+    """The counters of one run of the case on ``package`` (by default
+    ``copartitions`` from the import path), as its recorder counts them."""
     if package is None:
         import copartitions as package
-    series, enumeration, parity = package.series, package.enumeration, package.parity
-
-    counts = dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
-                            "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked",
-                            "copartitions_counted"), 0)
-    table = []                      # the sieve's primes, as last built
-
-    def passes(kernel):
-        def run(*a):
-            counts["exact_passes"] += 1
-            return kernel(*a)
-        return run
-
-    def divide(kernel):
-        def run(coeffs, k):
-            counts["exact_passes"] += 1
-            kernel(coeffs, k)
-            counts["coeff_bits"] = max(counts["coeff_bits"], *map(int.bit_length, coeffs))
-        return run
-
-    def level_loop(kernel):
-        def run(*a, **kw):
-            run_passes, bits = _level_counts(*a, **kw)      # the loop's own parameter names
-            counts["mod2_passes"] += run_passes
-            counts["mod2_bits"] += bits
-            return kernel(*a, **kw)
-        return run
-
-    def chain(kernel):
-        def run(g, d):
-            width = g.bit_length()
-            while d < width:
-                counts["sums_passes"] += 1
-                counts["mod2_bits"] += width
-                d <<= 1
-            return kernel(g, d)
-        return run
-
-    def primes(kernel):
-        def run(limit):
-            table[:] = kernel(limit)
-            return list(table)
-        return run
-
-    def sieve(kernel):
-        def run(form, unit, shift, count):
-            start = 0
-            for flags in kernel(form, unit, shift, count):
-                values = range(unit * start + shift, unit * (start + len(flags)) + shift, unit)
-                counts["sieve_values"] += len(values)
-                counts["sieve_hits"] += sum(1 for p in table for value in values if value % p == 0)
-                start += len(flags)
-                yield flags
-        return run
-
-    def walk(partitions):
-        def run(*a):
-            for item in partitions(*a):
-                counts["partitions_walked"] += 1
-                yield item
-        return run
-
-    def tally(size_counts):
-        def run(*a):
-            result = size_counts(*a)
-            counts["copartitions_counted"] += sum(result)
-            return result
-        return run
-
-    wraps = {"_scaled_add": passes, "_divide": divide, "_level_product": level_loop,
-             "_chain_divide": chain, "_primes": primes, "_sieve": sieve,
-             "_partitions_upto": walk, "size_counts": tally}
-    saved = [(module, name, vars(module)[name]) for module in (series, enumeration, parity)
-             for name in wraps if name in vars(module)]
-    for counter in (divide, level_loop, chain, primes, sieve, walk, tally):
-        if not any(wraps[name] is counter for _, name, _ in saved):
-            raise SystemExit(f"bench_cases: no {counter.__name__} function to count in this source")
-    for module, name, real in saved:
-        setattr(module, name, wraps[name](real))
-    try:
+    with package.stats.recording() as counts:
         _call(package, kind, args)
-    finally:
-        for module, name, real in saved:
-            setattr(module, name, real)
-    return counts
+    return {name: counts[name] for name in COUNTERS}
 
 
 def timed(packages: dict) -> dict:

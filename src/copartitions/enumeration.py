@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
+from . import stats
 from .params import CpParams, Record, _set
 
 Parts = tuple[int, ...]
@@ -84,10 +85,13 @@ def _partitions_upto(budget: int, base: int, step: int,
     as (cost, parts), the empty tuple first.  An iterative depth-first walk:
     each node extends its parent by one part no larger than the last, so
     every node it visits is a partition and none is visited twice."""
+    tally = stats.counts
     stack = [(0, (), budget)]
     pop, push = stack.pop, stack.append
     while stack:
         cost, parts, top = pop()
+        if tally is not None:
+            tally["partitions_walked"] += 1
         yield cost, parts
         hi = budget - cost - extra
         if top < hi:
@@ -141,6 +145,8 @@ def size_counts(params: CpParams, n: int) -> list[int]:
                 size += row
                 for p in range(b, hi + 1, m):
                     push((size + p, p))
+    if (tally := stats.counts) is not None:
+        tally["copartitions_counted"] += sum(counts)
     return counts
 
 

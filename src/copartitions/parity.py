@@ -11,6 +11,7 @@ from itertools import chain, compress
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
+from . import stats
 from .enumeration import (
     _make,
     _partitions_upto,
@@ -162,6 +163,7 @@ def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
     bad-class prime clears the flag, and so does a cofactor left in the bad
     class (it is a prime)."""
     _, modulus, residue = _FORMS[form]
+    tally = stats.counts
     limit, primes = 0, []
     for start in range(0, count, _BLOCK):
         rest = list(range(unit * start + shift, unit * min(start + _BLOCK, count) + shift, unit))
@@ -171,13 +173,18 @@ def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
             primes = [p for p in _primes(limit) if unit % p]
         for p in primes:
             bad = p % modulus == residue
-            for i in range((-shift * pow(unit, -1, p) - start) % p, len(rest), p):
+            hits = range((-shift * pow(unit, -1, p) - start) % p, len(rest), p)
+            for i in hits:
                 v, odd = rest[i] // p, True
                 while v % p == 0:
                     v, odd = v // p, not odd
                 rest[i] = v
                 if bad and odd:
                     flags[i] = 0
+            if tally is not None:
+                tally["sieve_hits"] += len(hits)
+        if tally is not None:
+            tally["sieve_values"] += len(rest)
         yield bytes(f and v % modulus != residue for f, v in zip(flags, rest))
 
 

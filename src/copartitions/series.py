@@ -98,11 +98,13 @@ extended silently.  Shortening is spelled ``truncate``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, compress
 from math import isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
 
+from . import stats
 from .params import CpParams, Record, _set
 
 POCHHAMMER = "pochhammer"                    # (q^c; q^m)_oo
@@ -171,21 +173,8 @@ class ExactSeries(Record):
         return ExactSeries(n, self.coeffs[: n + 1])
 
 
-_WALK_BITS = 1024
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_OFFSETS = tuple(range(_WALK_BITS))     # iterating it allocates no ints
-
-
-def _bit_chunks(x: int):
-    """Yield (base, flags) for each nonzero chunk of at most 1024 bits of x,
-    where flags[i] is 1 exactly when bit base + i of x is set; the set bits
-    are base + i for i in ``compress(_OFFSETS, flags)``."""
-    flags = format(x, "b")[::-1].encode("ascii").translate(_BIT_VALUES)
-    for start in range(0, len(flags), _WALK_BITS):
-        chunk = flags[start:start + _WALK_BITS]
-        if 1 in chunk:
-            yield start, chunk
 
 
 class ParitySeries(Record):
@@ -227,8 +216,7 @@ class ParitySeries(Record):
 
     def odd_exponents(self) -> list[int]:
         """Exponents with odd coefficient, increasing."""
-        return [base + i for base, flags in _bit_chunks(self.bits)
-                for i in compress(_OFFSETS, flags)]
+        return list(compress(range(self.trunc + 1), self.bit_values()))
 
     def count_odd(self, lo: int = 0, hi: int | None = None) -> int:
         """Number of odd coefficients with exponent in [lo, hi] inclusive."""
@@ -244,16 +232,10 @@ class ParitySeries(Record):
         return ParitySeries(n, self.bits & ((1 << (n + 1)) - 1))
 
 
-# _REVERSED[b] is byte b with its 8 bits in reverse order
-_REVERSED = bytes.fromhex(
-    "008040c020a060e0109050d030b070f0088848c828a868e8189858d838b878f8"
-    "048444c424a464e4149454d434b474f40c8c4ccc2cac6cec1c9c5cdc3cbc7cfc"
-    "028242c222a262e2129252d232b272f20a8a4aca2aaa6aea1a9a5ada3aba7afa"
-    "068646c626a666e6169656d636b676f60e8e4ece2eae6eee1e9e5ede3ebe7efe"
-    "018141c121a161e1119151d131b171f1098949c929a969e9199959d939b979f9"
-    "058545c525a565e5159555d535b575f50d8d4dcd2dad6ded1d9d5ddd3dbd7dfd"
-    "038343c323a363e3139353d333b373f30b8b4bcb2bab6beb1b9b5bdb3bbb7bfb"
-    "078747c727a767e7179757d737b777f70f8f4fcf2faf6fef1f9f5fdf3fbf7fff")
+# _REVERSED[b] is byte b with its 8 bits in reverse order: the bits of bytes
+# 0..255 read backwards are each byte reversed, the last byte first
+_REVERSED = int(format(int.from_bytes(bytes(range(256)), "big"), "02048b")[::-1],
+                2).to_bytes(256, "little")
 
 
 def _reverse(x: int, n: int) -> int:
@@ -266,6 +248,8 @@ def _reverse(x: int, n: int) -> int:
 def _scaled_add(coeffs: list, k: int):
     # in place coeffs *= (1 - q^k); reads are all pre-update values
     coeffs[k:] = map(sub, coeffs[k:], coeffs[: len(coeffs) - k])
+    if (tally := stats.counts) is not None:
+        tally["exact_passes"] += 1
 
 
 def _divide(coeffs: list, k: int):
@@ -276,6 +260,9 @@ def _divide(coeffs: list, k: int):
     else:                           # classes shorter than k: add one block of k at a time
         for start in range(k, len(coeffs), k):
             coeffs[start:start + k] = map(add, coeffs[start:start + k], coeffs[start - k:start])
+    if (tally := stats.counts) is not None:
+        tally["exact_passes"] += 1
+        tally["coeff_bits"] = max(tally["coeff_bits"], *map(int.bit_length, coeffs))
 
 
 def _exact_sum_factor(coeffs: list, f: FactorSpec):
@@ -317,6 +304,10 @@ def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
 def _chain_divide(g: int, d: int) -> int:
     """g / (1 + q^d) mod 2 on reversed bits: a pass at each d * 2^i below g's width."""
     width = g.bit_length()
+    if (tally := stats.counts) is not None and d < width:
+        passes = ((width - 1) // d).bit_length()
+        tally["sums_passes"] += passes
+        tally["mod2_bits"] += passes * width
     while d < width:
         g ^= g >> d
         d <<= 1
@@ -386,6 +377,7 @@ def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: i
             if abs(count) >> j & 1:
                 sums.setdefault(j, []).append((c, m, count > 0))
     top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0, *sums)
+    tally = stats.counts
     rev = 1 << (n >> top)
     for v in range(top, -1, -1):
         w = n >> v
@@ -398,6 +390,10 @@ def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: i
                     break
                 acc ^= rev >> e
             rev = acc
+            if tally is not None:
+                passes = bisect_right(terms, w)
+                tally["mod2_passes"] += passes
+                tally["mod2_bits"] += passes * w
         for c, m, cauchy in sums.get(v, ()):
             rev = _sum_factor(rev, c, m, cauchy)
     return rev

@@ -325,6 +325,22 @@ def _level_passes(n: int, levels) -> int:
     return rev
 
 
+def level_counts(n: int, steps, numerator, at: int) -> tuple[int, int]:
+    """(passes, bits) of the sparse terms of one level walk through q^n, from
+    its arguments: on each level v from 0 to the top, one pass per term of
+    ``steps`` at or below the level's width n >> v and one per term of
+    ``numerator`` at level ``at``, each pass on n >> v bits."""
+    top = max(at, (n // steps[0]).bit_length() - 1 if steps else 0)
+    passes = bits = 0
+    for v in range(top + 1):
+        w = n >> v
+        run = sum(1 for e in steps if e <= w)
+        if v == at:
+            run += sum(1 for e in numerator if e <= w)
+        passes, bits = passes + run, bits + run * w
+    return passes, bits
+
+
 def expand_factors_mod2_normal_form_reference(factors, n):
     """The GF(2) product through the normal form of its passes,
     ``mod2_passes``, run level by level."""

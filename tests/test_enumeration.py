@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from copartitions import (
     self_conjugate_series,
     size_counts,
 )
-from copartitions.enumeration import _walk
+from copartitions import stats
+from copartitions.enumeration import _partitions_upto, _walk
 
 from oracles import count_distinct_restricted, progression, reference_triples
 
@@ -128,6 +131,12 @@ class TestWalk:
         for size, _, _ in _walk(params, n):
             by_size[size] += 1
         assert size_counts(params, n) == by_size
+
+    def test_the_recorder_counts_the_partitions_yielded(self):
+        # a walk stopped early counts the nodes it yielded, and only those
+        with stats.recording() as counts:
+            assert len(list(islice(_partitions_upto(30, 1, 1, 0), 10))) == 10
+        assert counts == {"partitions_walked": 10}
 
     def test_counting_loop_never_walks_parts_beyond_n(self):
         assert size_counts(CpParams(10 ** 9, 10 ** 9, 10 ** 9), 5) == [1, 0, 0, 0, 0, 0]

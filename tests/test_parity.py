@@ -34,7 +34,7 @@ from copartitions import (
     theta_product_identity_check,
     verify_even_progression,
 )
-from copartitions import parity, series
+from copartitions import parity, series, stats
 from copartitions.series import ParitySeries
 
 from oracles import triple_product_theta
@@ -93,6 +93,18 @@ class TestProgressionSieve:
         value = unit * (count - 1) + shift
         assert value % cofactor == 0 and is_prime(cofactor) and cofactor > isqrt(value)
         assert sieve_flags(form, unit, shift, count)[-1] == brute_force_representable(value, form)
+
+    @given(st.sampled_from(FORMS), st.sampled_from(PROGRESSIONS), st.integers(1, 600))
+    @settings(max_examples=40, deadline=None)
+    def test_the_recorder_counts_the_values_and_prime_hits(self, form, progression, count):
+        # one block, sieved by the primes up to the root of its top value
+        unit, shift = progression
+        values = range(shift, unit * count + shift, unit)
+        primes = [p for p in range(2, isqrt(values[-1]) + 1) if is_prime(p)]
+        with stats.recording() as counts:
+            sieve_flags(form, unit, shift, count)
+        assert counts["sieve_values"] == count
+        assert counts["sieve_hits"] == sum(1 for v in values for p in primes if v % p == 0)
 
     def test_one_block_of_flags_at_a_time(self):
         blocks = list(parity._sieve(TWO_SQUARES, 24, 5, 2 * parity._BLOCK + 1))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import copartitions
 from copartitions import CpParams, cli
 from copartitions import enumeration, parity, series
 
@@ -68,19 +67,13 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
     assert series._divide.__name__ == "_divide"          # the wrappers are taken off again
 
 
-@pytest.mark.parametrize("missing", [[(series, "_divide"), (series, "_scaled_add")],
-                                     [(enumeration, "_partitions_upto"),
-                                      (parity, "_partitions_upto")],
-                                     [(series, "_level_product")],
-                                     [(series, "_chain_divide")],
-                                     [(parity, "_sieve")],
-                                     [(enumeration, "size_counts"), (parity, "size_counts")]])
-def test_bench_cases_refuses_a_source_without_the_counted_functions(bench_cases, monkeypatch,
-                                                                    missing):
-    for module, name in missing:
-        monkeypatch.delattr(module, name)
-    with pytest.raises(SystemExit, match="no .* function to count"):
-        bench_cases._counted("kernel", (1, 1, 1, 5))
+def test_bench_cases_refuses_a_source_without_the_recorder(bench_cases, tmp_path):
+    # a stand-in source with no copartitions.stats is refused before any case runs
+    (tmp_path / "copartitions").mkdir()
+    (tmp_path / "copartitions" / "__init__.py").write_text("")
+    with pytest.raises(SystemExit, match="has no copartitions.stats") as exit_info:
+        bench_cases.main([f"bare={tmp_path}@a14ab8e"])
+    assert str(tmp_path) in str(exit_info.value)
 
 
 @pytest.mark.parametrize("a,b,m,n,total", [(1, 1, 2, 25, 2696), (1, 1, 1, 20, 10980)])
@@ -100,21 +93,6 @@ def triangular_and_pentagonal_terms(w):
     triangular = [j * (j + 1) // 2 for j in range(1, w + 2) if j * (j + 1) // 2 <= w]
     pentagonal = [e for k in range(-w - 1, w + 2) if 0 < (e := k * (3 * k - 1) // 2) <= w]
     return triangular, pentagonal
-
-
-def test_bench_cases_binds_the_level_loop_by_name(bench_cases, monkeypatch):
-    # a stand-in level loop called partly by keyword; D = 1 + q + q^2 + q^5 reaches
-    # level 6 at n = 100, whose widths are 100, 50, 25, 12, 6, 3, 1: 3 terms on
-    # levels 0-4, 2 on 5, 1 on 6; N = 1 + x + x^3 at level 2, on 25 bits; sums not counted here
-    def loop(n, steps, numerator, at, factors):
-        return 0
-
-    monkeypatch.setattr(series, "_level_product", loop)
-    monkeypatch.setattr(copartitions, "stand_in",
-                        lambda: series._level_product(100, [1, 2, 5], [1, 3], at=2, factors=[]),
-                        raising=False)
-    assert bench_cases._counted("stand_in", ()) == expected_counts(
-        mod2_passes=18 + 2, mod2_bits=3 * (100 + 50 + 25 + 12 + 6) + 2 * 3 + 1 + 2 * 25)
 
 
 def test_bench_cases_counts_the_sparse_terms_of_the_theta_quotient(bench_cases):

@@ -24,6 +24,7 @@ from copartitions import (
     self_conjugate_series,
 )
 from copartitions import series as series_module
+from copartitions import stats
 from copartitions.series import copartition_factors
 
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     expand_factors_mod2_normal_form_reference,
     expand_factors_mod2_reference,
     expand_factors_reference,
+    level_counts,
     mod2_passes,
     mul,
     progression,
@@ -491,6 +493,53 @@ class TestLevelLoop:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_per_pass_loop(self, factors, n):
         assert expand_factors_mod2(factors, n) == expand_factors_mod2_reference(factors, n)
+
+
+sparse_terms = st.lists(st.integers(1, 3000), max_size=40, unique=True).map(sorted)
+
+
+class TestRecorder:
+    def test_counts_nothing_outside_a_block(self):
+        assert stats.counts is None
+        with pytest.raises(ZeroDivisionError):
+            with stats.recording() as counts:
+                assert stats.counts is counts
+                expand_factors(copartition_factors(CpParams(1, 1, 1)), 45)
+                1 // 0
+        assert stats.counts is None
+        assert counts["exact_passes"] == 32
+
+    def test_a_nested_block_restores_the_outer_counter(self):
+        with stats.recording() as outer:
+            series_module._divide([1, 2, 3], 1)
+            with stats.recording() as inner:
+                assert stats.counts is inner is not outer
+                series_module._scaled_add([1, 2, 3], 1)
+            assert stats.counts is outer
+        assert outer == {"exact_passes": 1, "coeff_bits": 3} and inner == {"exact_passes": 1}
+
+    @given(st.integers(1, 1 << 3000), st.integers(1, 4000))
+    @example(1, 1)                          # one bit: no pass
+    @example(0b1000, 1)                     # width 4: passes at d = 1 and 2
+    @example(0b1000, 4)
+    def test_the_chain_counts_its_doubling_passes(self, g, d):
+        width, passes, k = g.bit_length(), 0, d
+        while k < width:
+            passes, k = passes + 1, 2 * k
+        with stats.recording() as counts:
+            series_module._chain_divide(g, d)
+        assert (counts["sums_passes"], counts["mod2_bits"]) == (passes, passes * width)
+
+    @given(sparse_terms, sparse_terms, st.integers(0, 12), boundary_n)
+    @example([1, 2, 5], [1, 3], 2, 100)     # D reaches level 6; N on level 2, 25 bits wide
+    @example([], [1], 0, 0)
+    @example([4000], [], 3, 4096)            # no term at or below any level's width
+    @settings(max_examples=60, deadline=None)
+    def test_the_level_walk_counts_its_sparse_terms(self, steps, numerator, at, n):
+        with stats.recording() as counts:
+            series_module._level_product(n, steps, numerator, at, ())
+        passes, bits = level_counts(n, steps, numerator, at)
+        assert (counts["mod2_passes"], counts["mod2_bits"]) == (passes, bits)
 
 
 def m_divides_a_and_b():
