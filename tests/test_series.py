@@ -533,7 +533,7 @@ class TestRecorder:
     @given(sparse_terms, sparse_terms, st.integers(0, 12), boundary_n)
     @example([1, 2, 5], [1, 3], 2, 100)     # D reaches level 6; N on level 2, 25 bits wide
     @example([], [1], 0, 0)
-    @example([4000], [], 3, 4096)            # no term at or below any level's width
+    @example([4000], [], 3, 3999)            # no term at or below any level's width
     @settings(max_examples=60, deadline=None)
     def test_the_level_walk_counts_its_sparse_terms(self, steps, numerator, at, n):
         with stats.recording() as counts:
