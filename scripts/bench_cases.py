@@ -8,9 +8,10 @@ the library for its exact or mod-2 series, whatever route it takes, and a
     python scripts/bench_cases.py parent=../old/src@a14ab8e change=src
 
 A side is NAME=SRC or NAME=SRC@COMMIT.  The document records each side's
-commit: the COMMIT given, or else ``git rev-parse`` in SRC; a side that
-names none and is not in a git checkout (a ``git archive`` copy) is a usage
-error, exit 2.
+commit: the COMMIT given, or else ``git rev-parse`` in SRC.  A side that
+names none outside a git checkout (a ``git archive`` copy), whose source
+does not compile to bytecode, or that has no ``copartitions.stats`` is a
+usage error, exit 2, before any case runs.
 
 Every NAME=SRC side is imported into this one interpreter, each as its own
 package (``bench_NAME``), so the sides share the heap and the warm-up.  Per
@@ -19,15 +20,14 @@ one call each, and which goes first flips every sample.  Per case the JSON
 document on stdout holds each side's best and median wall time and the
 counters that do not depend on the machine, from one more call under the
 library's own recorder, ``copartitions.stats.recording()``, whose module
-docstring says what each counts.  A side whose source has no
-``copartitions.stats`` is refused.
+docstring says what each counts.
 
-The process case compiles each side's bytecode first, then starts SAMPLES
-fresh interpreters per side, alternating, that each run
-``import copartitions.cli`` under ``-X importtime``.  It reports the best and
-median wall time from start to exit, the same for the cumulative import time
-of ``copartitions.cli``, and ``modules_loaded``: the ``sys.modules`` entries
-after the import, a count that does not depend on the machine.
+The process case starts SAMPLES fresh interpreters per side, alternating,
+that each run ``import copartitions.cli`` under ``-X importtime``.  It
+reports the best and median wall time from start to exit, the same for the
+cumulative import time of ``copartitions.cli``, and ``modules_loaded``: the
+``sys.modules`` entries after the import, a count that does not depend on
+the machine.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ CASES = {
     "walk 3 4 3 n=16": ("enumeration", "walk", (3, 4, 3, 16)),
 }
 PROCESS_CASE = "process import copartitions.cli"
-COUNTERS = ("exact_passes", "coeff_bits", "mod2_passes", "sums_passes", "mod2_bits",
-            "sieve_values", "sieve_hits", "partitions_walked", "copartitions_counted")
+COUNTERS = ("exact_passes", "coeff_bits", "theta_taps", "mod2_passes", "sums_passes",
+            "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked",
+            "copartitions_counted")
 
 
 def _load(name: str, src: Path):
@@ -103,8 +104,6 @@ def _load(name: str, src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    if not hasattr(package, "stats"):
-        raise SystemExit(f"bench_cases: {src} has no copartitions.stats to record counters with")
     return package
 
 
@@ -189,16 +188,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.sides:
         parser.error("give at least one NAME=SRC side")
-    srcs, commits = {}, {}
+    srcs, commits, packages = {}, {}, {}
     for side in args.sides:
-        name, srcs[name], commits[name] = _side(side)
+        name, src, commits[name] = _side(side)
         if not commits[name]:
             parser.error(f"{side}: not a git checkout; name its commit as NAME=SRC@COMMIT")
-    packages = {name: _load(f"bench_{name}", src) for name, src in srcs.items()}
-    times = timed(packages)
-    for src in srcs.values():
         if not compileall.compile_dir(str(src / "copartitions"), quiet=1):
-            raise SystemExit(f"bench_cases: bytecode compilation failed in {src}")
+            parser.error(f"{src}: bytecode compilation failed")
+        srcs[name], packages[name] = src, _load(f"bench_{name}", src)
+        if not hasattr(packages[name], "stats"):
+            parser.error(f"{src} has no copartitions.stats to record counters with")
+    times = timed(packages)
     processes = {name: [] for name in srcs}
     for r in range(SAMPLES):
         for name in (list(srcs) if r % 2 == 0 else list(srcs)[::-1]):

@@ -536,15 +536,11 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     row = {"a": a, "m": m, "n_max": n_max}
     top = m * n_max * n_max // 2
     blocks = 0
-    prev_end = -1
     j = 0
     while True:
         start, length = -a * j + m * j * (j + 1) // 2, a * (2 * j + 1)
         if start > top:
             break
-        if start <= prev_end:
-            return _scan(row, start, start)
-        prev_end = start + length - 1
         clipped = min(length, top - start + 1)
         blocks |= ((1 << clipped) - 1) << start
         j += 1

@@ -333,7 +333,7 @@ def expand_factors_mod2(factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     """Parity of ``expand_factors(factors, n)``: the level walk's sums alone."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    return ParitySeries(n, _reverse(_level_product(n, (), (), 0, factors), n))
+    return _level_product(n, (), (), 0, factors)
 
 
 # _SPREAD_LOW[b] (_SPREAD_HIGH[b]) is bits 0-3 (4-7) of b moved to bits 0, 2,
@@ -356,12 +356,12 @@ def _spread(x: int, n: int) -> int:
 
 
 def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: int,
-                   factors: Sequence[FactorSpec]) -> int:
-    """N(q^(2^at)) / D(q) times the factors, mod 2 through q^n, reversed
-    through q^n; D (N) is 1 plus q^e over the increasing nonzero ``steps``
-    (``numerator``).  Level v holds F_v(x) = D(x) S_v(x) F_(v+1)(x^2) (times
-    N(x) at v = at) in x = q^(2^v), reversed through x^(n >> v), where S_v
-    is the product of the folded sums of level v; F_0 is the product (module
+                   factors: Sequence[FactorSpec]) -> ParitySeries:
+    """N(q^(2^at)) / D(q) times the factors, mod 2 through q^n; D (N) is 1
+    plus q^e over the increasing nonzero ``steps`` (``numerator``).  Level v
+    holds F_v(x) = D(x) S_v(x) F_(v+1)(x^2) (times N(x) at v = at) in
+    x = q^(2^v), reversed through x^(n >> v), where S_v is the product of the
+    folded sums of level v; F_0, reversed back, is the product (module
     docstring, steps 2 and 3)."""
     net: dict = {}                  # (c, m) in x = q^(2^v): the net count in q
     for f in factors:
@@ -396,7 +396,7 @@ def _level_product(n: int, steps: Sequence[int], numerator: Sequence[int], at: i
                 tally["mod2_bits"] += passes * w
         for c, m, cauchy in sums.get(v, ()):
             rev = _sum_factor(rev, c, m, cauchy)
-    return rev
+    return ParitySeries(n, _reverse(rev, n))
 
 
 def copartition_factors(params: CpParams) -> list[FactorSpec]:
@@ -439,6 +439,8 @@ def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
     for e, sign in _signed_terms(c, step, n)[1:]:
         theta[e] = theta.get(e, 0) + sign       # 2c = step: k and -k add up
     steps = sorted(theta.items())
+    if (tally := stats.counts) is not None:    # taps: j from e to n per exponent e
+        tally["theta_taps"] += len(steps) * (n + 1) - sum(theta)
     x = [1] + [0] * n
     if square:
         euler = _signed_terms(step, 3 * step, n)
@@ -466,7 +468,7 @@ def _odd_steps(a: int, m: int, n: int) -> list[int]:
 def _theta_times_mod2(a: int, m: int, factors: Sequence[FactorSpec], n: int) -> ParitySeries:
     """theta(a, m) times the factors, mod 2 through q^n: the level walk's sums
     with theta's odd steps as its numerator on level 0."""
-    return ParitySeries(n, _reverse(_level_product(n, (), _odd_steps(a, m, n), 0, factors), n))
+    return _level_product(n, (), _odd_steps(a, m, n), 0, factors)
 
 
 def _plan(params: CpParams, n: int, mod2: bool):
@@ -522,8 +524,7 @@ def copartition_parity(params: CpParams, n: int) -> ParitySeries:
     if square:
         at = (step & -step).bit_length()    # E(q^(2m)) = E(x^(m >> v(m))) at level 1 + v(m)
         euler = _odd_steps(step >> at - 1, 3 * step >> at - 1, n >> at)
-    rev = _level_product(n, _odd_steps(c, step, n), euler, at if euler else 0, finite)
-    return ParitySeries(n, _reverse(rev, n))
+    return _level_product(n, _odd_steps(c, step, n), euler, at if euler else 0, finite)
 
 
 def self_conjugate_series(a: int, m: int, n: int) -> ExactSeries:

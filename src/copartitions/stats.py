@@ -5,6 +5,7 @@ it once per call and adds to it only while it is a ``Counter``:
 
 - ``exact_passes``: calls of ``series._scaled_add`` and ``series._divide``;
 - ``coeff_bits``: the bit length of the widest coefficient a ``series._divide`` leaves;
+- ``theta_taps``: the recurrence steps ``acc -= t * x[j - e]`` of ``series._theta_quotient``;
 - ``mod2_passes``: the sparse-term passes of ``series._level_product``;
 - ``sums_passes``: the doubling passes of ``series._chain_divide``, in the GF(2) sums;
 - ``mod2_bits``: the bits both GF(2) kinds of pass run on, each pass weighted by its width;

@@ -432,6 +432,14 @@ def triple_product_theta(a, m, n):
     return ExactSeries(n, tuple(coeffs))
 
 
+def theta_taps(c, step, n):
+    """The steps of the recurrence that divides by theta(c, step) through
+    q^n, counted one at a time: for each j in 0..n, one per exponent
+    0 < e <= j with a nonzero coefficient in theta's defining sum."""
+    theta = triple_product_theta(c, step, n).coeffs
+    return sum(1 for j in range(n + 1) for e in range(1, j + 1) if theta[e])
+
+
 def mul(x, y, n: int):
     """Truncated product of two series of the same kind and truncation: the
     dense convolution over the integers, and mod 2 one shift-XOR of y's

@@ -280,6 +280,14 @@ class TestTables:
         assert "generated_at" in meta
         assert "generated_at" not in target.read_text()
 
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_out_file_holds_what_stdout_prints(self, which, tmp_path, capsys):
+        target = tmp_path / f"table{which}.csv"
+        _, printed, _ = run(capsys, "tables", which, "--format", "csv")
+        code, out, _ = run(capsys, "tables", which, "--format", "csv", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == printed.encode()
+
     def test_json_includes_exact_counts(self, capsys):
         code, out, _ = run(capsys, "tables", "1", "--format", "json")
         doc = json.loads(out)

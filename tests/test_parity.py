@@ -379,11 +379,12 @@ def test_identity_checks_read_the_sums(monkeypatch):
 
     def flipped(quotient):
         # bit 450 of the walks that divide by theta's sparse terms (the theta
-        # routes), or of those that do not (the sums, times theta for eq4);
-        # it is bit n - 450 of the reversed bits
+        # routes), or of those that do not (the sums, times theta for eq4)
         def walk(n, steps, *rest):
-            rev = real_walk(n, steps, *rest)
-            return rev ^ (1 << (n - 450)) if bool(steps) == quotient else rev
+            product = real_walk(n, steps, *rest)
+            if bool(steps) != quotient:
+                return product
+            return series.ParitySeries(n, product.bits ^ (1 << 450))
         return walk
 
     assert lacunary_odd_support_check(3, 900) and theta_product_identity_check(3, 8, 900)

@@ -1,43 +1,16 @@
-"""The experiment scripts run end to end and agree with the CLI."""
+"""The benchmark script reads the library's counters and refuses bad sides."""
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from copartitions import CpParams, cli
-from copartitions import enumeration, parity, series
+from copartitions import CpParams
+from copartitions import enumeration, parity, series, stats
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_script(name, *args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-                          env=env, capture_output=True, text=True, check=True)
-    return done.stdout
-
-
-def test_regenerated_tables_match_the_cli(tmp_path, capsys):
-    run_script("regenerate_tables.py", "--outdir", tmp_path / "out")
-    for which in (1, 2, 3):
-        assert cli.main(["tables", str(which), "--format", "csv"]) == 0
-        expected = capsys.readouterr().out
-        assert (tmp_path / "out" / f"table{which}.csv").read_text() == expected
-
-
-@pytest.mark.parametrize("option", [["--jobs", "2"], ["--cache-dir", "cache"]])
-def test_regenerate_tables_rejects_the_removed_options(tmp_path, option):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "regenerate_tables.py"),
-                           "--outdir", str(tmp_path / "out"), *option],
-                          env=env, capture_output=True, text=True)
-    assert done.returncode == 2
-    assert "unrecognized arguments" in done.stderr
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -49,10 +22,16 @@ def bench_cases():
 
 
 def expected_counts(**nonzero):
-    return {**dict.fromkeys(("exact_passes", "coeff_bits", "mod2_passes", "sums_passes",
-                             "mod2_bits", "sieve_values", "sieve_hits", "partitions_walked",
-                             "copartitions_counted"), 0),
+    return {**dict.fromkeys(("exact_passes", "coeff_bits", "theta_taps", "mod2_passes",
+                             "sums_passes", "mod2_bits", "sieve_values", "sieve_hits",
+                             "partitions_walked", "copartitions_counted"), 0),
             **nonzero}
+
+
+def test_bench_cases_reads_the_counters_the_recorder_documents(bench_cases):
+    documented = [line.split("``")[1] for line in stats.__doc__.splitlines()
+                  if line.startswith("- ``")]
+    assert tuple(documented) == bench_cases.COUNTERS
 
 
 def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
@@ -67,13 +46,23 @@ def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
     assert series._divide.__name__ == "_divide"          # the wrappers are taken off again
 
 
-def test_bench_cases_refuses_a_source_without_the_recorder(bench_cases, tmp_path):
-    # a stand-in source with no copartitions.stats is refused before any case runs
+def test_bench_cases_refuses_a_source_without_the_recorder(bench_cases, tmp_path, capsys):
+    # a stand-in source with no copartitions.stats is a usage error before any case runs
     (tmp_path / "copartitions").mkdir()
     (tmp_path / "copartitions" / "__init__.py").write_text("")
-    with pytest.raises(SystemExit, match="has no copartitions.stats") as exit_info:
+    with pytest.raises(SystemExit) as exit_info:
         bench_cases.main([f"bare={tmp_path}@a14ab8e"])
-    assert str(tmp_path) in str(exit_info.value)
+    assert exit_info.value.code == 2
+    assert f"{tmp_path} has no copartitions.stats" in capsys.readouterr().err
+
+
+def test_bench_cases_refuses_a_source_that_does_not_compile(bench_cases, tmp_path, capsys):
+    (tmp_path / "copartitions").mkdir()
+    (tmp_path / "copartitions" / "__init__.py").write_text("def broken(:\n")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_cases.main([f"bad={tmp_path}@a14ab8e"])
+    assert exit_info.value.code == 2
+    assert f"{tmp_path}: bytecode compilation failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("a,b,m,n,total", [(1, 1, 2, 25, 2696), (1, 1, 1, 20, 10980)])
@@ -140,6 +129,19 @@ def test_bench_cases_identity_checks_run_the_sums(bench_cases):
         mod2_passes=59, sums_passes=12, mod2_bits=(59 + 12) * 3600)
     counts = bench_cases._counted("lacunary_odd_support_check", (1, 2600))
     assert counts["mod2_passes"] == 0 and counts["sums_passes"] > 0
+
+
+@pytest.mark.parametrize("abm, taps", [((1, 1, 1), 95454), ((1, 1, 2), 58674),
+                                        ((1, 13, 14), 43168)])
+def test_bench_cases_counts_the_taps_of_the_theta_quotient(bench_cases, abm, taps):
+    # the recurrence x[j] -= t * x[j - e] taps x once per nonzero exponent e <= j
+    # of theta: (1, 1, 1) divides by E(q) = theta(1, 3), whose 72 pentagonal
+    # exponents up to 2000 take 2001 - e taps each
+    n = 2000
+    pentagonal = triangular_and_pentagonal_terms(n)[1]
+    assert len(pentagonal) == 72 and sum(n + 1 - e for e in pentagonal) == 95454
+    assert bench_cases._counted("series", (*abm, n))["theta_taps"] == taps
+    assert bench_cases._counted("parity", (*abm, n))["theta_taps"] == 0
 
 
 def test_bench_cases_counts_the_passes_of_the_sums(bench_cases):

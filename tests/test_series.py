@@ -41,6 +41,7 @@ from oracles import (
     mul,
     progression,
     signed_product_coefficient,
+    theta_taps,
     triple_product_theta,
 )
 
@@ -540,6 +541,15 @@ class TestRecorder:
             series_module._level_product(n, steps, numerator, at, ())
         passes, bits = level_counts(n, steps, numerator, at)
         assert (counts["mod2_passes"], counts["mod2_bits"]) == (passes, bits)
+
+    @given(st.integers(2, 13).flatmap(lambda step: st.tuples(st.integers(1, step - 1),
+                                                             st.just(step))),
+           st.booleans(), st.sampled_from([0, 1, 2, 7, 50, 333]))
+    @settings(max_examples=60, deadline=None)
+    def test_the_theta_quotient_counts_its_taps(self, c_step, square, n):
+        with stats.recording() as counts:
+            series_module._theta_quotient(*c_step, square, n)
+        assert counts["theta_taps"] == theta_taps(*c_step, n)
 
 
 def m_divides_a_and_b():
