@@ -234,12 +234,11 @@ def _cmd_verify(args):
     # an empty --sizes also means the default
     unset = {k: v for k, v in flags.items() if getattr(args, k) in (None, "")}
     result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
-    verdict = "fail" if not result.passed else "vacuous" if result.vacuous else "pass"
     doc = {
         "subcommand": "verify",
         "params": {"target": args.target, **given},
         "rows": list(result.rows),
-        "verdict": verdict,
+        "verdict": result.status,
     }
     return (0 if result.passed else 1), doc, None
 

@@ -52,10 +52,6 @@ class Copartition(Record):
         _set(self, "sky", tuple(sky))
         _set(self, "params", params)
 
-    @property
-    def size(self) -> int:
-        return sum(self.ground) + sum(self.rectangle) + sum(self.sky)
-
     def crank(self) -> int:
         """Number of ground parts minus number of sky parts."""
         return len(self.ground) - len(self.sky)

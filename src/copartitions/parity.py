@@ -1,8 +1,7 @@
 """Parity analysis of copartition families.
 
-Everything here runs on the packed GF(2) path except where a value mod 5 or
-an exact rational is genuinely needed (the mod-5 congruence check and the
-density reports' exact proportions).
+Everything here runs on the packed GF(2) path except where a value mod 5 is
+genuinely needed (the mod-5 congruence check).
 """
 
 from __future__ import annotations
@@ -43,10 +42,12 @@ class CheckResult(Record):
     """Outcome of one verification.
 
     ``checked`` counts the indices the check actually tested; a check that
-    tested none is ``vacuous``.  On failure ``counterexample`` is the
-    first failing index and ``left`` and ``right`` are the values the two
-    sides of the claim take there.  ``rows`` are the report rows, one per
-    check, in the shape the CLI prints them.
+    tested none is ``vacuous``.  ``status``, the word each row and the CLI's
+    verdict print, is "fail" unless it passed, else "vacuous" or "pass".  On
+    failure ``counterexample`` is the first failing index and ``left`` and
+    ``right`` are the values the two sides of the claim take there.
+    ``rows`` are the report rows, one per check, in the shape the CLI prints
+    them.
     """
 
     __slots__ = ("passed", "checked", "counterexample", "left", "right", "rows")
@@ -64,6 +65,10 @@ class CheckResult(Record):
     def vacuous(self) -> bool:
         return self.checked == 0
 
+    @property
+    def status(self) -> str:
+        return "fail" if not self.passed else "vacuous" if self.vacuous else "pass"
+
     def __bool__(self) -> bool:
         return self.passed
 
@@ -75,9 +80,9 @@ def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None
     ``count_key`` if given, then the status and the counterexample."""
     if count_key:
         row[count_key] = checked
-    row.update(status="fail" if bad is not None else "pass" if checked else "vacuous",
-               counterexample=bad)
-    return CheckResult(bad is None, checked, bad, left, right, (row,))
+    result = CheckResult(bad is None, checked, bad, left, right, (row,))
+    row.update(status=result.status, counterexample=bad)
+    return result
 
 
 def _compare(left: ParitySeries, right: ParitySeries, row: dict) -> CheckResult:
@@ -400,14 +405,13 @@ def progression_check(family: str, p: int, n: int) -> CheckResult:
         verify_even_progression(fam.params, fam.modulus, r, n, parity) for r in fam.residues])
 
 
-def format_proportion(num: int, den: int, places: int = 3) -> str:
-    """num/den >= 0 rounded half away from zero, printed with exactly
-    ``places`` fractional digits."""
+def format_proportion(num: int, den: int) -> str:
+    """num/den >= 0 rounded half away from zero, printed with exactly three
+    fractional digits."""
     if den <= 0 or num < 0:
         raise ValueError("needs num >= 0 and den > 0")
-    scale = 10 ** places
-    q = (2 * num * scale + den) // (2 * den)
-    return f"{q // scale}.{q % scale:0{places}d}"
+    q = (2000 * num + den) // (2 * den)
+    return f"{q // 1000}.{q % 1000:03d}"
 
 
 def _increasing_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
@@ -420,9 +424,9 @@ def _increasing_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
 class DensityReport(Record):
     """Even-value proportions of one family at increasing checkpoints.
 
-    even_counts[i] is #{1 <= k <= checkpoints[i] : count(k) even}; the
-    proportions are exact and the rounding (3 decimals, half away from zero)
-    is applied only for presentation.
+    even_counts[i] is #{1 <= k <= checkpoints[i] : count(k) even};
+    ``rounded`` divides it by the checkpoint and rounds to 3 decimals, half
+    away from zero.
     """
 
     __slots__ = ("params", "checkpoints", "even_counts")
@@ -439,11 +443,6 @@ class DensityReport(Record):
         _set(self, "params", params)
         _set(self, "checkpoints", cs)
         _set(self, "even_counts", es)
-
-    @property
-    def proportions(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction      # here: a CLI process would pay 3 ms to load it
-        return tuple(map(Fraction, self.even_counts, self.checkpoints))
 
     @property
     def rounded(self) -> tuple[str, ...]:
@@ -565,16 +564,16 @@ def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> Chec
     parity = copartition_parity(CpParams(a, m - a, m), n)
     odd = parity.bits.bit_count()
     even = (n + 1) - odd
-    passed = odd >= witness_min and even >= witness_min
-    row = {"a": a, "m": m, "n": n, "witness_min": witness_min,
-           "status": "pass" if passed else "fail"}
-    return CheckResult(passed, n + 1, rows=(row,))
+    row = {"a": a, "m": m, "n": n, "witness_min": witness_min}
+    result = CheckResult(odd >= witness_min and even >= witness_min, n + 1, rows=(row,))
+    row["status"] = result.status
+    return result
 
 
 ENUMERABLE_CRANK_SIZES = (4, 9, 14, 19, 24)
 
 
-def andrews_mod5_check(n: int, enum_sizes: Iterable[int] = (4, 9, 14)) -> CheckResult:
+def andrews_mod5_check(n: int, enum_sizes: Iterable[int]) -> CheckResult:
     """The (1, 1, 2) count at 5k+4 is divisible by 5 for all 5k+4 <= n
     (checked on the exact path), and the crank is equidistributed mod 5 at
     each requested enumerable size.  A congruence counterexample carries the
@@ -589,7 +588,7 @@ def andrews_mod5_check(n: int, enum_sizes: Iterable[int] = (4, 9, 14)) -> CheckR
     for s in sizes:
         dist = crank_distribution(CpParams(1, 1, 2), s, 5)
         uniform = set(dist) == set(range(5)) and len(set(dist.values())) == 1
-        row = {"size": s, "distribution": {str(k): v for k, v in dist.items()},
-               "status": "pass" if uniform else "fail"}
-        results.append(CheckResult(uniform, 1, None if uniform else s, rows=(row,)))
+        row = {"size": s, "distribution": {str(k): v for k, v in dist.items()}}
+        results.append(crank := CheckResult(uniform, 1, None if uniform else s, rows=(row,)))
+        row["status"] = crank.status
     return merge_checks(results)

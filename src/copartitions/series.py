@@ -93,7 +93,7 @@ of the level walk (step 3).
 
 Truncation is explicit everywhere: a series knows the last exponent it is
 valid through, operations refuse to mix truncations, and nothing is ever
-extended silently.  Shortening is spelled ``truncate``.
+extended silently.
 """
 
 from __future__ import annotations
@@ -157,20 +157,10 @@ class ExactSeries(Record):
         _set(self, "trunc", trunc)
         _set(self, "coeffs", tuple(coeffs))
 
-    @classmethod
-    def one(cls, trunc: int) -> "ExactSeries":
-        return cls(trunc, (1,) + (0,) * trunc)
-
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.trunc:
             raise IndexError(f"exponent {n} outside the known range 0..{self.trunc}")
         return self.coeffs[n]
-
-    def truncate(self, n: int) -> "ExactSeries":
-        """Explicitly shorten to exponent n; extension is never allowed."""
-        if n > self.trunc:
-            raise ValueError(f"cannot extend a series truncated at {self.trunc} to {n}")
-        return ExactSeries(n, self.coeffs[: n + 1])
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -190,10 +180,6 @@ class ParitySeries(Record):
             raise ValueError("bits outside the exponent range 0..trunc")
         _set(self, "trunc", trunc)
         _set(self, "bits", bits)
-
-    @classmethod
-    def one(cls, trunc: int) -> "ParitySeries":
-        return cls(trunc, 1)
 
     @classmethod
     def from_support(cls, exponents: Iterable[int], trunc: int) -> "ParitySeries":
@@ -218,18 +204,11 @@ class ParitySeries(Record):
         """Exponents with odd coefficient, increasing."""
         return list(compress(range(self.trunc + 1), self.bit_values()))
 
-    def count_odd(self, lo: int = 0, hi: int | None = None) -> int:
+    def count_odd(self, lo: int, hi: int) -> int:
         """Number of odd coefficients with exponent in [lo, hi] inclusive."""
-        if hi is None:
-            hi = self.trunc
         if not 0 <= lo <= hi <= self.trunc:
             raise ValueError(f"bad exponent range [{lo}, {hi}] for truncation {self.trunc}")
         return ((self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)).bit_count()
-
-    def truncate(self, n: int) -> "ParitySeries":
-        if n > self.trunc:
-            raise ValueError(f"cannot extend a series truncated at {self.trunc} to {n}")
-        return ParitySeries(n, self.bits & ((1 << (n + 1)) - 1))
 
 
 # _REVERSED[b] is byte b with its 8 bits in reverse order: the bits of bytes

@@ -58,10 +58,6 @@ class TableData(Record):
                 return r
         raise KeyError(label)
 
-    def cell(self, n: int, label: str) -> str:
-        report = self.column(label)
-        return report.rounded[report.checkpoints.index(n)]
-
     def rows(self) -> list[list]:
         columns = [r.rounded for r in self.reports]
         return [[n, *cells] for n, *cells in zip(self.checkpoints, *columns)]

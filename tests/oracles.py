@@ -469,3 +469,10 @@ def mul(x, y, n: int):
             for j in range(n + 1 - i):
                 out[i + j] += c * y.coeffs[j]
     return ExactSeries(n, tuple(out))
+
+
+def truncated(x, n: int):
+    """The exact or parity series ``x`` on exponents 0..n alone."""
+    if hasattr(x, "bits"):
+        return type(x)(n, x.bits & ((1 << (n + 1)) - 1))
+    return type(x)(n, x.coeffs[: n + 1])

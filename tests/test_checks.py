@@ -79,6 +79,10 @@ class TestCheckResult:
         # the default result checked nothing, so it cannot read as a plain pass
         assert CheckResult(True).vacuous is True
         assert CheckResult(True, checked=1).vacuous is False
+        # the one status rule: a failure is "fail" even when nothing was checked
+        cases = [(True, 0), (True, 1), (False, 0), (False, 1)]
+        assert [CheckResult(passed, checked).status for passed, checked in cases] == \
+            ["vacuous", "pass", "fail", "fail"]
 
 
 class TestCounterexamples:

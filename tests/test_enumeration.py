@@ -32,6 +32,11 @@ WORKED_EXAMPLE = [
 ]
 
 
+def size(cp):
+    """The total of a copartition's three parts."""
+    return sum(cp.ground) + sum(cp.rectangle) + sum(cp.sky)
+
+
 def small_instances(max_size=12):
     """Strategy producing copartitions drawn from small enumerations."""
     def build(a, b, m, n, idx):
@@ -64,7 +69,7 @@ class TestEnumerate:
 
     def test_every_instance_has_the_requested_size(self):
         for cp in enumerate_copartitions(CpParams(2, 3, 4), 17):
-            assert cp.size == 17
+            assert size(cp) == 17
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
@@ -177,7 +182,7 @@ class TestConjugation:
         conj = cp.conjugate()
         assert (conj.ground, conj.rectangle, conj.sky) == ((1,) * 9, (), ())
         assert conj.params == CpParams(1, 2, 3)
-        assert conj.size == 9
+        assert size(conj) == 9
 
     def test_figure_shape(self):
         # (\{3m+a, 2m+a, 2m+a, a\}, \{4m, 4m\}, \{3m+b, 2m+b\}) at (a,b,m)=(2,1,3)
@@ -186,13 +191,13 @@ class TestConjugation:
         assert conj.ground == (10, 7)
         assert conj.rectangle == (6, 6, 6, 6)
         assert conj.sky == (11, 8, 8, 2)
-        assert conj.size == cp.size
+        assert size(conj) == size(cp)
 
     @given(small_instances())
     @settings(max_examples=80, deadline=None)
     def test_involution_and_size(self, cp):
         conj = cp.conjugate()
-        assert conj.size == cp.size
+        assert size(conj) == size(cp)
         assert conj.conjugate() == cp
         assert conj.crank() == -cp.crank()
 

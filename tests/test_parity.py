@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import isqrt, prod
@@ -304,9 +303,9 @@ class TestDensityReport:
                         if count_copartitions(params, k) % 2 == 0)
             assert even == brute
 
-    def test_exact_proportions(self):
+    def test_rounded_proportions(self):
         report = density_report(CpParams(3, 3, 4), (100, 200))
-        assert report.proportions[0] == Fraction(report.even_counts[0], 100)
+        assert report.rounded[0] == format_proportion(report.even_counts[0], 100)
         assert report.even_counts[0] <= report.even_counts[1]
 
     def test_checkpoint_validation(self):

@@ -31,7 +31,7 @@ class TestGeneration:
 
     def test_cell_lookup(self):
         data = generate_table(1)
-        assert data.cell(1000, "cp_3_3_4") == data.reports[0].rounded[0]
+        assert data.column("cp_3_3_4").rounded[0] == data.reports[0].rounded[0]
 
     def test_small_cells_match_enumeration(self):
         data = generate_table(1)
