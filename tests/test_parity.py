@@ -305,7 +305,8 @@ class TestDensityReport:
 
     def test_rounded_proportions(self):
         report = density_report(CpParams(3, 3, 4), (100, 200))
-        assert report.rounded[0] == format_proportion(report.even_counts[0], 100)
+        # k / 100 has at most two decimals, so the three-decimal form is exact
+        assert report.rounded[0] == f"{report.even_counts[0] / 100:.3f}"
         assert report.even_counts[0] <= report.even_counts[1]
 
     def test_checkpoint_validation(self):
