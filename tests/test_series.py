@@ -995,6 +995,14 @@ class TestSeriesTypes:
         with pytest.raises(ValueError):
             ParitySeries.from_support([7], 6)
 
+    def test_count_odd_never_reads_past_truncation(self):
+        p = ParitySeries(4, 0b10011)
+        assert p.count_odd(0, 4) == 3
+        assert p.count_odd(2, 2) == 0
+        for lo, hi in [(0, 5), (-1, 3), (3, 2)]:
+            with pytest.raises(ValueError):
+                p.count_odd(lo, hi)
+
     @given(st.integers(0, 3000).flatmap(
         lambda trunc: st.tuples(st.just(trunc), st.integers(0, (1 << (trunc + 1)) - 1))))
     @example((0, 0))
