@@ -85,6 +85,9 @@ CASES = {
     "self_conjugate_check 1 2 60": ("parity", "self_conjugate_check", (1, 2, 60)),
     "even_guarantee_check cp314 5000": ("parity", "even_guarantee_check", ("cp314", 5000)),
     "even_guarantee_check cp516 5000": ("parity", "even_guarantee_check", ("cp516", 5000)),
+    "even_guarantee_check cp314 5000 brute_max=3000": ("parity", "even_guarantee_check",
+                                                        ("cp314", 5000, 3000)),
+    "progression_check cp314 7 12100": ("parity", "progression_check", ("cp314", 7, 12100)),
     "walk 1 1 1 n=20": ("enumeration", "walk", (1, 1, 1, 20)),
     "walk 1 1 2 n=25": ("enumeration", "walk", (1, 1, 2, 25)),
     "walk 3 4 3 n=16": ("enumeration", "walk", (3, 4, 3, 16)),

@@ -6,7 +6,7 @@ genuinely needed (the mod-5 congruence check).
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -85,14 +85,16 @@ def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None
     return result
 
 
-def _compare(left: ParitySeries, right: ParitySeries, row: dict) -> CheckResult:
-    """Bit-for-bit comparison; the counterexample is the lowest exponent at
-    which the two series differ."""
-    diff = left.bits ^ right.bits
+def _compare(left: ParitySeries, right: ParitySeries, row: dict, mask: ParitySeries | None = None,
+             count_key: str | None = None) -> CheckResult:
+    """Bit-for-bit comparison on the exponents ``mask`` covers, by default all of ``left``'s."""
+    covered = (2 << left.trunc) - 1 if mask is None else mask.bits
+    diff = (left.bits ^ right.bits) & covered
     if not diff:
-        return _scan(row, left.trunc + 1)
+        return _scan(row, covered.bit_count(), count_key=count_key)
     k = (diff & -diff).bit_length() - 1
-    return _scan(row, k + 1, k, left.bit(k), right.bit(k))
+    return _scan(row, (covered & ((2 << k) - 1)).bit_count(), k, left.bit(k), right.bit(k),
+                 count_key)
 
 
 def _sweep(row: dict, indices: Iterable[int], left, right,
@@ -162,11 +164,11 @@ def _primes(limit: int) -> list[int]:
 def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
     """The form's verdicts on unit*k + shift for 0 <= k < count as 0/1 flags,
     one bytes object per ``_BLOCK`` consecutive k, so only the prime table
-    grows with count.  Needs gcd(unit, shift) = 1.  Every prime p that does
-    not divide the unit, up to at least the root of the block's top value, is
-    divided out of the values on k = -shift/unit mod p; an odd power of a
-    bad-class prime clears the flag, and so does a cofactor left in the bad
-    class (it is a prime)."""
+    grows with count.  Needs gcd(unit, shift) = 1.  Every prime p not 1 mod
+    the modulus and not dividing the unit, up to at least the root of the
+    block's top value, is divided out of the values on k = -shift/unit mod p;
+    an odd power of a bad-class prime clears the flag, and so does a cofactor
+    in the bad class (primes 1 mod the modulus and at most one other prime)."""
     _, modulus, residue = _FORMS[form]
     tally = stats.counts
     limit, primes = 0, []
@@ -175,7 +177,7 @@ def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
         flags = bytearray([1]) * len(rest)
         if isqrt(rest[-1]) > limit:
             limit = max(isqrt(rest[-1]), 2 * limit)
-            primes = [p for p in _primes(limit) if unit % p]
+            primes = [p for p in _primes(limit) if unit % p and p % modulus != 1]
         for p in primes:
             bad = p % modulus == residue
             hits = range((-shift * pow(unit, -1, p) - start) % p, len(rest), p)
@@ -325,15 +327,15 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
     disagreement's counterexample is that value."""
     unit, shift, params, form = _family(family)
     parity = _parity_through(params, n, parity)
-    flags = chain.from_iterable(_sieve(form, unit, shift, n + 1))
-    covered = (k for k, represented in enumerate(flags) if not represented)
-    scan = _sweep({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
+    count = n + 1 if brute_max is None else max(n + 1, (brute_max - shift) // unit + 1)
+    flags = b"".join(_sieve(form, unit, shift, count))
+    covered = ParitySeries(n, ParitySeries.from_values(flags[:n + 1]).bits ^ ((2 << n) - 1))
+    scan = _compare(parity, ParitySeries(n, 0), {"n": n}, covered, "guaranteed_even")
     if brute_max is None:
         return scan
-    flags = chain.from_iterable(_sieve(form, unit, shift, (brute_max - shift) // unit + 1))
-    # _sweep reads the left side once per value, in order
     return merge_checks([scan, _sweep(
-        {"brute_max": brute_max}, range(shift, brute_max + 1, unit), lambda value: bool(next(flags)),
+        {"brute_max": brute_max}, range(shift, brute_max + 1, unit),
+        lambda value: bool(flags[(value - shift) // unit]),
         lambda value: brute_force_representable(value, form))])
 
 
@@ -350,7 +352,7 @@ class ProgressionFamily(Record):
     def __init__(self, family: str, p: int):
         unit, _, _, form = _family(family)
         _, modulus, residue = _FORMS[form]
-        if not (is_prime(p) and p % modulus == residue and unit % p):
+        if not (p % modulus == residue and unit % p and is_prime(p)):
             raise ValueError(f"{family} needs a prime p = {residue} mod {modulus} "
                              f"that does not divide {unit}, got {p}")
         _set(self, "family", family)
@@ -390,7 +392,9 @@ def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int
     if n < residue:
         return _scan(row, 0)
     parity = _parity_through(params, n, parity)
-    return _sweep(row, range(residue, n + 1, modulus), parity.bit, lambda k: 0)
+    mask = bytearray(n + 1)
+    mask[residue::modulus] = b"\1" * len(range(residue, n + 1, modulus))
+    return _compare(parity, ParitySeries(n, 0), row, ParitySeries.from_values(mask))
 
 
 def progression_check(family: str, p: int, n: int) -> CheckResult:

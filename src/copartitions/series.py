@@ -191,6 +191,11 @@ class ParitySeries(Record):
             bits |= 1 << e
         return cls(trunc, bits)
 
+    @classmethod
+    def from_values(cls, values: bytes) -> "ParitySeries":
+        """The inverse of ``bit_values``: byte n of ``values``, 0 or 1, is the coefficient of q^n."""
+        return cls(len(values) - 1, int(values[::-1].translate(_BIT_DIGITS), 2))
+
     def bit(self, n: int) -> int:
         if not 0 <= n <= self.trunc:
             raise IndexError(f"exponent {n} outside the known range 0..{self.trunc}")
@@ -531,5 +536,4 @@ def pentagonal_support(scale: int, n: int) -> set[int]:
 
 def reduce_mod2(x: ExactSeries) -> ParitySeries:
     """Coefficient-wise reduction mod 2 into packed bits."""
-    word = bytes([c & 1 for c in reversed(x.coeffs)]).translate(_BIT_DIGITS)
-    return ParitySeries(x.trunc, int(word, 2))
+    return ParitySeries.from_values(bytes([c & 1 for c in x.coeffs]))

@@ -10,7 +10,7 @@ it once per call and adds to it only while it is a ``Counter``:
 - ``sums_passes``: the doubling passes of ``series._chain_divide``, in the GF(2) sums;
 - ``mod2_bits``: the bits both GF(2) kinds of pass run on, each pass weighted by its width;
 - ``sieve_values``: the values ``parity._sieve`` decides;
-- ``sieve_hits``: the (prime, value) pairs of ``parity._sieve`` where the prime divides the value;
+- ``sieve_hits``: the (prime, value) pairs of ``parity._sieve`` where a sieving prime divides the value;
 - ``partitions_walked``: the partitions ``enumeration._partitions_upto`` yields;
 - ``copartitions_counted``: the sum of the counts ``enumeration.size_counts`` returns.
 """

@@ -7,6 +7,7 @@ recurrences; none of it shares code with the expansion paths under test.
 from __future__ import annotations
 
 from itertools import accumulate, compress
+from math import isqrt
 from typing import Iterator
 
 Parts = tuple[int, ...]
@@ -476,3 +477,37 @@ def truncated(x, n: int):
     if hasattr(x, "bits"):
         return type(x)(n, x.bits & ((1 << (n + 1)) - 1))
     return type(x)(n, x.coeffs[: n + 1])
+
+
+def sweep_reference(row: dict, indices, left, right, count_key=None) -> tuple:
+    """A claim checked one index at a time: ``left(k)`` against ``right(k)``
+    for each k in turn, stopping at the first k where they differ.  Returns
+    (passed, checked, counterexample, left, right, rows), the fields of a
+    check result, with the one row ``row``, then ``checked`` under
+    ``count_key`` if given, then the status and the counterexample."""
+    checked, bad, values = 0, None, (None, None)
+    for k in indices:
+        checked += 1
+        if left(k) != right(k):
+            bad, values = k, (left(k), right(k))
+            break
+    if count_key:
+        row[count_key] = checked
+    row.update(status="fail" if bad is not None else "pass" if checked else "vacuous",
+               counterexample=bad)
+    return (bad is None, checked, bad, *values, (row,))
+
+
+def merge_reference(results) -> tuple:
+    """``sweep_reference`` results as one: passed when all passed, the first
+    counterexample with its values, the checked counts summed, the rows in
+    order."""
+    first = next((r for r in results if r[2] is not None), (True, 0, None, None, None, ()))
+    return (all(r[0] for r in results), sum(r[1] for r in results), *first[2:5],
+            tuple(row for r in results for row in r[5]))
+
+
+def form_values(coef: int, top: int) -> frozenset[int]:
+    """Every A^2 + coef*B^2 <= top with A, B >= 0."""
+    return frozenset(a * a + coef * b * b for a in range(isqrt(top) + 1)
+                     for b in range(isqrt((top - a * a) // coef) + 1))

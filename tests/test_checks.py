@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -37,6 +38,8 @@ from copartitions import (
     theta_product_identity_check,
     verify_even_progression,
 )
+
+from oracles import form_values, merge_reference, sweep_reference
 
 
 def run_json(capsys, *argv):
@@ -83,6 +86,64 @@ class TestCheckResult:
         cases = [(True, 0), (True, 1), (False, 0), (False, 1)]
         assert [CheckResult(passed, checked).status for passed, checked in cases] == \
             ["vacuous", "pass", "fail", "fail"]
+
+
+# family -> (unit, shift, parameters, C): the guarantee covers k where
+# unit*k + shift is not A^2 + C*B^2
+GUARANTEES = {"cp314": (24, 5, CpParams(3, 1, 4), 1), "cp516": (6, 1, CpParams(5, 1, 6), 3)}
+MASK_TOP = 3000
+
+
+@cache
+def guarantee_parity(family):
+    return copartition_parity(GUARANTEES[family][2], MASK_TOP)
+
+
+@cache
+def guarantee_values(family):
+    unit, shift, _, coef = GUARANTEES[family]
+    return form_values(coef, unit * MASK_TOP + shift)
+
+
+def result_fields(check):
+    return (check.passed, check.checked, check.counterexample, check.left, check.right,
+            check.rows)
+
+
+class TestMaskedComparisons:
+    """The guarantee and progression checks compare packed bits under a mask;
+    they must report what a sweep over the covered indices, one at a time,
+    reports: the same verdict, count, counterexample, values and rows."""
+
+    @given(st.sampled_from(sorted(GUARANTEES)), st.integers(0, MASK_TOP),
+           st.sets(st.integers(0, MASK_TOP), max_size=4),
+           st.none() | st.integers(0, MASK_TOP),
+           st.integers(1, 150).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1)))
+           | st.sampled_from([(49, 3), (49, 0), (25, 9)]),
+           st.none() | st.integers(0, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_the_sweep_over_the_covered_indices(self, family, n, flips, brute_max,
+                                                          progression, hit):
+        unit, shift, params, _ = GUARANTEES[family]
+        modulus, residue = progression
+        if hit is not None and residue + modulus * hit <= MASK_TOP:
+            flips = flips ^ {residue + modulus * hit}      # a bit the progression covers
+        bits = guarantee_parity(family).bits
+        for k in flips:
+            bits ^= 1 << k
+        parity = ParitySeries(MASK_TOP, bits)       # read only through n
+        represented = guarantee_values(family).__contains__
+        covered = [k for k in range(n + 1) if not represented(unit * k + shift)]
+        expected = sweep_reference({"n": n}, covered, parity.bit, lambda k: 0, "guaranteed_even")
+        if brute_max is not None:
+            values = range(shift, brute_max + 1, unit)
+            expected = merge_reference([expected, sweep_reference(
+                {"brute_max": brute_max}, values, represented, represented)])
+        assert result_fields(even_guarantee_check(family, n, brute_max, parity)) == expected
+        expected = sweep_reference({"residue": residue, "n": n}, range(residue, n + 1, modulus),
+                                   parity.bit, lambda k: 0)
+        check = verify_even_progression(params, modulus, residue, n, parity)
+        assert result_fields(check) == expected
 
 
 class TestCounterexamples:

@@ -75,6 +75,8 @@ class TestProgressionSieve:
     @example(TWO_SQUARES, 7, 2, 1)          # 49
     @example(X2_PLUS_3Y2, 2, 3, 7)          # 8 * 7
     @example(X2_PLUS_3Y2, 5, 2, 31)         # 25 * 31
+    @example(TWO_SQUARES, 2, 1, 7)          # 14 = 2 * 7: 2 is in no bad class, but is sieved
+    @example(X2_PLUS_3Y2, 3, 1, 5)          # 15 = 3 * 5: so is 3
     def test_single_values_equal_brute_search(self, form, p, e, k):
         # a bad or good prime to the power e times k, the sieve of length 1
         n = p ** e * k
@@ -96,10 +98,12 @@ class TestProgressionSieve:
     @given(st.sampled_from(FORMS), st.sampled_from(PROGRESSIONS), st.integers(1, 600))
     @settings(max_examples=40, deadline=None)
     def test_the_recorder_counts_the_values_and_prime_hits(self, form, progression, count):
-        # one block, sieved by the primes up to the root of its top value
+        # one block, sieved by the primes up to the root of its top value that
+        # are not 1 mod the form's modulus: those never clear a flag
         unit, shift = progression
+        modulus = parity._FORMS[form][1]
         values = range(shift, unit * count + shift, unit)
-        primes = [p for p in range(2, isqrt(values[-1]) + 1) if is_prime(p)]
+        primes = [p for p in range(2, isqrt(values[-1]) + 1) if is_prime(p) and p % modulus != 1]
         with stats.recording() as counts:
             sieve_flags(form, unit, shift, count)
         assert counts["sieve_values"] == count
@@ -249,6 +253,20 @@ class TestProgressionFamilies:
             progression_family("cp516", 7)     # 7 = 1 mod 3
         with pytest.raises(ValueError):
             progression_family("cp400", 7)
+
+    def test_the_class_is_tested_before_primality(self, monkeypatch):
+        # 2^61 - 1 is 1 mod 3 and 3 divides 24: refused without trial division
+        def no_trial_division(p):
+            raise AssertionError("is_prime ran")
+
+        monkeypatch.setattr(parity, "is_prime", no_trial_division)
+        with pytest.raises(ValueError) as refused:
+            progression_family("cp516", 2 ** 61 - 1)
+        assert str(refused.value) == \
+            "cp516 needs a prime p = 2 mod 3 that does not divide 6, got 2305843009213693951"
+        with pytest.raises(ValueError) as refused:
+            progression_family("cp314", 3)
+        assert str(refused.value) == "cp314 needs a prime p = 3 mod 4 that does not divide 24, got 3"
 
     def test_primes_dividing_the_unit_are_rejected(self):
         with pytest.raises(ValueError, match="does not divide 24"):
