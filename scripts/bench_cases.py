@@ -3,7 +3,9 @@ CLI import on one or more source trees.  A ``kernel`` case expands a family
 by the exact kernel ``expand_factors``, a ``series`` or ``parity`` case asks
 the library for its exact or mod-2 series, whatever route it takes, and a
 ``walk`` case counts every copartition of size <= n by enumeration
-(``size_counts``).
+(``size_counts``).  A ``cli`` case runs ``copartitions.cli.main`` on its
+argv in this process, with stdout going to a ``StringIO``: the series and
+the rendering of its rows.
 
     python scripts/bench_cases.py parent=../old/src@a14ab8e change=src
 
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import statistics
@@ -91,6 +95,11 @@ CASES = {
     "walk 1 1 1 n=20": ("enumeration", "walk", (1, 1, 1, 20)),
     "walk 1 1 2 n=25": ("enumeration", "walk", (1, 1, 2, 25)),
     "walk 3 4 3 n=16": ("enumeration", "walk", (3, 4, 3, 16)),
+    "cli coeffs 1 11 14 parity n=32000 csv": (
+        "cli", "cli", ("coeffs", "1", "11", "14", "--mode", "parity", "--n", "32000",
+                       "--format", "csv")),
+    "cli coeffs 1 15 16 n=2000 json": (
+        "cli", "cli", ("coeffs", "1", "15", "16", "--n", "2000", "--format", "json")),
 }
 PROCESS_CASE = "process import copartitions.cli"
 COUNTERS = ("exact_passes", "coeff_bits", "theta_taps", "mod2_passes", "sums_passes",
@@ -122,6 +131,9 @@ def _call(package, kind: str, args: tuple):
         if kind == "series":
             return series.copartition_series(params, n)
         return series.copartition_parity(params, n)
+    if kind == "cli":
+        with contextlib.redirect_stdout(io.StringIO()):
+            return importlib.import_module(f"{package.__name__}.cli").main(list(args))
     return getattr(package, kind)(*args)
 
 

@@ -7,12 +7,11 @@ Exit codes: 0 on success / verification pass, 1 on verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
 from functools import cache
+from itertools import chain
 from math import gcd
 from pathlib import Path
 
@@ -142,10 +141,10 @@ def _cmd_coeffs(args):
     doc = {
         "subcommand": "coeffs",
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
-        "rows": [[n, v] for n, v in enumerate(values)],
+        "rows": values,     # rendered as [n, value] rows
         "verdict": None,
     }
-    return 0, doc, ("n", "value")
+    return 0, doc, None
 
 
 def _cmd_enumerate(args):
@@ -260,33 +259,44 @@ def _cmd_tables(args):
 
 
 def _render_csv(doc, header) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    sub = doc["subcommand"]
-    if sub in ("coeffs", "tables"):
-        writer.writerows(doc["rows"])
-    elif sub == "enumerate":
+    # no field holds a comma, a quote or a line break, so none is quoted
+    lines = [",".join(header)]
+    if doc["subcommand"] == "tables":
+        lines += (",".join(map(str, row)) for row in doc["rows"])
+    else:
         for row in doc["rows"]:
             out = [" ".join(map(str, row["ground"])),
                    " ".join(map(str, row["rectangle"])),
                    " ".join(map(str, row["sky"]))]
             if "crank" in row:
-                out.append(row["crank"])
+                out.append(str(row["crank"]))
             if "conjugate" in row:
                 c = row["conjugate"]
                 out.append("(" + "|".join(" ".join(map(str, c[k]))
                                           for k in ("ground", "rectangle", "sky")) + ")")
-            writer.writerow(out)
-    return buf.getvalue()
+            lines.append(",".join(out))
+    return "\n".join(lines) + "\n"
+
+
+# one [n, value] row of coeffs per format; json's is the layout of indent=2 at depth 2
+COEFF_ROW = {"text": "%d %d\n", "csv": "%d,%d\n", "json": "    [\n      %d,\n      %d\n    ],\n"}
+
+
+def _render_coeffs(doc, fmt) -> str:
+    values = doc["rows"]
+    rows = (COEFF_ROW[fmt] * len(values)) % tuple(chain.from_iterable(enumerate(values)))
+    if fmt == "text":
+        return rows
+    if fmt == "csv":
+        return "n,value\n" + rows
+    text = json.dumps({**doc, "rows": []}, indent=2)
+    return text.replace('"rows": []', '"rows": [\n' + rows[:-2] + "\n  ]", 1) + "\n"
 
 
 def _render_text(doc) -> str:
     sub = doc["subcommand"]
     lines = []
-    if sub == "coeffs":
-        lines += (f"{n} {v}" for n, v in doc["rows"])
-    elif sub == "enumerate":
+    if sub == "enumerate":
         for row in doc["rows"]:
             piece = "(" + ", ".join(_fmt_parts(row[k]) for k in ("ground", "rectangle", "sky")) + ")"
             if "crank" in row:
@@ -309,7 +319,9 @@ def _render_text(doc) -> str:
 
 
 def _write_output(args, doc, header):
-    if args.format == "json":
+    if doc["subcommand"] == "coeffs":
+        payload = _render_coeffs(doc, args.format)
+    elif args.format == "json":
         payload = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
         payload = _render_csv(doc, header)

@@ -6,6 +6,9 @@ recurrences; none of it shares code with the expansion paths under test.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from itertools import accumulate, compress
 from math import isqrt
 from typing import Iterator
@@ -511,3 +514,44 @@ def form_values(coef: int, top: int) -> frozenset[int]:
     """Every A^2 + coef*B^2 <= top with A, B >= 0."""
     return frozenset(a * a + coef * b * b for a in range(isqrt(top) + 1)
                      for b in range(isqrt((top - a * a) // coef) + 1))
+
+
+def csv_reference(header, rows) -> str:
+    """``header`` and ``rows`` as the csv module writes them, one line each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def coeffs_reference(params: dict, values, fmt: str) -> str:
+    """What ``coeffs`` prints for ``values`` under ``params`` (a, b, m, n,
+    mode), rendered from one [n, value] list per row: by
+    ``json.dumps(indent=2)``, by the csv module, or as space-joined lines."""
+    rows = [[n, v] for n, v in enumerate(values)]
+    if fmt == "json":
+        doc = {"subcommand": "coeffs", "params": params, "rows": rows, "verdict": None}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return csv_reference(("n", "value"), rows)
+    return "\n".join(f"{n} {v}" for n, v in rows) + "\n"
+
+
+def enumerate_csv_reference(header, doc: dict) -> str:
+    """The CSV of an ``enumerate`` JSON document by the csv module: each
+    part list space-joined, the conjugate as (ground|rectangle|sky)."""
+    def joined(parts):
+        return " ".join(map(str, parts))
+
+    rows = []
+    for row in doc["rows"]:
+        fields = [joined(row["ground"]), joined(row["rectangle"]), joined(row["sky"])]
+        if "crank" in row:
+            fields.append(row["crank"])
+        if "conjugate" in row:
+            c = row["conjugate"]
+            fields.append("(" + "|".join(joined(c[k]) for k in ("ground", "rectangle", "sky"))
+                          + ")")
+        rows.append(fields)
+    return csv_reference(header, rows)

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copartitions
-from copartitions import CpParams, cli, copartition_parity
+from copartitions import CpParams, cli, copartition_parity, copartition_series
+from oracles import coeffs_reference, csv_reference, enumerate_csv_reference
 
 
 def run(capsys, *argv):
@@ -466,3 +467,63 @@ def test_an_unwritable_out_is_a_usage_error_on_every_subcommand(argv, path):
     code, stdout, stderr = run_contained([*argv, "--out", path])
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# Rendering against the renderers it replaced: json.dumps(indent=2) of one
+# [n, value] list per row, the csv module and a plain join.
+FORMATS = ("text", "csv", "json")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ["exact", "parity"])
+@given(abm=st.tuples(*[st.integers(1, 6)] * 3), n=st.integers(0, 300))
+@example(abm=(1, 1, 2), n=0)
+@settings(max_examples=15, deadline=None)
+def test_coeffs_prints_what_the_row_list_renderers_print(mode, fmt, abm, n):
+    params = CpParams(*abm)
+    if mode == "exact":
+        values = copartition_series(params, n).coeffs
+    else:
+        values = [copartition_parity(params, n).bit(k) for k in range(n + 1)]
+    argv = ["coeffs", *map(str, abm), "--n", str(n), "--mode", mode, "--format", fmt]
+    doc_params = {"a": abm[0], "b": abm[1], "m": abm[2], "n": n, "mode": mode}
+    assert run_contained(argv) == (0, coeffs_reference(doc_params, values, fmt), "")
+
+
+SHOW = [[], ["--show-crank"], ["--show-conjugate"], ["--show-crank", "--show-conjugate"]]
+
+
+@given(abm=st.tuples(*[st.integers(1, 6)] * 3), n=st.integers(0, 12), show=st.sampled_from(SHOW))
+@settings(max_examples=40, deadline=None)
+def test_enumerate_csv_is_what_the_csv_module_writes(abm, n, show):
+    argv = ["enumerate", *map(str, abm), str(n), *show]
+    doc = json.loads(run_contained([*argv, "--format", "json"])[1])
+    header = ["ground", "rectangle", "sky"] + [flag.removeprefix("--show-") for flag in show]
+    assert run_contained([*argv, "--format", "csv"]) == (
+        0, enumerate_csv_reference(header, doc), "")
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_tables_csv_is_what_the_csv_module_writes(which):
+    doc = json.loads(run_contained(["tables", which, "--format", "json"])[1])
+    assert run_contained(["tables", which, "--format", "csv"]) == (
+        0, csv_reference(doc["columns"], doc["rows"]), "")
+
+
+def test_the_cli_does_not_import_the_csv_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(copartitions.__file__).resolve().parents[1])}
+    code = "import sys, copartitions.cli; print(sorted({'csv', '_csv'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ["exact", "parity"])
+@pytest.mark.parametrize("n", ["0", "500"])
+def test_coeffs_out_file_holds_what_stdout_prints(n, mode, fmt, tmp_path):
+    argv = ["coeffs", "1", "11", "14", "--n", n, "--mode", mode, "--format", fmt]
+    code, printed, _ = run_contained(argv)
+    target = tmp_path / f"coeffs.{fmt}"
+    assert code == 0 and run_contained([*argv, "--out", str(target)]) == (0, "", "")
+    assert target.read_bytes() == printed.encode()

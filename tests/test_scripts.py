@@ -198,6 +198,15 @@ def test_bench_cases_times_two_sources_side_by_side(bench_cases, monkeypatch):
     assert [len(times[name]["k"]) for name in ("one", "two")] == [bench_cases.SAMPLES] * 2
 
 
+def test_bench_cases_cli_case_renders_in_process(bench_cases, capsys):
+    # the series the cli case asks for, counted alike; its rows go to no stdout
+    argv = ("coeffs", "1", "11", "14", "--mode", "parity", "--n", "3000", "--format", "csv")
+    one = bench_cases._load("bench_cli", ROOT / "src")
+    assert bench_cases._call(one, "cli", argv) == 0 and capsys.readouterr().out == ""
+    assert bench_cases._counted("cli", argv, one) == \
+        bench_cases._counted("parity", (1, 11, 14, 3000), one)
+
+
 def test_bench_cases_takes_each_side_commit(bench_cases, tmp_path, capsys):
     # a side outside a git checkout names its commit, or the run is refused
     # before any case runs
