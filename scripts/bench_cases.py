@@ -4,8 +4,8 @@ by the exact kernel ``expand_factors``, a ``series`` or ``parity`` case asks
 the library for its exact or mod-2 series, whatever route it takes, and a
 ``walk`` case counts every copartition of size <= n by enumeration
 (``size_counts``).  A ``cli`` case runs ``copartitions.cli.main`` on its
-argv in this process, with stdout going to a ``StringIO``: the series and
-the rendering of its rows.
+argv in this process, with stdout going to a ``StringIO``: the series or
+enumeration and the rendering of its rows.
 
     python scripts/bench_cases.py parent=../old/src@a14ab8e change=src
 
@@ -100,6 +100,11 @@ CASES = {
                        "--format", "csv")),
     "cli coeffs 1 15 16 n=2000 json": (
         "cli", "cli", ("coeffs", "1", "15", "16", "--n", "2000", "--format", "json")),
+    "cli enumerate 1 1 2 19 crank conjugate text": (
+        "cli", "cli", ("enumerate", "1", "1", "2", "19", "--show-crank", "--show-conjugate")),
+    "cli enumerate 1 1 2 19 crank conjugate csv": (
+        "cli", "cli", ("enumerate", "1", "1", "2", "19", "--show-crank", "--show-conjugate",
+                       "--format", "csv")),
 }
 PROCESS_CASE = "process import copartitions.cli"
 COUNTERS = ("exact_passes", "coeff_bits", "theta_taps", "mod2_passes", "sums_passes",

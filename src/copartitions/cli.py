@@ -1,7 +1,8 @@
 """Command-line front end: coefficients, enumeration, verification, tables.
 
 Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage errors (including capacity limits).
+2 on usage errors (including capacity limits and an --out that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -120,23 +121,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+TRIPLE = ("ground", "rectangle", "sky")
+
+
 def _fmt_parts(parts) -> str:
     return "{" + ",".join(map(str, parts)) + "}"
 
 
 def _triple(cp) -> dict:
-    return {"ground": list(cp.ground), "rectangle": list(cp.rectangle), "sky": list(cp.sky)}
+    return {k: list(getattr(cp, k)) for k in TRIPLE}
+
+
+def _params(args, default_cap, size, limit):
+    """The CpParams of args once args.n is >= 0 and at most --cap, or
+    default_cap without it; ``size`` and ``limit`` name the two in errors."""
+    params = CpParams(args.a, args.b, args.m)
+    if args.n < 0:
+        raise UsageError(f"{size} must be >= 0")
+    cap = args.cap if args.cap is not None else default_cap
+    if args.n > cap:
+        raise UsageError(f"{limit} is {cap} (requested {args.n}); pass --cap to override")
+    return params
 
 
 def _cmd_coeffs(args):
-    params = CpParams(args.a, args.b, args.m)
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
-    cap = args.cap if args.cap is not None else (EXACT_CAP if args.mode == "exact" else PARITY_CAP)
-    if args.n > cap:
-        raise UsageError(
-            f"{args.mode} path capacity is {cap} (requested {args.n}); pass --cap to override")
-    values = (copartition_series(params, args.n).coeffs if args.mode == "exact"
+    exact = args.mode == "exact"
+    params = _params(args, EXACT_CAP if exact else PARITY_CAP, "--n", f"{args.mode} path capacity")
+    values = (copartition_series(params, args.n).coeffs if exact
               else copartition_parity(params, args.n).bit_values())
     doc = {
         "subcommand": "coeffs",
@@ -144,16 +155,11 @@ def _cmd_coeffs(args):
         "rows": values,     # rendered as [n, value] rows
         "verdict": None,
     }
-    return 0, doc, None
+    return 0, doc
 
 
 def _cmd_enumerate(args):
-    params = CpParams(args.a, args.b, args.m)
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
-    cap = args.cap if args.cap is not None else ENUMERATE_CAP
-    if args.n > cap:
-        raise UsageError(f"enumeration guard is {cap} (requested {args.n}); pass --cap to override")
+    params = _params(args, ENUMERATE_CAP, "n", "enumeration guard")
     rows = []
     for cp in enumerate_copartitions(params, args.n):
         row = _triple(cp)
@@ -168,12 +174,7 @@ def _cmd_enumerate(args):
         "rows": rows,
         "verdict": None,
     }
-    header = ["ground", "rectangle", "sky"]
-    if args.show_crank:
-        header.append("crank")
-    if args.show_conjugate:
-        header.append("conjugate")
-    return 0, doc, tuple(header)
+    return 0, doc
 
 
 def _pairs(o):
@@ -218,6 +219,8 @@ TARGETS = {
 
 
 def _cmd_verify(args):
+    if args.format == "csv":
+        raise UsageError("verify reports are text or json only")
     flags, checks = TARGETS[args.target]
     given = {k: v for k, v in vars(args).items()
              if k not in ("subcommand", "format", "out", "target") and v is not None}
@@ -239,7 +242,7 @@ def _cmd_verify(args):
         "rows": list(result.rows),
         "verdict": result.status,
     }
-    return (0 if result.passed else 1), doc, None
+    return (0 if result.passed else 1), doc
 
 
 def _cmd_tables(args):
@@ -255,27 +258,7 @@ def _cmd_tables(args):
         },
         "verdict": None,
     }
-    return 0, doc, tuple(["n"] + list(data.labels))
-
-
-def _render_csv(doc, header) -> str:
-    # no field holds a comma, a quote or a line break, so none is quoted
-    lines = [",".join(header)]
-    if doc["subcommand"] == "tables":
-        lines += (",".join(map(str, row)) for row in doc["rows"])
-    else:
-        for row in doc["rows"]:
-            out = [" ".join(map(str, row["ground"])),
-                   " ".join(map(str, row["rectangle"])),
-                   " ".join(map(str, row["sky"]))]
-            if "crank" in row:
-                out.append(str(row["crank"]))
-            if "conjugate" in row:
-                c = row["conjugate"]
-                out.append("(" + "|".join(" ".join(map(str, c[k]))
-                                          for k in ("ground", "rectangle", "sky")) + ")")
-            lines.append(",".join(out))
-    return "\n".join(lines) + "\n"
+    return 0, doc
 
 
 # one [n, value] row of coeffs per format; json's is the layout of indent=2 at depth 2
@@ -293,64 +276,69 @@ def _render_coeffs(doc, fmt) -> str:
     return text.replace('"rows": []', '"rows": [\n' + rows[:-2] + "\n  ]", 1) + "\n"
 
 
-def _render_text(doc) -> str:
-    sub = doc["subcommand"]
-    lines = []
-    if sub == "enumerate":
-        for row in doc["rows"]:
-            piece = "(" + ", ".join(_fmt_parts(row[k]) for k in ("ground", "rectangle", "sky")) + ")"
-            if "crank" in row:
-                piece += f"  crank={row['crank']}"
-            if "conjugate" in row:
-                c = row["conjugate"]
-                piece += "  conjugate=(" + ", ".join(
-                    _fmt_parts(c[k]) for k in ("ground", "rectangle", "sky")) + ")"
-            lines.append(piece)
-        lines.append(f"total {len(doc['rows'])}")
+def _render(doc, args) -> str:
+    """The output of doc in args.format: every document becomes text, CSV
+    or JSON here.  No CSV field holds a comma, a quote or a line break, so
+    none is quoted."""
+    sub, rows = doc["subcommand"], doc["rows"]
+    if sub == "coeffs":
+        return _render_coeffs(doc, args.format)
+    if args.format == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if sub == "tables":
+        sep = "  " if args.format == "text" else ","
+        lines = [sep.join(map(str, row)) for row in [doc["columns"], *rows]]
     elif sub == "verify":
-        for row in doc["rows"]:
-            lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
+        lines = ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
         lines.append(doc["verdict"].upper())
-    elif sub == "tables":
-        lines.append("  ".join(doc["columns"]))
-        for row in doc["rows"]:
-            lines.append("  ".join(str(v) for v in row))
+    elif args.format == "text":
+        lines = []
+        for row in rows:
+            line = "(" + ", ".join(_fmt_parts(row[k]) for k in TRIPLE) + ")"
+            if args.show_crank:
+                line += f"  crank={row['crank']}"
+            if args.show_conjugate:
+                c = row["conjugate"]
+                line += "  conjugate=(" + ", ".join(_fmt_parts(c[k]) for k in TRIPLE) + ")"
+            lines.append(line)
+        lines.append(f"total {len(rows)}")
+    else:
+        shown = [k for k in ("crank", "conjugate") if getattr(args, "show_" + k)]
+        lines = [",".join([*TRIPLE, *shown])]
+        for row in rows:
+            fields = [" ".join(map(str, row[k])) for k in TRIPLE]
+            if args.show_crank:
+                fields.append(str(row["crank"]))
+            if args.show_conjugate:
+                c = row["conjugate"]
+                fields.append("(" + "|".join(" ".join(map(str, c[k])) for k in TRIPLE) + ")")
+            lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
 
-def _write_output(args, doc, header):
-    if doc["subcommand"] == "coeffs":
-        payload = _render_coeffs(doc, args.format)
-    elif args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        payload = _render_csv(doc, header)
-    else:
-        payload = _render_text(doc)
-    if args.out:
-        Path(args.out).write_text(payload)
-        if doc["subcommand"] == "tables":
-            meta = {
-                "subcommand": "tables",
-                "which": doc["params"]["which"],
-                "version": __version__,
-                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            }
-            Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    else:
+def _write_output(args, doc, payload):
+    if args.out is None:
         sys.stdout.write(payload)
+        return
+    Path(args.out).write_text(payload)
+    if doc["subcommand"] == "tables":
+        meta = {
+            "subcommand": "tables",
+            "which": doc["params"]["which"],
+            "version": __version__,
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
+        Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "verify" and args.format == "csv":
-            raise UsageError("verify reports are text or json only")
         commands = {"coeffs": _cmd_coeffs, "enumerate": _cmd_enumerate,
                     "verify": _cmd_verify, "tables": _cmd_tables}
-        code, doc, header = commands[args.subcommand](args)
-        _write_output(args, doc, header)
+        code, doc = commands[args.subcommand](args)
+        _write_output(args, doc, _render(doc, args))
         return code
     except (UsageError, ValueError, OSError) as exc:   # OSError: --out
         print(f"error: {exc}", file=sys.stderr)

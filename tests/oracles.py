@@ -555,3 +555,75 @@ def enumerate_csv_reference(header, doc: dict) -> str:
                           + ")")
         rows.append(fields)
     return csv_reference(header, rows)
+
+
+# The CLI's text and CSV renderers for enumerate, verify and tables as they
+# were when each command returned a CSV header beside its document.
+def cli_header(doc: dict, show_crank: bool = False, show_conjugate: bool = False) -> tuple:
+    """The header a command returned: a table's columns, or the triple plus
+    one column per --show-* flag."""
+    if doc["subcommand"] == "tables":
+        return tuple(doc["columns"])
+    header = ["ground", "rectangle", "sky"]
+    if show_crank:
+        header.append("crank")
+    if show_conjugate:
+        header.append("conjugate")
+    return tuple(header)
+
+
+def _fmt_parts(parts) -> str:
+    return "{" + ",".join(map(str, parts)) + "}"
+
+
+def _render_csv(doc, header) -> str:
+    # no field holds a comma, a quote or a line break, so none is quoted
+    lines = [",".join(header)]
+    if doc["subcommand"] == "tables":
+        lines += (",".join(map(str, row)) for row in doc["rows"])
+    else:
+        for row in doc["rows"]:
+            out = [" ".join(map(str, row["ground"])),
+                   " ".join(map(str, row["rectangle"])),
+                   " ".join(map(str, row["sky"]))]
+            if "crank" in row:
+                out.append(str(row["crank"]))
+            if "conjugate" in row:
+                c = row["conjugate"]
+                out.append("(" + "|".join(" ".join(map(str, c[k]))
+                                          for k in ("ground", "rectangle", "sky")) + ")")
+            lines.append(",".join(out))
+    return "\n".join(lines) + "\n"
+
+
+def _render_text(doc) -> str:
+    sub = doc["subcommand"]
+    lines = []
+    if sub == "enumerate":
+        for row in doc["rows"]:
+            piece = "(" + ", ".join(_fmt_parts(row[k]) for k in ("ground", "rectangle", "sky")) + ")"
+            if "crank" in row:
+                piece += f"  crank={row['crank']}"
+            if "conjugate" in row:
+                c = row["conjugate"]
+                piece += "  conjugate=(" + ", ".join(
+                    _fmt_parts(c[k]) for k in ("ground", "rectangle", "sky")) + ")"
+            lines.append(piece)
+        lines.append(f"total {len(doc['rows'])}")
+    elif sub == "verify":
+        for row in doc["rows"]:
+            lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
+        lines.append(doc["verdict"].upper())
+    elif sub == "tables":
+        lines.append("  ".join(doc["columns"]))
+        for row in doc["rows"]:
+            lines.append("  ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_reference(doc: dict, fmt: str, show_crank: bool = False,
+                     show_conjugate: bool = False) -> str:
+    """What those renderers print for ``doc`` in ``fmt``, text or csv."""
+    if fmt == "csv":
+        return _render_csv(doc, cli_header(doc, show_crank, show_conjugate))
+    return _render_text(doc)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import copartitions
 from copartitions import CpParams, cli, copartition_parity, copartition_series
-from oracles import coeffs_reference, csv_reference, enumerate_csv_reference
+from oracles import (coeffs_reference, csv_reference, enumerate_csv_reference,
+                     render_reference)
 
 
 def run(capsys, *argv):
@@ -376,7 +377,8 @@ VERIFY_TOPS = {
     "oracle": {"--amax": 3, "--bmax": 3, "--mmax": 5, "--nmax": 12},
 }
 UNGROWN = {"--a", "--m", "--p"}       # flags whose work does not grow with the value
-UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "out")]
+UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "out"),
+              ""]
 
 
 def flag_values_or_large(flag, top):
@@ -527,3 +529,41 @@ def test_coeffs_out_file_holds_what_stdout_prints(n, mode, fmt, tmp_path):
     target = tmp_path / f"coeffs.{fmt}"
     assert code == 0 and run_contained([*argv, "--out", str(target)]) == (0, "", "")
     assert target.read_bytes() == printed.encode()
+
+
+# enumerate, verify and tables against the text and CSV renderers that each
+# branched on the subcommand, with a CSV header returned beside the document
+@given(abm=st.tuples(*[st.integers(1, 6)] * 3), n=st.integers(0, 12), show=st.sampled_from(SHOW))
+@settings(max_examples=40, deadline=None)
+def test_enumerate_prints_what_the_branching_renderers_print(abm, n, show):
+    argv = ["enumerate", *map(str, abm), str(n), *show]
+    doc = json.loads(run_contained([*argv, "--format", "json"])[1])
+    flags = ("--show-crank" in show, "--show-conjugate" in show)
+    for fmt in ("text", "csv"):
+        assert run_contained([*argv, "--format", fmt]) == (
+            0, render_reference(doc, fmt, *flags), ""), fmt
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_tables_text_is_what_the_branching_renderer_prints(which):
+    doc = json.loads(run_contained(["tables", which, "--format", "json"])[1])
+    assert run_contained(["tables", which]) == (0, render_reference(doc, "text"), "")
+
+
+SMALL_VERIFY = [
+    "selfconj --amax 2 --mmax 3 --nmax 10", "parity-gf --amax 2 --mmax 3 --N 150",
+    "eq4 --a 1 --m 4 --N 400", "lacunary --N 500", "progression --family cp314 --p 7 --N 3000",
+    "lemma13 --Nmax 300", "guarantees-314 --N 400 --brute-max 2000", "guarantees-516 --N 300",
+    "both-parities --a 1 --m 2 --N 100 --witness-min 99", "andrews --N 104 --sizes 4,9",
+    "oracle --amax 2 --bmax 2 --mmax 2 --nmax 10"]
+
+
+def test_every_verify_target_has_a_small_argv():
+    assert {argv.split()[0] for argv in SMALL_VERIFY} == set(cli.TARGETS)
+
+
+@pytest.mark.parametrize("argv", SMALL_VERIFY)
+def test_verify_text_is_what_the_branching_renderer_prints(argv):
+    argv = ["verify", *argv.split()]
+    code, printed, _ = run_contained([*argv, "--format", "json"])
+    assert run_contained(argv) == (code, render_reference(json.loads(printed), "text"), "")

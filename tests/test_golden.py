@@ -55,6 +55,12 @@ GOLDEN = {
     "enumerate 2 1 3 9 --show-crank --show-conjugate --format json": (0, "6bb78e96ac8df64041eaee9bee6fb2426c587b2393f3bed16839e33a7e7fc767"),
     "tables 1 --format csv": (0, "16e4f9786cfdfcdfe2d1779fc2f0fbd6cb8be8c5a94e454dd1e1ffdf252ec8fa"),
     "tables 1 --format json": (0, "a8656ab7b1affad4ea1f3243d69d30105cdd45a11880240d255d67fc0fe3580a"),
+    "tables 1": (0, "8464678918277a3e849885cafdc536bf81c1140f7247f556a9dc9785972d814a"),
+    "tables 3": (0, "73d4cff134ea38ec75d8239ec6c9fa49fd9a775cb35e033bed7460276fcb4afe"),
+    "enumerate 2 1 3 9": (0, "11f745ea19c82ecc27ef5ad3d4b4a211a53166ae514cef9cd6454b650e76bb4c"),
+    "enumerate 2 1 3 9 --show-conjugate": (0, "390af25e540a26db970f6d770e27f40694767fcfefa95ce14797ff7462161639"),
+    "enumerate 2 2 3 1": (0, "bf22d9341614e23448d92045f9ada00f2d62b00491261ec5843adca20e5a4b3a"),
+    "enumerate 2 2 3 1 --show-crank --format csv": (0, "3dca514a41dc1ecfcf7cd0d00b9b6b594154bb43fd172e8e4e8e0322be57a166"),
 }
 
 
