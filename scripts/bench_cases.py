@@ -91,6 +91,7 @@ CASES = {
     "even_guarantee_check cp516 5000": ("parity", "even_guarantee_check", ("cp516", 5000)),
     "even_guarantee_check cp314 5000 brute_max=3000": ("parity", "even_guarantee_check",
                                                         ("cp314", 5000, 3000)),
+    "even_guarantee_check cp516 50000": ("parity", "even_guarantee_check", ("cp516", 50000)),
     "progression_check cp314 7 12100": ("parity", "progression_check", ("cp314", 7, 12100)),
     "walk 1 1 1 n=20": ("enumeration", "walk", (1, 1, 1, 20)),
     "walk 1 1 2 n=25": ("enumeration", "walk", (1, 1, 2, 25)),

@@ -1,8 +1,9 @@
 """Command-line front end: coefficients, enumeration, verification, tables.
 
 Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage errors (including capacity limits and an --out that cannot be
-written).
+2 on usage errors, including capacity limits and an --out that cannot be
+written: ``error: cannot write --out PATH: REASON``, PATH as given (plus
+``.meta.json`` for the tables sidecar).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import time
 from functools import cache
 from itertools import chain
 from math import gcd
-from pathlib import Path
 
 from . import __version__
 from .enumeration import enumerate_copartitions
@@ -149,13 +149,10 @@ def _cmd_coeffs(args):
     params = _params(args, EXACT_CAP if exact else PARITY_CAP, "--n", f"{args.mode} path capacity")
     values = (copartition_series(params, args.n).coeffs if exact
               else copartition_parity(params, args.n).bit_values())
-    doc = {
-        "subcommand": "coeffs",
+    return 0, {
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
         "rows": values,     # rendered as [n, value] rows
-        "verdict": None,
     }
-    return 0, doc
 
 
 def _cmd_enumerate(args):
@@ -168,13 +165,7 @@ def _cmd_enumerate(args):
         if args.show_conjugate:
             row["conjugate"] = _triple(cp.conjugate())
         rows.append(row)
-    doc = {
-        "subcommand": "enumerate",
-        "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n},
-        "rows": rows,
-        "verdict": None,
-    }
-    return 0, doc
+    return 0, {"params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n}, "rows": rows}
 
 
 def _pairs(o):
@@ -236,19 +227,16 @@ def _cmd_verify(args):
     # an empty --sizes also means the default
     unset = {k: v for k, v in flags.items() if getattr(args, k) in (None, "")}
     result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
-    doc = {
-        "subcommand": "verify",
+    return (0 if result.passed else 1), {
         "params": {"target": args.target, **given},
         "rows": list(result.rows),
         "verdict": result.status,
     }
-    return (0 if result.passed else 1), doc
 
 
 def _cmd_tables(args):
     data = generate_table(args.which)
-    doc = {
-        "subcommand": "tables",
+    return 0, {
         "params": {"which": args.which},
         "rows": data.rows(),
         "columns": ["n"] + list(data.labels),
@@ -256,9 +244,7 @@ def _cmd_tables(args):
             r.params.label(): [[n, e] for n, e in zip(r.checkpoints, r.even_counts)]
             for r in data.reports
         },
-        "verdict": None,
     }
-    return 0, doc
 
 
 # one [n, value] row of coeffs per format; json's is the layout of indent=2 at depth 2
@@ -316,11 +302,19 @@ def _render(doc, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_output(args, doc, payload):
     if args.out is None:
         sys.stdout.write(payload)
         return
-    Path(args.out).write_text(payload)
+    _write(args.out, payload)
     if doc["subcommand"] == "tables":
         meta = {
             "subcommand": "tables",
@@ -328,7 +322,7 @@ def _write_output(args, doc, payload):
             "version": __version__,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _write(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
@@ -337,10 +331,12 @@ def main(argv=None) -> int:
     try:
         commands = {"coeffs": _cmd_coeffs, "enumerate": _cmd_enumerate,
                     "verify": _cmd_verify, "tables": _cmd_tables}
-        code, doc = commands[args.subcommand](args)
+        code, body = commands[args.subcommand](args)
+        doc = {"subcommand": args.subcommand, **body}
+        doc.setdefault("verdict", None)     # only verify has one
         _write_output(args, doc, _render(doc, args))
         return code
-    except (UsageError, ValueError, OSError) as exc:   # OSError: --out
+    except (UsageError, ValueError, OSError) as exc:   # OSError: stdout
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

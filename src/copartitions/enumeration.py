@@ -59,8 +59,7 @@ class Copartition(Record):
     def conjugate(self) -> "Copartition":
         """Reflect the diagram: (ground, rectangle, sky) of the (a, b, m)
         family maps to (sky, transposed rectangle, ground) of (b, a, m)."""
-        swapped = self.params.swapped()
-        return Copartition(self.sky, _forced_rectangle(swapped, self.sky, self.ground), self.ground, swapped)
+        return _make(self.params.swapped(), self.sky, self.ground)
 
     def is_self_conjugate(self) -> bool:
         return self.conjugate() == self

@@ -1,11 +1,14 @@
 """Parity analysis of copartition families.
 
-Everything here runs on the packed GF(2) path except where a value mod 5 is
-genuinely needed (the mod-5 congruence check).
+The density reports and the parity checks read the packed GF(2) path.  The
+oracle and self-conjugate checks compare the exact series with the
+enumeration, parity-gf reduces the exact series mod 2, andrews reads it mod 5
+and the enumeration's cranks, and the form checks (Lemma 13) read no series.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
@@ -26,7 +29,6 @@ from .series import (
     copartition_factors,
     copartition_parity,
     copartition_series,
-    expand_factors_mod2,
     pentagonal_support,
     reciprocal,
     reduce_mod2,
@@ -163,22 +165,20 @@ def _primes(limit: int) -> list[int]:
 
 def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
     """The form's verdicts on unit*k + shift for 0 <= k < count as 0/1 flags,
-    one bytes object per ``_BLOCK`` consecutive k, so only the prime table
-    grows with count.  Needs gcd(unit, shift) = 1.  Every prime p not 1 mod
-    the modulus and not dividing the unit, up to at least the root of the
-    block's top value, is divided out of the values on k = -shift/unit mod p;
-    an odd power of a bad-class prime clears the flag, and so does a cofactor
-    in the bad class (primes 1 mod the modulus and at most one other prime)."""
+    one bytes object per ``_BLOCK`` consecutive k.  Needs gcd(unit, shift) = 1.
+    One table holds the primes p not 1 mod the modulus and not dividing the
+    unit up to the root of the last value; each block divides out those up
+    to the root of its own top value, on k = -shift/unit mod p.  An odd power
+    of a bad-class prime clears the flag, and so does a cofactor in the bad
+    class (primes 1 mod the modulus and at most one other prime)."""
     _, modulus, residue = _FORMS[form]
     tally = stats.counts
-    limit, primes = 0, []
+    top = isqrt(unit * (count - 1) + shift) if count else 0
+    primes = [p for p in _primes(top) if unit % p and p % modulus != 1]
     for start in range(0, count, _BLOCK):
         rest = list(range(unit * start + shift, unit * min(start + _BLOCK, count) + shift, unit))
         flags = bytearray([1]) * len(rest)
-        if isqrt(rest[-1]) > limit:
-            limit = max(isqrt(rest[-1]), 2 * limit)
-            primes = [p for p in _primes(limit) if unit % p and p % modulus != 1]
-        for p in primes:
+        for p in primes[:bisect_right(primes, isqrt(rest[-1]))]:
             bad = p % modulus == residue
             hits = range((-shift * pow(unit, -1, p) - start) % p, len(rest), p)
             for i in hits:
@@ -259,17 +259,14 @@ def _restricted_form(n: int) -> bool:
     return False
 
 
-def _direct_form(n: int) -> bool:
-    return brute_force_representable(n, X2_PLUS_3Y2)
-
-
 def form_equivalence_check(n: int) -> CheckResult:
     """For n congruent to 1 mod 6: n = A^2 + 3B^2 is solvable exactly when
     4n = u^2 + 3v^2 is solvable with u and v both coprime to 6.  Both sides
     are decided by brute search; passes when they agree."""
     if n < 1 or n % 6 != 1:
         raise ValueError("needs n >= 1 with n congruent to 1 mod 6")
-    return _sweep({"n": n}, (n,), _direct_form, _restricted_form)
+    return _sweep({"n": n}, (n,), lambda k: brute_force_representable(k, X2_PLUS_3Y2),
+                  _restricted_form)
 
 
 def form_equivalence_sweep_check(n_max: int) -> CheckResult:
@@ -461,17 +458,21 @@ def density_report(params: CpParams, checkpoints: Sequence[int],
     return DensityReport(params, cs, tuple(n - parity.count_odd(1, n) for n in cs))
 
 
+def _pentagonal_identity(a: int, m: int, n: int, row: dict) -> CheckResult:
+    # the sums: the theta quotient would make the identity a tautology
+    left = _theta_times_mod2(a, m, copartition_factors(CpParams(a, m - a, m)), n)
+    return _compare(left, ParitySeries.from_support(pentagonal_support(m, n), n), row)
+
+
 def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
     """For odd a: the odd values of the (a, a, 2a) family up to n sit exactly
-    on {2a * k * (3k - 1)}, the pentagonal exponents scaled by 2a."""
+    on {2a * k * (3k - 1)}, the pentagonal exponents scaled by 2a.  This is
+    ``theta_product_identity_check`` at m = 2a, where theta(a, 2a) is 1 mod 2."""
     if a < 1 or a % 2 == 0:
         raise ValueError(f"needs odd a >= 1, got {a}")
     if n < 0:
         raise ValueError("needs n >= 0")
-    # the sums, not the theta quotient, which builds on the pentagonal support
-    observed = expand_factors_mod2(copartition_factors(CpParams(a, a, 2 * a)), n)
-    expected = ParitySeries.from_support(pentagonal_support(2 * a, n), n)
-    return _compare(observed, expected, {"a": a, "n": n})
+    return _pentagonal_identity(a, 2 * a, n, {"a": a, "n": n})
 
 
 def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
@@ -481,10 +482,7 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
     if n < 0:
         raise ValueError("needs n >= 0")
-    # the sums: the theta quotient would make the identity a tautology
-    left = _theta_times_mod2(a, m, copartition_factors(CpParams(a, m - a, m)), n)
-    right = ParitySeries.from_support(pentagonal_support(m, n), n)
-    return _compare(left, right, {"a": a, "m": m, "n": n})
+    return _pentagonal_identity(a, m, n, {"a": a, "m": m, "n": n})
 
 
 def parity_gf_check(a: int, m: int, n: int) -> CheckResult:

@@ -445,8 +445,10 @@ def _theta_quotient(c: int, step: int, square: bool, n: int) -> list[int]:
 
 def _odd_steps(a: int, m: int, n: int) -> list[int]:
     """Nonzero exponents of theta(a, m) mod 2 through q^n, increasing; none when 2a = m."""
+    if 2 * a == m:
+        return []
     up, down = _theta_terms(a, m, n)
-    return [] if 2 * a == m else sorted(up + down)
+    return sorted(up + down)
 
 
 def _theta_times_mod2(a: int, m: int, factors: Sequence[FactorSpec], n: int) -> ParitySeries:

@@ -469,6 +469,7 @@ def test_an_unwritable_out_is_a_usage_error_on_every_subcommand(argv, path):
     code, stdout, stderr = run_contained([*argv, "--out", path])
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "--out" in stderr and repr(path) in stderr
 
 
 # Rendering against the renderers it replaced: json.dumps(indent=2) of one

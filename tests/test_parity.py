@@ -109,6 +109,22 @@ class TestProgressionSieve:
         assert counts["sieve_values"] == count
         assert counts["sieve_hits"] == sum(1 for v in values for p in primes if v % p == 0)
 
+    @pytest.mark.parametrize("count", [4097, 5001, 2 * parity._BLOCK + 1])
+    @pytest.mark.parametrize("form, unit, shift", [(TWO_SQUARES, 24, 5), (X2_PLUS_3Y2, 6, 1)])
+    def test_each_block_is_sieved_by_the_primes_up_to_its_own_root(self, form, unit, shift,
+                                                                   count):
+        modulus = parity._FORMS[form][1]
+        values = range(shift, unit * count + shift, unit)
+        hits = 0
+        for start in range(0, count, parity._BLOCK):
+            block = values[start:start + parity._BLOCK]
+            primes = [p for p in range(2, isqrt(block[-1]) + 1)
+                      if is_prime(p) and p % modulus != 1]
+            hits += sum(1 for v in block for p in primes if v % p == 0)
+        with stats.recording() as counts:
+            sieve_flags(form, unit, shift, count)
+        assert counts["sieve_hits"] == hits
+
     def test_one_block_of_flags_at_a_time(self):
         blocks = list(parity._sieve(TWO_SQUARES, 24, 5, 2 * parity._BLOCK + 1))
         assert [len(b) for b in blocks] == [parity._BLOCK, parity._BLOCK, 1]
@@ -201,7 +217,7 @@ class TestFormEquivalence:
         assert form_equivalence_sweep_check(3700)
         direct, restricted = sides
         for n in range(1, 3701):
-            assert direct(n) == parity._direct_form(n), n
+            assert direct(n) == brute_force_representable(n, X2_PLUS_3Y2), n
             assert restricted(n) == parity._restricted_form(n), n
 
 
@@ -356,6 +372,16 @@ class TestLacunaryOddSupport:
     def test_odd_prefix_values(self):
         parity = copartition_parity(CpParams(1, 1, 2), 40)
         assert parity.odd_exponents() == [0, 4, 8, 20, 28]
+
+    @given(st.integers(0, 7).map(lambda i: 2 * i + 1), st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_it_is_eq4_at_m_twice_a(self, a, n):
+        # theta(a, 2a) is 1 mod 2: its terms for k and -k cancel
+        fields = ("passed", "checked", "counterexample", "left", "right")
+        lacunary = lacunary_odd_support_check(a, n)
+        eq4 = theta_product_identity_check(a, 2 * a, n)
+        assert [getattr(lacunary, f) for f in fields] == [getattr(eq4, f) for f in fields]
+        assert series._odd_steps(a, 2 * a, n) == []
 
 
 class TestThetaProductIdentity:
