@@ -1,15 +1,16 @@
 """Command-line front end: coefficients, enumeration, verification, tables.
 
 Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage errors, including capacity limits and an --out that cannot be
-written: ``error: cannot write --out PATH: REASON``, PATH as given (plus
-``.meta.json`` for the tables sidecar).
+2 on usage errors, including a request past its size limit and an --out
+that cannot be written: ``error: cannot write --out PATH: REASON``, PATH as
+given (plus ``.meta.json`` for the tables sidecar).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -36,9 +37,9 @@ from .parity import (
 from .series import copartition_parity, copartition_series
 from .tables import generate_table
 
-EXACT_CAP = 2000
-PARITY_CAP = 32000
-ENUMERATE_CAP = 60
+EXACT_CAP = 8000           # n of coeffs --mode exact and of enumerate
+PARITY_CAP = 10 ** 6
+WALK_CAP = 500_000         # copartitions of size <= n that enumerate may walk
 
 
 class UsageError(Exception):
@@ -83,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--n", type=int, required=True, help="last exponent to report")
     p.add_argument("--mode", choices=("exact", "parity"), default="exact")
-    p.add_argument("--cap", type=int, help="override the capacity limit of the chosen mode")
     add_io(p)
 
     p = sub.add_parser("enumerate", help="list the copartitions of one size")
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--show-crank", action="store_true")
     p.add_argument("--show-conjugate", action="store_true")
-    p.add_argument("--cap", type=int, help=f"override the size guard (default {ENUMERATE_CAP})")
     add_io(p)
 
     p = sub.add_parser("verify", help="run one verification target")
@@ -132,21 +131,20 @@ def _triple(cp) -> dict:
     return {k: list(getattr(cp, k)) for k in TRIPLE}
 
 
-def _params(args, default_cap, size, limit):
-    """The CpParams of args once args.n is >= 0 and at most --cap, or
-    default_cap without it; ``size`` and ``limit`` name the two in errors."""
+def _params(args, cap, size):
+    """The CpParams of args once args.n is >= 0 and at most cap; ``size``
+    names n in errors."""
     params = CpParams(args.a, args.b, args.m)
     if args.n < 0:
         raise UsageError(f"{size} must be >= 0")
-    cap = args.cap if args.cap is not None else default_cap
     if args.n > cap:
-        raise UsageError(f"{limit} is {cap} (requested {args.n}); pass --cap to override")
+        raise UsageError(f"{size} must be <= {cap} (requested {args.n})")
     return params
 
 
 def _cmd_coeffs(args):
     exact = args.mode == "exact"
-    params = _params(args, EXACT_CAP if exact else PARITY_CAP, "--n", f"{args.mode} path capacity")
+    params = _params(args, EXACT_CAP if exact else PARITY_CAP, "--n")
     values = (copartition_series(params, args.n).coeffs if exact
               else copartition_parity(params, args.n).bit_values())
     return 0, {
@@ -156,7 +154,10 @@ def _cmd_coeffs(args):
 
 
 def _cmd_enumerate(args):
-    params = _params(args, ENUMERATE_CAP, "n", "enumeration guard")
+    params = _params(args, EXACT_CAP, "n")
+    walked = sum(copartition_series(params, args.n).coeffs)
+    if walked > WALK_CAP:
+        raise UsageError(f"n = {args.n} would walk {walked} copartitions (limit {WALK_CAP})")
     rows = []
     for cp in enumerate_copartitions(params, args.n):
         row = _triple(cp)
@@ -302,19 +303,14 @@ def _render(doc, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
-
-
 def _write_output(args, doc, payload):
+    """Print payload, or write it to --out with the tables sidecar beside
+    it: each to a temporary name first, then renamed in place once both are
+    written, so that a failure leaves neither."""
     if args.out is None:
         sys.stdout.write(payload)
         return
-    _write(args.out, payload)
+    files = {args.out: payload}
     if doc["subcommand"] == "tables":
         meta = {
             "subcommand": "tables",
@@ -322,7 +318,20 @@ def _write_output(args, doc, payload):
             "version": __version__,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        _write(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
+        files[args.out + ".meta.json"] = json.dumps(meta, indent=2) + "\n"
+    written, placed = [], []
+    try:
+        for path, text in files.items():
+            with open(f"{path}.{os.getpid()}.tmp", "w") as f:
+                written.append(f.name)
+                f.write(text)
+        for path, temp in zip(files, written):
+            os.replace(temp, path)
+            placed.append(path)
+    except OSError as exc:
+        for name in placed + written[len(placed):]:     # what is in place, then the temporaries
+            os.remove(name)
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:

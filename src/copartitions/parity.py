@@ -2,8 +2,9 @@
 
 The density reports and the parity checks read the packed GF(2) path.  The
 oracle and self-conjugate checks compare the exact series with the
-enumeration, parity-gf reduces the exact series mod 2, andrews reads it mod 5
-and the enumeration's cranks, and the form checks (Lemma 13) read no series.
+enumeration, and the oracle also with the packed path; parity-gf reduces the
+exact series mod 2, andrews reads it mod 5 and the enumeration's cranks, and
+the form checks (Lemma 13) read no series.
 """
 
 from __future__ import annotations
@@ -323,6 +324,8 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
     brute search on every value unit*k + shift <= brute_max; a
     disagreement's counterexample is that value."""
     unit, shift, params, form = _family(family)
+    if n < 0:
+        raise ValueError("needs n >= 0")
     parity = _parity_through(params, n, parity)
     count = n + 1 if brute_max is None else max(n + 1, (brute_max - shift) // unit + 1)
     flags = b"".join(_sieve(form, unit, shift, count))
@@ -512,11 +515,17 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
 
 
 def oracle_check(params: CpParams, n: int) -> CheckResult:
-    """Brute-force enumeration counts equal the counting-series coefficients
-    at every size up to n."""
+    """The three paths to a count agree at every size up to n: brute-force
+    enumeration counts equal the counting-series coefficients, and the packed
+    parity series is those coefficients mod 2.  At a counterexample ``left``
+    and ``right`` are the count and the coefficient, or, when all counts
+    agree, the packed bit and the coefficient's."""
     series, counts = copartition_series(params, n), size_counts(params, n)
-    return _sweep({"a": params.a, "b": params.b, "m": params.m, "n_max": n},
-                  range(n + 1), counts.__getitem__, series.__getitem__)
+    row = {"a": params.a, "b": params.b, "m": params.m, "n_max": n}
+    check = _sweep(dict(row), range(n + 1), counts.__getitem__, series.__getitem__)
+    if not check:
+        return check
+    return _compare(copartition_parity(params, n), reduce_mod2(series), row)
 
 
 def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:

@@ -214,6 +214,25 @@ class TestCounterexamples:
         assert check.rows == ({"a": 2, "b": 1, "m": 3, "n_max": n, "status": "fail",
                                "counterexample": k},)
 
+    def test_oracle_flipped_parity_bit(self, monkeypatch):
+        # the counts agree, so the packed parity is compared with them mod 2
+        params, n, k = CpParams(2, 1, 3), 18, 9
+        true = copartition_parity(params, n)
+        monkeypatch.setattr(copartitions.parity, "copartition_parity",
+                            lambda *args: flipped(true, k))
+        check = oracle_check(params, n)
+        assert not check.passed and not check.vacuous
+        assert (check.counterexample, check.checked) == (k, k + 1)
+        assert (check.left, check.right) == (0, 1)      # 7 copartitions of size 9: odd
+        assert check.rows == ({"a": 2, "b": 1, "m": 3, "n_max": n, "status": "fail",
+                               "counterexample": k},)
+
+    def test_guarantee_refuses_a_negative_n(self):
+        parity = copartition_parity(CpParams(3, 1, 4), 5)
+        for supplied in (None, parity):
+            with pytest.raises(ValueError, match="needs n >= 0"):
+                even_guarantee_check("cp314", -1, parity=supplied)
+
     def test_both_parities_failure_has_no_index(self):
         check = both_parities_prefix_check(1, 2, 28, 6)
         assert not check.passed and check.counterexample is None and check.checked == 29

@@ -24,7 +24,9 @@ def run(capsys, *argv):
 
 @pytest.mark.parametrize("argv", [["tables", "1", "--jobs", "2"],
                                   ["coeffs", "3", "1", "4", "--n", "5", "--mode", "parity",
-                                   "--cache-dir", "D"]])
+                                   "--cache-dir", "D"],
+                                  ["coeffs", "1", "1", "2", "--n", "2001", "--cap", "2001"],
+                                  ["enumerate", "5", "6", "11", "61", "--cap", "61"]])
 def test_removed_options_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -73,16 +75,12 @@ class TestCoeffs:
         assert doc["verdict"] is None
 
     def test_capacity_error_names_the_limit(self, capsys):
-        code, _, err = run(capsys, "coeffs", "1", "1", "2", "--n", "2001")
+        code, _, err = run(capsys, "coeffs", "1", "1", "2", "--n", "8001")
         assert code == 2
-        assert "2000" in err
-        code, _, err = run(capsys, "coeffs", "1", "1", "2", "--n", "40000", "--mode", "parity")
+        assert "8000" in err
+        code, _, err = run(capsys, "coeffs", "1", "1", "2", "--n", "1000001", "--mode", "parity")
         assert code == 2
-        assert "32000" in err
-
-    def test_cap_override(self, capsys):
-        code, out, _ = run(capsys, "coeffs", "1", "1", "2", "--n", "2001", "--cap", "2001")
-        assert code == 0
+        assert "1000000" in err
 
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "coeffs", "0", "1", "2", "--n", "5")
@@ -130,8 +128,19 @@ class TestEnumerate:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "1", "1", "2", "100")
         assert code == 2 and "100" in err
-        code, _, _ = run(capsys, "enumerate", "5", "6", "11", "61", "--cap", "61")
+        code, _, _ = run(capsys, "enumerate", "5", "6", "11", "61")
         assert code == 0
+
+    def test_walk_limit_names_the_count(self, capsys):
+        # (1,1,1) through 60 has 43653250 copartitions; the guard counts them by the series
+        code, out, err = run(capsys, "enumerate", "1", "1", "1", "60")
+        assert (code, out) == (2, "")
+        assert "43653250" in err and str(cli.WALK_CAP) in err
+        code, _, err = run(capsys, "enumerate", "1", "1", "2", "8001")
+        assert code == 2 and "8000" in err
+        # (5,6,11) through 120: 1400 copartitions, 50 of size 120
+        code, out, _ = run(capsys, "enumerate", "5", "6", "11", "120")
+        assert code == 0 and out.splitlines()[-1] == "total 50"
 
 
 class TestVerify:
@@ -282,6 +291,16 @@ class TestTables:
         assert "generated_at" in meta
         assert "generated_at" not in target.read_text()
 
+    @pytest.mark.parametrize("blocked", ["table1.csv", "table1.csv.meta.json"])
+    def test_a_failed_out_leaves_neither_file(self, tmp_path, capsys, blocked):
+        # the one of the two paths that is a directory cannot be written
+        target = tmp_path / "table1.csv"
+        (tmp_path / blocked).mkdir()
+        code, out, err = run(capsys, "tables", "1", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --out {str(tmp_path / blocked)!r}: Is a directory\n"
+        assert [path.name for path in tmp_path.iterdir()] == [blocked]
+
     @pytest.mark.parametrize("which", ["1", "2", "3"])
     def test_out_file_holds_what_stdout_prints(self, which, tmp_path, capsys):
         target = tmp_path / f"table{which}.csv"
@@ -402,8 +421,7 @@ def verify_argv(target):
 
 
 def in_range_or_guarded(top):
-    """Flag values for a size the subcommand guards by --cap: LARGE alone
-    exceeds the guard; with LARGE drawn the --cap values stay in range."""
+    """Flag values for a size the subcommand limits: LARGE alone exceeds the limit."""
     return st.one_of(flag_values(top), st.just(LARGE))
 
 
@@ -411,10 +429,8 @@ def in_range_or_guarded(top):
 def guarded_argv(draw, subcommand, top, extra):
     params = [draw(flag_values(40) | st.just(LARGE)) for _ in range(3)]
     size = draw(in_range_or_guarded(top))
-    caps = flag_values(top) if size == LARGE else flag_values(top) | st.just(LARGE)
-    cap = draw(optional("--cap", caps))
     sized = ["--n", size] if subcommand == "coeffs" else [size]
-    return [subcommand, *params, *sized, *cap, *words(draw(extra))]
+    return [subcommand, *params, *sized, *words(draw(extra))]
 
 
 every_argv = st.one_of(

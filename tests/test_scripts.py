@@ -1,16 +1,21 @@
 """The benchmark script reads the library's counters and refuses bad sides."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import copartitions
 from copartitions import CpParams
 from copartitions import enumeration, parity, series, stats
 
 ROOT = Path(__file__).resolve().parents[1]
+# A change that moves a counter edits this file in the same commit.
+COMMITTED = json.loads((Path(__file__).parent / "bench_counters.json").read_text())
 
 
 @pytest.fixture
@@ -32,6 +37,22 @@ def test_bench_cases_reads_the_counters_the_recorder_documents(bench_cases):
     documented = [line.split("``")[1] for line in stats.__doc__.splitlines()
                   if line.startswith("- ``")]
     assert tuple(documented) == bench_cases.COUNTERS
+
+
+def test_bench_cases_counters_are_the_committed_ones(bench_cases):
+    counted = {case: bench_cases._counted(kind, args)
+               for case, (_, kind, args) in bench_cases.CASES.items()}
+    assert counted == COMMITTED["cases"]
+
+
+def test_the_cli_import_loads_the_committed_modules():
+    # under -S, so that no site .pth file has imported anything before
+    code = ("import sys; before = set(sys.modules); import copartitions.cli; "
+            "print(len(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(copartitions.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert int(done.stdout) == COMMITTED["modules_loaded"]
 
 
 def test_bench_cases_counts_passes_and_walked_partitions(bench_cases):
