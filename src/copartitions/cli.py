@@ -303,14 +303,19 @@ def _render(doc, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_output(args, doc, payload):
-    """Print payload, or write it to --out with the tables sidecar beside
-    it: each to a temporary name first, then renamed in place once both are
-    written, so that a failure leaves neither."""
     if args.out is None:
         sys.stdout.write(payload)
         return
-    files = {args.out: payload}
+    _write(args.out, payload)
     if doc["subcommand"] == "tables":
         meta = {
             "subcommand": "tables",
@@ -318,20 +323,12 @@ def _write_output(args, doc, payload):
             "version": __version__,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        files[args.out + ".meta.json"] = json.dumps(meta, indent=2) + "\n"
-    written, placed = [], []
-    try:
-        for path, text in files.items():
-            with open(f"{path}.{os.getpid()}.tmp", "w") as f:
-                written.append(f.name)
-                f.write(text)
-        for path, temp in zip(files, written):
-            os.replace(temp, path)
-            placed.append(path)
-    except OSError as exc:
-        for name in placed + written[len(placed):]:     # what is in place, then the temporaries
-            os.remove(name)
-        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+        try:
+            _write(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
+        except UsageError:      # no table without its sidecar; never remove a device or link
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
+                os.remove(args.out)
+            raise
 
 
 def main(argv=None) -> int:

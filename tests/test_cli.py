@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,24 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_writes_through_a_link_and_a_fifo(self, tmp_path, capsys):
+        argv = ["coeffs", "2", "1", "3", "--n", "3"]
+        _, printed, _ = run(capsys, *argv)
+        (tmp_path / "file").write_text("old contents, longer than the table\n")
+        (tmp_path / "link").symlink_to(tmp_path / "file")
+        assert run(capsys, *argv, "--out", str(tmp_path / "link")) == (0, "", "")
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "file").read_text() == printed
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+        reader.join(timeout=10)
+        assert read == [printed] and fifo.is_fifo()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "file", "link"]
 
 
 class TestEnumerate:
