@@ -1,9 +1,11 @@
 """Command-line front end: coefficients, enumeration, verification, tables.
 
 Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage errors, including a request past its size limit and an --out
-that cannot be written: ``error: cannot write --out PATH: REASON``, PATH as
-given (plus ``.meta.json`` for the tables sidecar).
+2 on usage errors, including an --out that cannot be written: ``error:
+cannot write --out PATH: REASON``, PATH as given (plus ``.meta.json`` for
+the tables sidecar), and a size outside its bounds: before any command
+runs, one check reads each size flag's (low, limit) from one table and
+names the flag, its bounds and the value.
 """
 
 from __future__ import annotations
@@ -37,20 +39,13 @@ from .parity import (
 from .series import copartition_parity, copartition_series
 from .tables import generate_table
 
-EXACT_CAP = 8000           # n of coeffs --mode exact and of enumerate
-PARITY_CAP = 10 ** 6
+EXACT_CAP = 8000           # n of an exact series: coeffs --mode exact, enumerate
+PARITY_CAP = 10 ** 6       # n of a mod-2 series
 WALK_CAP = 500_000         # copartitions of size <= n that enumerate may walk
 
 
 class UsageError(Exception):
     pass
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _sizes(text: str) -> str:
@@ -103,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--Nmax", type=int)
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--amax", type=_positive_int)
-    p.add_argument("--bmax", type=_positive_int)
-    p.add_argument("--mmax", type=_positive_int)
+    p.add_argument("--amax", type=int)
+    p.add_argument("--bmax", type=int)
+    p.add_argument("--mmax", type=int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--witness-min", type=int)
     p.add_argument("--sizes", type=_sizes, help="comma-separated crank sizes, e.g. 4,9,14")
@@ -131,21 +126,9 @@ def _triple(cp) -> dict:
     return {k: list(getattr(cp, k)) for k in TRIPLE}
 
 
-def _params(args, cap, size):
-    """The CpParams of args once args.n is >= 0 and at most cap; ``size``
-    names n in errors."""
-    params = CpParams(args.a, args.b, args.m)
-    if args.n < 0:
-        raise UsageError(f"{size} must be >= 0")
-    if args.n > cap:
-        raise UsageError(f"{size} must be <= {cap} (requested {args.n})")
-    return params
-
-
 def _cmd_coeffs(args):
-    exact = args.mode == "exact"
-    params = _params(args, EXACT_CAP if exact else PARITY_CAP, "--n")
-    values = (copartition_series(params, args.n).coeffs if exact
+    params = CpParams(args.a, args.b, args.m)
+    values = (copartition_series(params, args.n).coeffs if args.mode == "exact"
               else copartition_parity(params, args.n).bit_values())
     return 0, {
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
@@ -154,7 +137,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_enumerate(args):
-    params = _params(args, EXACT_CAP, "n")
+    params = CpParams(args.a, args.b, args.m)
     walked = sum(copartition_series(params, args.n).coeffs)
     if walked > WALK_CAP:
         raise UsageError(f"n = {args.n} would walk {walked} copartitions (limit {WALK_CAP})")
@@ -180,34 +163,59 @@ def _grid(o):
     return [(a, m) for a in range(1, o.amax + 1) for m in range(2, o.mmax + 1)]
 
 
-# target -> (every flag it reads with its default, None for no default;
-# the library checks it runs)
+# target -> ({each flag it reads: (default, low, limit)}, the library checks
+# it runs); a default of None means none.  A size lies in low..limit: low 0
+# for a count, 1 for a parameter or a grid bound; limit None where the value
+# does not grow the work.  --family and --sizes are no sizes (low None).  With
+# every flag at its limit, each target ran within 4 s on a 2-core host
+# (BENCH_27.json).
 TARGETS = {
-    "selfconj": ({"amax": 3, "mmax": 5, "nmax": 40},
+    "selfconj": ({"amax": (3, 1, 8), "mmax": (5, 1, 12), "nmax": (40, 0, 150)},
                  lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
-    "parity-gf": ({"amax": 3, "mmax": 6, "N": 2000},
+    "parity-gf": ({"amax": (3, 1, 4), "mmax": (6, 1, 8), "N": (2000, 0, EXACT_CAP)},
                   lambda o: (parity_gf_check(a, m, o.N) for a, m in _grid(o))),
-    "eq4": ({"a": None, "m": None, "mmax": 12, "N": 2000},
+    "eq4": ({"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
+             "N": (2000, 0, 10 ** 5)},
             lambda o: (theta_product_identity_check(a, m, o.N) for a, m in _pairs(o))),
-    "lacunary": ({"a": None, "N": 5000},
+    "lacunary": ({"a": (None, 1, None), "N": (5000, 0, PARITY_CAP)},
                  lambda o: (lacunary_odd_support_check(a, o.N)
                             for a in ([o.a] if o.a is not None else [1, 3, 5]))),
-    "progression": ({"family": None, "p": None, "N": 12100},
+    "progression": ({"family": (None, None, None), "p": (None, 1, 1000),
+                     "N": (12100, 0, 2 * 10 ** 5)},
                     lambda o: [progression_check(o.family, o.p, o.N)]),
-    "lemma13": ({"Nmax": 10000}, lambda o: [form_equivalence_sweep_check(o.Nmax)]),
+    "lemma13": ({"Nmax": (10000, 0, 10 ** 6)},
+                lambda o: [form_equivalence_sweep_check(o.Nmax)]),
     **{f"guarantees-{family.removeprefix('cp')}": (
-        {"N": 5000, "brute_max": None},
+        {"N": (5000, 0, PARITY_CAP), "brute_max": (None, 0, 2 * 10 ** 5)},
         lambda o, family=family: [even_guarantee_check(family, o.N, o.brute_max)])
        for family in FAMILIES},
-    "both-parities": ({"a": None, "m": None, "mmax": 12, "N": 2000, "witness_min": 10},
+    "both-parities": ({"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
+                       "N": (2000, 0, 2 * 10 ** 5), "witness_min": (10, 0, None)},
                       lambda o: (both_parities_prefix_check(a, m, o.N, o.witness_min)
                                  for a, m in _pairs(o))),
-    "andrews": ({"N": 504, "sizes": "4,9,14"},
+    "andrews": ({"N": (504, 0, 20000), "sizes": ("4,9,14", None, None)},
                 lambda o: [andrews_mod5_check(o.N, map(int, o.sizes.split(",")))]),
-    "oracle": ({"amax": 4, "bmax": 4, "mmax": 5, "nmax": 25},
+    "oracle": ({"amax": (4, 1, 8), "bmax": (4, 1, 8), "mmax": (5, 1, 10), "nmax": (25, 0, 35)},
                lambda o: (oracle_check(CpParams(a, b, m), o.nmax) for a in range(1, o.amax + 1)
                           for b in range(1, o.bmax + 1) for m in range(1, o.mmax + 1))),
 }
+
+
+def _check_sizes(args):
+    """Refuse a size outside its low..limit before any command runs: verify's
+    from TARGETS, the n of coeffs and enumerate from EXACT_CAP or PARITY_CAP."""
+    if args.subcommand == "verify":
+        bounds = {k: spec[1:] for k, spec in TARGETS[args.target][0].items()}
+    else:       # tables gives no size
+        bounds = {"n": (0, PARITY_CAP if getattr(args, "mode", "") == "parity" else EXACT_CAP)}
+    for key, (low, limit) in bounds.items():
+        value = getattr(args, key, None)
+        if value is None or low is None:
+            continue
+        name = "n" if args.subcommand == "enumerate" else "--" + key.replace("_", "-")
+        if value < low or limit is not None and value > limit:
+            within = f">= {low}" if limit is None else f"between {low} and {limit}"
+            raise UsageError(f"{name} must be {within}, got {value}")
 
 
 def _cmd_verify(args):
@@ -226,7 +234,7 @@ def _cmd_verify(args):
     if args.target == "progression" and (args.family is None or args.p is None):
         raise UsageError("progression needs --family and --p")
     # an empty --sizes also means the default
-    unset = {k: v for k, v in flags.items() if getattr(args, k) in (None, "")}
+    unset = {k: spec[0] for k, spec in flags.items() if getattr(args, k) in (None, "")}
     result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
     return (0 if result.passed else 1), {
         "params": {"target": args.target, **given},
@@ -335,6 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         commands = {"coeffs": _cmd_coeffs, "enumerate": _cmd_enumerate,
                     "verify": _cmd_verify, "tables": _cmd_tables}
         code, body = commands[args.subcommand](args)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -232,10 +233,10 @@ class TestVerify:
     @pytest.mark.parametrize("flag", ["--amax", "--bmax", "--mmax"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_ranges_are_rejected(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "oracle", flag, value, "--nmax", "2"])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        code, out, err = run(capsys, "verify", "oracle", flag, value, "--nmax", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be between 1 and ")
+        assert err.endswith(f", got {value}\n") and err.count("\n") == 1
 
     def test_csv_not_offered(self, capsys):
         code, _, err = run(capsys, "verify", "lemma13", "--Nmax", "6", "--format", "csv")
@@ -372,7 +373,7 @@ touched_targets = st.one_of(
               optional("--brute-max", flag_values(20000))),
     st.tuples(st.just("progression"),
               st.sampled_from(cli.FAMILIES + ("cp400", "")).map(lambda f: ["--family", f]),
-              optional("--p", flag_values(9999)),
+              optional("--p", flag_values(1000)),
               optional("--N", flag_values(10 ** 5))),
     st.tuples(st.just("andrews"),
               optional("--sizes", st.sampled_from(["4,9", "", "x", "4,,9", "9,", "24", "3"])),
@@ -397,16 +398,16 @@ def test_the_exit_code_contract_holds_on_generated_flags(argv, fmt):
 
 
 # Every subcommand and verify target, with flag values in range, zero,
-# negative, not a number and large.  The in-range tops keep each run short;
-# LARGE reaches only the guarded flags and those whose work does not grow
-# with their value.
+# negative, not a number and large.  The in-range tops keep each run short.
+# LARGE is past the limit of every size flag but those whose work does not
+# grow with their value, which have no limit.
 LARGE = "1000000000"
 VERIFY_TOPS = {
     "selfconj": {"--amax": 3, "--mmax": 5, "--nmax": 40},
     "parity-gf": {"--amax": 3, "--mmax": 6, "--N": 300},
     "eq4": {"--a": 20, "--m": 20, "--mmax": 12, "--N": 2000},
     "lacunary": {"--a": 21, "--N": 5000},
-    "progression": {"--p": 9999, "--N": 10 ** 5},
+    "progression": {"--p": 1000, "--N": 10 ** 5},
     "lemma13": {"--Nmax": 10 ** 5},
     "guarantees-314": {"--N": 10 ** 5, "--brute-max": 20000},
     "guarantees-516": {"--N": 10 ** 5, "--brute-max": 20000},
@@ -414,13 +415,9 @@ VERIFY_TOPS = {
     "andrews": {"--N": 504},
     "oracle": {"--amax": 3, "--bmax": 3, "--mmax": 5, "--nmax": 12},
 }
-UNGROWN = {"--a", "--m", "--p"}       # flags whose work does not grow with the value
+UNGROWN = {"--a", "--m", "--witness-min"}     # the size flags with no limit
 UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "out"),
               ""]
-
-
-def flag_values_or_large(flag, top):
-    return flag_values(top) | st.just(LARGE) if flag in UNGROWN else flag_values(top)
 
 
 def words(parts):
@@ -428,7 +425,7 @@ def words(parts):
 
 
 def verify_argv(target):
-    flags = [optional(flag, flag_values_or_large(flag, top))
+    flags = [optional(flag, flag_values(top) | st.just(LARGE))
              for flag, top in VERIFY_TOPS[target].items()]
     if target == "progression":
         flags.append(optional("--family", st.sampled_from(cli.FAMILIES + ("cp400", ""))))
@@ -493,6 +490,10 @@ def test_the_exit_code_contract_holds_on_every_subcommand(argv, fmt, out):
         assert stdout == "", argv
     if out and code != 2:
         raise AssertionError(f"wrote to an unwritable --out: {argv}")
+    sized = VERIFY_TOPS.get(argv[1], {}) if argv[0] == "verify" else {}
+    if any(value == LARGE and flag in sized and flag not in UNGROWN
+           for flag, value in zip(argv, argv[1:])):
+        assert code == 2, argv      # past the flag's limit
 
 
 @pytest.mark.parametrize("path", UNWRITABLE)
@@ -603,3 +604,93 @@ def test_verify_text_is_what_the_branching_renderer_prints(argv):
     argv = ["verify", *argv.split()]
     code, printed, _ = run_contained([*argv, "--format", "json"])
     assert run_contained(argv) == (code, render_reference(json.loads(printed), "text"), "")
+
+
+# Size limits: one check reads every size flag's (low, limit) from the table
+# before any command runs.
+ROOT = Path(__file__).resolve().parents[1]
+BOUNDED = [(target, key, low, limit) for target, (flags, _) in cli.TARGETS.items()
+           for key, (_, low, limit) in flags.items() if low is not None]
+
+
+def option(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("target, key, low, limit", [row for row in BOUNDED if row[3] is not None])
+def test_a_size_past_its_limit_names_the_flag_and_the_limit(target, key, low, limit):
+    code, out, err = run_contained(["verify", target, option(key), str(limit + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {option(key)} must be between {low} and {limit}, got {limit + 1}\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    *((["verify", target, option(key), str(low - 1)], option(key))
+      for target, key, low, _ in BOUNDED),
+    (["coeffs", "1", "1", "2", "--n", "-1"], "--n"),
+    (["coeffs", "1", "1", "2", "--n", "-1", "--mode", "parity"], "--n"),
+    (["enumerate", "1", "1", "2", "-1"], "n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_size_below_its_low_bound_names_its_flag(argv, name):
+    code, out, err = run_contained(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+
+
+def refused(argv):
+    """The one check's message for argv, or None when it admits every size."""
+    try:
+        cli._check_sizes(cli.build_parser().parse_args(argv))
+    except cli.UsageError as exc:
+        return str(exc)
+    return None
+
+
+def traffic():
+    """Every verify argv the benchmark sends, the golden and small argv, the
+    README's CLI examples and each target's defaults spelled out."""
+    from test_golden import GOLDEN
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    suite = [["verify", kind, *key.split()] for kind, pool in expected["verify-suite"].items()
+             if kind != "three-path" for key in pool]
+    session = [key.split() for key in expected["cli-session"]["verify"]]
+    readme = [line.split("#")[0].split()[1:] for line in (ROOT / "README.md").read_text()
+              .splitlines() if re.match(r"copartitions (coeffs|enumerate|verify|tables) ", line)]
+    defaults = [["verify", target, *words((option(key), str(spec[0])) for key, spec in flags.items()
+                                          if spec[0] is not None)]
+                for target, (flags, _) in cli.TARGETS.items()]
+    return {"verify-suite": suite, "cli-session": session, "golden": [a.split() for a in GOLDEN],
+            "small": [["verify", *argv.split()] for argv in SMALL_VERIFY],
+            "readme": readme, "defaults": defaults}
+
+
+TRAFFIC = traffic()
+
+
+@pytest.mark.parametrize("source", TRAFFIC)
+def test_the_limits_admit_the_traffic(source):
+    assert TRAFFIC[source]
+    assert [(argv, refused(argv)) for argv in TRAFFIC[source] if refused(argv)] == []
+
+
+README_ROW = re.compile(r"`--([\w-]+)`(?: \[([^\]]+)\])?(?: (\d+)\.\.(\d*))?")
+
+
+def readme_targets():
+    """target -> {flag key: (default, low, limit)} as README's verify table gives it."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| target | flags")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        targets, flags = line.split("|")[1:3]
+        spec = {key.replace("-", "_"): (default, *(int(v) if v else None for v in (low, limit)))
+                for key, default, low, limit in README_ROW.findall(flags)}
+        rows.update((target, spec) for target in re.findall(r"`([\w-]+)`", targets))
+    return rows
+
+
+def test_the_readme_verify_table_is_the_cli_table():
+    expected = {target: {key: ("" if default is None else str(default), low, limit)
+                         for key, (default, low, limit) in flags.items()}
+                for target, (flags, _) in cli.TARGETS.items()}
+    assert readme_targets() == expected
