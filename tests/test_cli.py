@@ -16,6 +16,7 @@ import copartitions
 from copartitions import CpParams, cli, copartition_parity, copartition_series
 from oracles import (coeffs_reference, csv_reference, enumerate_csv_reference,
                      render_reference)
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -649,7 +650,6 @@ def refused(argv):
 def traffic():
     """Every verify argv the benchmark sends, the golden and small argv, the
     README's CLI examples and each target's defaults spelled out."""
-    from test_golden import GOLDEN
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     suite = [["verify", kind, *key.split()] for kind, pool in expected["verify-suite"].items()
              if kind != "three-path" for key in pool]
