@@ -100,6 +100,19 @@ def _compare(left: ParitySeries, right: ParitySeries, row: dict, mask: ParitySer
                  count_key)
 
 
+def _progression_bits(start: int, step: int, n: int) -> int:
+    """The int with bits start, start + step, start + 2*step, ... through n
+    (0 when start > n), built by doubling in O(log n) big-int operations."""
+    if start > n:
+        return 0
+    span = n - start
+    mask, width = 1, step           # bits 0, step, 2*step, ... below width
+    while width <= span:
+        mask |= mask << width
+        width <<= 1
+    return (mask & ((2 << span) - 1)) << start
+
+
 def _sweep(row: dict, indices: Iterable[int], left, right,
            count_key: str | None = None) -> CheckResult:
     """Compares ``left(k)`` with ``right(k)`` at each index in turn; fails at
@@ -272,14 +285,26 @@ def form_equivalence_check(n: int) -> CheckResult:
 
 def form_equivalence_sweep_check(n_max: int) -> CheckResult:
     """``form_equivalence_check`` at every n congruent to 1 mod 6 up to
-    n_max, stopping at the first disagreement; each side is one brute search
-    for the values its form represents (values above n_max are never read)."""
+    n_max, reporting the first disagreement; each side is one brute search
+    that marks the values up to n_max its form represents, and the two are
+    compared as packed bits under the mask of 1 mod 6 (``left`` and ``right``
+    are the two bits at a counterexample)."""
     top = max(n_max, 0)
-    direct = {a * a + 3 * b * b for a in range(isqrt(top) + 1) for b in range(isqrt(top // 3) + 1)}
+    direct = bytearray(top + 1)
+    threes = [3 * b * b for b in range(isqrt(top // 3) + 1)]
+    for a in range(isqrt(top) + 1):
+        square = a * a                  # b up to isqrt((top - a^2) / 3)
+        for t in threes[:isqrt((top - square) // 3) + 1]:
+            direct[square + t] = 1
     coprime = [u for u in range(isqrt(4 * top) + 1) if u % 6 in (1, 5)]
-    restricted = {(u * u + 3 * v * v) // 4 for u in coprime for v in coprime}
-    return _sweep({"n_max": n_max}, range(1, n_max + 1, 6), direct.__contains__,
-                  restricted.__contains__, "checked")
+    threes = [3 * v * v for v in coprime]
+    restricted = bytearray(top + 1)
+    for u in coprime:
+        square = u * u                  # v up to isqrt((4 top - u^2) / 3)
+        for t in threes[:bisect_right(coprime, isqrt((4 * top - square) // 3))]:
+            restricted[(square + t) // 4] = 1
+    return _compare(ParitySeries.from_values(direct), ParitySeries.from_values(restricted),
+                    {"n_max": n_max}, ParitySeries(top, _progression_bits(1, 6, top)), "checked")
 
 
 # family tag -> (unit, shift, parameters, form): the family's count at k is
@@ -385,22 +410,23 @@ def progression_family(family: str, p: int) -> ProgressionFamily:
 def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int,
                             parity: ParitySeries | None = None) -> CheckResult:
     """Confirm the parity bit is 0 at every index congruent to ``residue``
-    mod ``modulus`` up to n.  A range with no such index reports vacuous."""
+    mod ``modulus`` up to n: one packed comparison under the mask of that
+    class.  A range with no such index reports vacuous."""
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
     row = {"residue": residue, "n": n}
     if n < residue:
         return _scan(row, 0)
     parity = _parity_through(params, n, parity)
-    mask = bytearray(n + 1)
-    mask[residue::modulus] = b"\1" * len(range(residue, n + 1, modulus))
-    return _compare(parity, ParitySeries(n, 0), row, ParitySeries.from_values(mask))
+    mask = ParitySeries(n, _progression_bits(residue, modulus, n))
+    return _compare(parity, ParitySeries(n, 0), row, mask)
 
 
 def progression_check(family: str, p: int, n: int) -> CheckResult:
     """``verify_even_progression`` on every residue class of
     ``progression_family(family, p)`` up to n, after a row describing the
-    family."""
+    family; the classes share one parity series, and each builds its mask
+    in O(log n) big-int operations."""
     fam = progression_family(family, p)
     parity = copartition_parity(fam.params, n)
     header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,

@@ -6,11 +6,11 @@ import os
 import subprocess
 import sys
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copartitions
@@ -33,6 +33,7 @@ from copartitions import (
     oracle_check,
     parity_gf_check,
     progression_check,
+    progression_family,
     self_conjugate_check,
     self_conjugate_series,
     theta_product_identity_check,
@@ -144,6 +145,84 @@ class TestMaskedComparisons:
                                    parity.bit, lambda k: 0)
         check = verify_even_progression(params, modulus, residue, n, parity)
         assert result_fields(check) == expected
+
+
+def slice_mask(start, step, n):
+    """The mask of start, start + step, ... through n as a byte per exponent,
+    set by one slice assignment."""
+    flags = bytearray(n + 1)
+    flags[start::step] = b"\1" * len(range(start, n + 1, step))
+    return flags
+
+
+def progression_reference(parity, modulus, residue, n):
+    # one residue class, its bytearray mask read one index at a time
+    indices = [k for k, flag in enumerate(slice_mask(residue, modulus, n)) if flag]
+    return sweep_reference({"residue": residue, "n": n}, indices, parity.bit, lambda k: 0)
+
+
+def lemma13_reference(n_max):
+    # each side a set of the values its form represents, read one index at a time
+    top = max(n_max, 0)
+    coprime = [u for u in range(isqrt(4 * top) + 1) if u % 6 in (1, 5)]
+    restricted = {(u * u + 3 * v * v) // 4 for u in coprime for v in coprime}
+    return sweep_reference({"n_max": n_max}, range(1, n_max + 1, 6),
+                           form_values(3, top).__contains__, restricted.__contains__, "checked")
+
+
+# family -> primes it takes, small enough for MASK_TOP to cover some residues
+PROGRESSION_PRIMES = {"cp314": (7, 11, 19, 23, 31), "cp516": (5, 11, 17, 23, 29)}
+progressions = st.sampled_from(sorted(PROGRESSION_PRIMES)).flatmap(
+    lambda family: st.tuples(st.just(family), st.sampled_from(PROGRESSION_PRIMES[family])))
+
+
+class TestPackedProgressions:
+    """The progression and lemma13 checks build packed masks; they must report
+    what the per-residue bytearray masks and the per-index sets reported."""
+
+    @given(st.integers(0, 400), st.integers(1, 400), st.integers(0, 400))
+    @settings(max_examples=200, deadline=None)
+    @example(0, 1, 0)
+    @example(0, 5, 0)
+    @example(1, 6, 0)           # start > n
+    @example(9, 3, 4)
+    @example(2, 50, 10)         # step > n
+    @example(10, 11, 10)        # start == n, step > n
+    @example(3, 49, 3000)
+    def test_mask_is_the_slice_rule(self, start, step, n):
+        bits = copartitions.parity._progression_bits(start, step, n)
+        assert bits == ParitySeries.from_values(slice_mask(start, step, n)).bits
+
+    @given(progressions, st.integers(0, MASK_TOP), st.none() | st.tuples(st.integers(0, 40),
+                                                                       st.integers(0, 60)))
+    @settings(max_examples=60, deadline=None)
+    @example(("cp314", 7), 3000, (0, 10))
+    @example(("cp516", 5), 20, None)
+    @example(("cp516", 5), 8, (0, 0))       # every class vacuous
+    def test_progression_check_is_the_per_residue_rule(self, progression, n, flip):
+        family, p = progression
+        fam = progression_family(family, p)
+        parity = copartition_parity(fam.params, n)
+        if flip is not None:                # one bit on a residue class, if it is <= n
+            r = fam.residues[flip[0] % len(fam.residues)]
+            if (k := r + fam.modulus * flip[1]) <= n:
+                parity = flipped(parity, k)
+        header = {"family": family, "p": p, "modulus": fam.modulus, "delta": fam.delta,
+                  "residues": list(fam.residues)}
+        expected = [progression_reference(parity, fam.modulus, r, n) for r in fam.residues]
+        for r, want in zip(fam.residues, expected):
+            check = verify_even_progression(fam.params, fam.modulus, r, n, parity)
+            assert result_fields(check) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(copartitions.parity, "copartition_parity", lambda params, n: parity)
+            check = progression_check(family, p, n)
+        assert result_fields(check) == merge_reference(
+            [(True, 0, None, None, None, (header,))] + expected)
+
+    def test_lemma13_is_the_per_index_rule(self):
+        for n_max in range(-2, 301):
+            assert result_fields(form_equivalence_sweep_check(n_max)) == \
+                lemma13_reference(n_max), n_max
 
 
 class TestCounterexamples:

@@ -206,19 +206,21 @@ class TestFormEquivalence:
                                "counterexample": None},)
 
     def test_sweep_sides_are_the_per_index_brute_searches(self, monkeypatch):
-        sides = []
-        real = parity._sweep
+        compared = []
+        real = parity._compare
 
-        def spy(row, indices, left, right, key):
-            sides.extend((left, right))
-            return real(row, indices, left, right, key)
+        def spy(left, right, row, mask, key):
+            compared.append((left, right, mask))
+            return real(left, right, row, mask, key)
 
-        monkeypatch.setattr(parity, "_sweep", spy)
+        monkeypatch.setattr(parity, "_compare", spy)
         assert form_equivalence_sweep_check(3700)
-        direct, restricted = sides
+        [(direct, restricted, mask)] = compared
+        assert direct.trunc == restricted.trunc == mask.trunc == 3700
+        assert mask.bits == sum(1 << n for n in range(1, 3701, 6))
         for n in range(1, 3701):
-            assert direct(n) == brute_force_representable(n, X2_PLUS_3Y2), n
-            assert restricted(n) == parity._restricted_form(n), n
+            assert direct.bit(n) == brute_force_representable(n, X2_PLUS_3Y2), n
+            assert restricted.bit(n) == parity._restricted_form(n), n
 
 
 class TestEvenGuarantees:
