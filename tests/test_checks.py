@@ -214,7 +214,7 @@ class TestPackedProgressions:
             check = verify_even_progression(fam.params, fam.modulus, r, n, parity)
             assert result_fields(check) == want
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(copartitions.parity, "copartition_parity", lambda params, n: parity)
+            patch.setattr(copartitions.parity, "copartition_parity", lambda *_: parity)
             check = progression_check(family, p, n)
         assert result_fields(check) == merge_reference(
             [(True, 0, None, None, None, (header,))] + expected)

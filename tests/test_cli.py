@@ -494,8 +494,8 @@ def test_the_exit_code_contract_holds_on_every_subcommand(argv, fmt, out):
     if out and code != 2:
         raise AssertionError(f"wrote to an unwritable --out: {argv}")
     sized = VERIFY_TOPS.get(argv[1], {}) if argv[0] == "verify" else {}
-    given = dict(zip(argv, argv[1:]))       # argparse reads a flag's last occurrence
-    if any(given.get(flag) == LARGE for flag in sized.keys() - UNGROWN):
+    last = dict(zip(argv, argv[1:]))        # argparse reads a flag's last occurrence
+    if any(last.get(flag) == LARGE for flag in sized.keys() - UNGROWN):
         assert code == 2, argv      # past the flag's limit
 
 
