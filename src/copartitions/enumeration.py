@@ -3,9 +3,9 @@
 A copartition for parameters (a, b, m) is a triple of partitions
 (ground, rectangle, sky): ground parts are >= a and congruent to a mod m,
 sky parts are >= b and congruent to b mod m, and the rectangle carries one
-part of size m * (number of ground parts) for every sky part.  Zero-size
-parts are never stored, so the rectangle is empty whenever the ground or
-the sky is.  The size of a copartition is the total of all three.
+part of size m * (number of ground parts) for every sky part, so the ground
+and the sky fix it: a ``Copartition`` stores those two and derives the
+rectangle, empty whenever either is.  Its size is the total of all three.
 
 The graphical picture drives the bijections below.  Rows of the rectangle
 sit left of the sky rows (each sky part km+b drawn as a b-cell followed by
@@ -33,9 +33,11 @@ def _check_partition(parts: Parts, label: str):
 
 
 class Copartition(Record):
-    __slots__ = ("ground", "rectangle", "sky", "params")
+    """A copartition stored as its ground and sky; the rectangle is derived."""
 
-    def __init__(self, ground: Parts, rectangle: Parts, sky: Parts, params: CpParams):
+    __slots__ = ("ground", "sky", "params")
+
+    def __init__(self, ground: Parts, sky: Parts, params: CpParams):
         a, b, m = params.a, params.b, params.m
         _check_partition(ground, "ground")
         _check_partition(sky, "sky")
@@ -45,12 +47,14 @@ class Copartition(Record):
         for p in sky:
             if p < b or (p - b) % m:
                 raise ValueError(f"sky part {p} is not >= {b} and congruent to {b} mod {m}")
-        if tuple(rectangle) != (forced := _forced_rectangle(params, ground, sky)):
-            raise ValueError(f"rectangle {rectangle} is not the forced {forced}")
         _set(self, "ground", tuple(ground))
-        _set(self, "rectangle", forced)
         _set(self, "sky", tuple(sky))
         _set(self, "params", params)
+
+    @property
+    def rectangle(self) -> Parts:
+        """m * (number of ground parts) once per sky part; () when the ground is empty."""
+        return (self.params.m * len(self.ground),) * len(self.sky) if self.ground else ()
 
     def crank(self) -> int:
         """Number of ground parts minus number of sky parts."""
@@ -59,18 +63,10 @@ class Copartition(Record):
     def conjugate(self) -> "Copartition":
         """Reflect the diagram: (ground, rectangle, sky) of the (a, b, m)
         family maps to (sky, transposed rectangle, ground) of (b, a, m)."""
-        return _make(self.params.swapped(), self.sky, self.ground)
+        return Copartition(self.sky, self.ground, self.params.swapped())
 
     def is_self_conjugate(self) -> bool:
         return self.conjugate() == self
-
-
-def _forced_rectangle(params: CpParams, ground: Parts, sky: Parts) -> Parts:
-    return (params.m * len(ground),) * len(sky) if ground and sky else ()
-
-
-def _make(params: CpParams, ground: Parts, sky: Parts) -> Copartition:
-    return Copartition(ground, _forced_rectangle(params, ground, sky), sky, params)
 
 
 def _partitions_upto(budget: int, base: int, step: int,
@@ -149,7 +145,7 @@ def enumerate_copartitions(params: CpParams, n: int) -> list[Copartition]:
     """All copartitions of size exactly n, in descending lexicographic
     (ground, sky) order."""
     triples = sorted(((g, s) for size, g, s in _walk(params, n) if size == n), reverse=True)
-    return [_make(params, ground, sky) for ground, sky in triples]
+    return [Copartition(ground, sky, params) for ground, sky in triples]
 
 
 def count_copartitions(params: CpParams, n: int) -> int:
@@ -209,4 +205,4 @@ def distinct_parts_to_hooks(parts, a: int, m: int) -> Copartition:
         k = (d - lo) // (2 * m) - (s - 1 - i)
         # distinct sorted parts make k weakly decreasing and >= 0
         sky.append(a + m * k)
-    return _make(params, tuple(sky), tuple(sky))
+    return Copartition(sky, sky, params)

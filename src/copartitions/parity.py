@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import stats
 from .enumeration import (
-    _make,
+    Copartition,
     _partitions_upto,
     crank_distribution,
     distinct_parts_to_hooks,
@@ -113,8 +113,7 @@ def _progression_bits(start: int, step: int, n: int) -> int:
     return (mask & ((2 << span) - 1)) << start
 
 
-def _sweep(row: dict, indices: Iterable[int], left, right,
-           count_key: str | None = None) -> CheckResult:
+def _sweep(row: dict, indices: Iterable[int], left, right) -> CheckResult:
     """Compares ``left(k)`` with ``right(k)`` at each index in turn; fails at
     the first k where they differ."""
     checked = 0
@@ -122,8 +121,8 @@ def _sweep(row: dict, indices: Iterable[int], left, right,
         checked += 1
         lv, rv = left(k), right(k)
         if lv != rv:
-            return _scan(row, checked, k, lv, rv, count_key)
-    return _scan(row, checked, count_key=count_key)
+            return _scan(row, checked, k, lv, rv)
+    return _scan(row, checked)
 
 
 def _parity_through(params: CpParams, n: int, parity: ParitySeries | None) -> ParitySeries:
@@ -531,7 +530,7 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     found = [[] for _ in range(n + 1)]
     for total, ground in _partitions_upto(n // 2, a, m, 0):     # ground == sky
         if (size := 2 * total + m * len(ground) ** 2) <= n:
-            found[size].append(_make(params, ground, ground))
+            found[size].append(Copartition(ground, ground, params))
     for k in range(n + 1):
         round_trips = all(cp.is_self_conjugate() and sum(hooks := hooks_to_distinct_parts(cp)) == k
                           and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found[k])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import islice
 
 import pytest
@@ -151,24 +153,30 @@ class TestWalk:
 class TestCopartitionType:
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
-            Copartition((4,), (), (), CpParams(2, 1, 3))
+            Copartition((4,), (), CpParams(2, 1, 3))
 
     def test_rejects_part_below_minimum(self):
         with pytest.raises(ValueError):
-            Copartition((), (), (1,), CpParams(1, 5, 4))
+            Copartition((), (1,), CpParams(1, 5, 4))
 
-    def test_rejects_unforced_rectangle(self):
-        with pytest.raises(ValueError):
-            Copartition((2,), (), (1,), CpParams(2, 1, 3))
-        with pytest.raises(ValueError):
-            Copartition((2,), (3, 3), (1,), CpParams(2, 1, 3))
-        # empty ground forces an empty rectangle even with a nonempty sky
-        with pytest.raises(ValueError):
-            Copartition((), (3,), (1,), CpParams(2, 1, 3))
+    def test_empty_ground_forces_an_empty_rectangle(self):
+        # even with a nonempty sky
+        assert Copartition((), (1,), CpParams(2, 1, 3)).rectangle == ()
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 14))
+    @example(1, 1, 1, 14)
+    @settings(max_examples=60, deadline=None)
+    def test_ground_sky_and_params_are_the_whole_record(self, a, b, m, n):
+        for cp in enumerate_copartitions(CpParams(a, b, m), n):
+            assert Copartition(cp.ground, cp.sky, cp.params) == cp
+            forced = (m * len(cp.ground),) * len(cp.sky) if cp.ground and cp.sky else ()
+            assert cp.rectangle == forced
+            assert cp.conjugate().conjugate() == cp
+            assert pickle.loads(pickle.dumps(cp)) == cp and copy.copy(cp) == cp
 
     def test_rejects_increasing_parts(self):
         with pytest.raises(ValueError):
-            Copartition((2, 5), (), (), CpParams(2, 1, 3))
+            Copartition((2, 5), (), CpParams(2, 1, 3))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -186,7 +194,8 @@ class TestConjugation:
 
     def test_figure_shape(self):
         # (\{3m+a, 2m+a, 2m+a, a\}, \{4m, 4m\}, \{3m+b, 2m+b\}) at (a,b,m)=(2,1,3)
-        cp = Copartition((11, 8, 8, 2), (12, 12), (10, 7), CpParams(2, 1, 3))
+        cp = Copartition((11, 8, 8, 2), (10, 7), CpParams(2, 1, 3))
+        assert cp.rectangle == (12, 12)
         conj = cp.conjugate()
         assert conj.ground == (10, 7)
         assert conj.rectangle == (6, 6, 6, 6)
@@ -210,7 +219,7 @@ class TestConjugation:
 
 class TestSelfConjugate:
     def test_known_fixed_point(self):
-        cp = Copartition((1,), (2,), (1,), CpParams(1, 1, 2))
+        cp = Copartition((1,), (1,), CpParams(1, 1, 2))
         assert cp.is_self_conjugate()
 
     def test_unequal_parameters_never_fixed(self):
@@ -218,7 +227,7 @@ class TestSelfConjugate:
             assert not cp.is_self_conjugate()
 
     def test_empty_is_fixed(self):
-        cp = Copartition((), (), (), CpParams(3, 3, 4))
+        cp = Copartition((), (), CpParams(3, 3, 4))
         assert cp.is_self_conjugate()
 
     def test_fixed_exactly_when_ground_equals_sky(self):
@@ -239,17 +248,17 @@ class TestSelfConjugate:
 
 class TestHookBijection:
     def test_single_hook(self):
-        cp = Copartition((1,), (2,), (1,), CpParams(1, 1, 2))
+        cp = Copartition((1,), (1,), CpParams(1, 1, 2))
         assert hooks_to_distinct_parts(cp) == (4,)
         assert distinct_parts_to_hooks((4,), 1, 2) == cp
 
     def test_empty(self):
-        empty = Copartition((), (), (), CpParams(1, 1, 2))
+        empty = Copartition((), (), CpParams(1, 1, 2))
         assert hooks_to_distinct_parts(empty) == ()
         assert distinct_parts_to_hooks((), 1, 2) == empty
 
     def test_rejects_non_self_conjugate(self):
-        cp = Copartition((3, 1), (), (), CpParams(1, 1, 2))
+        cp = Copartition((3, 1), (), CpParams(1, 1, 2))
         with pytest.raises(ValueError):
             hooks_to_distinct_parts(cp)
 
@@ -290,11 +299,11 @@ class TestHookBijection:
 
 class TestCrank:
     def test_sky_empty(self):
-        cp = Copartition((5, 2, 2), (), (), CpParams(2, 1, 3))
+        cp = Copartition((5, 2, 2), (), CpParams(2, 1, 3))
         assert cp.crank() == 3
 
     def test_ground_empty(self):
-        cp = Copartition((), (), (1,) * 9, CpParams(2, 1, 3))
+        cp = Copartition((), (1,) * 9, CpParams(2, 1, 3))
         assert cp.crank() == -9
 
     def test_distribution_size_four(self):

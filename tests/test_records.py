@@ -28,8 +28,8 @@ RECORDS = [
      "FactorSpec(c=2, m=3, sign='pochhammer')"),
     (ExactSeries, (2, (1, 0, 4)), (2, (1, 0, 5)), "ExactSeries(trunc=2, coeffs=(1, 0, 4))"),
     (ParitySeries, (2, 5), (2, 4), "ParitySeries(trunc=2, bits=5)"),
-    (Copartition, ((4, 1), (6,), (2,), P), ((1,), (3,), (2,), P),
-     "Copartition(ground=(4, 1), rectangle=(6,), sky=(2,), params=CpParams(a=1, b=2, m=3))"),
+    (Copartition, ((4, 1), (2,), P), ((1,), (2,), P),
+     "Copartition(ground=(4, 1), sky=(2,), params=CpParams(a=1, b=2, m=3))"),
     (CheckResult, (False, 3, 2, 1, 0, ()), (False, 3, 2, 1, 1, ()),
      "CheckResult(passed=False, checked=3, counterexample=2, left=1, right=0, rows=())"),
     (ProgressionFamily, ("cp314", 19), ("cp314", 23),
@@ -54,13 +54,12 @@ INVALID = [
     (ParitySeries, (-1, 0), "truncation must be >= 0"),
     (ParitySeries, (2, 8), "bits outside the exponent range 0..trunc"),
     (ParitySeries, (2, -1), "bits outside the exponent range 0..trunc"),
-    (Copartition, ((1, 4), (), (), P), "ground parts must be weakly decreasing, got (1, 4)"),
-    (Copartition, ((0,), (), (), P), "ground parts must be positive, got (0,)"),
-    (Copartition, ((), (), (2, 5), P), "sky parts must be weakly decreasing, got (2, 5)"),
-    (Copartition, ((), (), (-1,), P), "sky parts must be positive, got (-1,)"),
-    (Copartition, ((2,), (), (), P), "ground part 2 is not >= 1 and congruent to 1 mod 3"),
-    (Copartition, ((), (), (3,), P), "sky part 3 is not >= 2 and congruent to 2 mod 3"),
-    (Copartition, ((1,), (), (2,), P), "rectangle () is not the forced (3,)"),
+    (Copartition, ((1, 4), (), P), "ground parts must be weakly decreasing, got (1, 4)"),
+    (Copartition, ((0,), (), P), "ground parts must be positive, got (0,)"),
+    (Copartition, ((), (2, 5), P), "sky parts must be weakly decreasing, got (2, 5)"),
+    (Copartition, ((), (-1,), P), "sky parts must be positive, got (-1,)"),
+    (Copartition, ((2,), (), P), "ground part 2 is not >= 1 and congruent to 1 mod 3"),
+    (Copartition, ((), (3,), P), "sky part 3 is not >= 2 and congruent to 2 mod 3"),
     (ProgressionFamily, ("cp400", 7), "unknown family 'cp400'"),
     (ProgressionFamily, ("cp314", 5),
      "cp314 needs a prime p = 3 mod 4 that does not divide 24, got 5"),
@@ -129,7 +128,7 @@ def test_sequence_fields_are_stored_as_tuples():
         (ExactSeries(2, [1, 0, 4]), ("coeffs",)),
         (DensityReport(P, [1, 2], [0, 1]), ("checkpoints", "even_counts")),
         (TableData([REPORT]), ("reports",)),
-        (Copartition([4, 1], [6], [2], P), ("ground", "rectangle", "sky")),
+        (Copartition([4, 1], [2], P), ("ground", "rectangle", "sky")),
     ]
     for record, names in built:
         for name in names:

@@ -737,6 +737,36 @@ class TestSums:
             assert expand_factors_mod2(factors, n) == reference, (a, b, m)
             assert copartition_parity(CpParams(a, b, m), n) == reference, (a, b, m)
 
+    @pytest.mark.parametrize("sign", ["pochhammer", "negated-pochhammer", "reciprocal"])
+    def test_both_kernels_divide_by_the_same_schedule(self, monkeypatch, sign):
+        # the exact and the GF(2) sum run the same terms: on the bare 1 through
+        # q^n, the same divisors in the same order
+        exact, mod2 = [], []
+        real_divide, real_chain = series_module._divide, series_module._chain_divide
+
+        def divide(coeffs, k):
+            exact.append(k)
+            real_divide(coeffs, k)
+
+        def chain_divide(g, d):
+            mod2.append(d)
+            return real_chain(g, d)
+
+        monkeypatch.setattr(series_module, "_divide", divide)
+        monkeypatch.setattr(series_module, "_chain_divide", chain_divide)
+        cauchy = sign == "reciprocal"
+        divisions = 0
+        for c in range(1, 12):
+            for m in range(1, 12):
+                for n in range(60):
+                    exact.clear()
+                    mod2.clear()
+                    series_module._exact_sum_factor([1] + [0] * n, FactorSpec(c, m, sign))
+                    series_module._sum_factor(1 << n, c, m, cauchy)
+                    assert exact == mod2, (c, m, n)
+                    divisions += len(exact)
+        assert divisions
+
 
 @pytest.mark.parametrize("factors, s, n", [
     ([pochhammer(10, 8)], 1, 100000),                  # route 3 of (3, 3, 4)
