@@ -340,8 +340,7 @@ def even_guarantee_516(n: int) -> bool:
     return _forced_even("cp516", n)
 
 
-def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
-                         parity: ParitySeries | None = None) -> CheckResult:
+def even_guarantee_check(family: str, n: int, brute_max: int | None = None) -> CheckResult:
     """The family's count is even at every k <= n its guarantee covers
     (``even_guarantee_314`` or ``even_guarantee_516``); ``checked`` counts
     those k.  With ``brute_max``, also compares the sieve's verdict with
@@ -350,7 +349,7 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None,
     unit, shift, params, form = _family(family)
     if n < 0:
         raise ValueError("needs n >= 0")
-    parity = _parity_through(params, n, parity)
+    parity = copartition_parity(params, n)
     count = n + 1 if brute_max is None else max(n + 1, (brute_max - shift) // unit + 1)
     flags = b"".join(_sieve(form, unit, shift, count))
     covered = ParitySeries(n, ParitySeries.from_values(flags[:n + 1]).bits ^ ((2 << n) - 1))
@@ -560,12 +559,12 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     exponents (block j has a*(2j+1) of them starting at -a*j + m*j*(j+1)/2).
     Verifies that expansion bit for bit against the series product, then
     checks that exponents 0..floor(m*N^2/2) hold exactly a*N^2 odd terms for
-    every N <= n_max.  Requires 1 <= a <= m/2.  The counterexample is the
+    every N <= n_max.  Requires 1 <= a < m/2.  The counterexample is the
     first exponent where the expansion fails, or else the first N whose
     count is off (``left`` the count, ``right`` a*N^2).
     """
-    if not (1 <= a and 2 * a <= m):
-        raise ValueError(f"needs 1 <= a <= m/2, got a={a}, m={m}")
+    if not (1 <= a and 2 * a < m):
+        raise ValueError(f"needs 1 <= a < m/2, got a={a}, m={m}")
     if n_max < 1:
         raise ValueError("needs n_max >= 1")
     row = {"a": a, "m": m, "n_max": n_max}

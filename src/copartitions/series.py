@@ -145,20 +145,21 @@ def negated_pochhammer(c: int, m: int) -> FactorSpec:
 
 
 class ExactSeries(Record):
-    """Integer power series known exactly on exponents 0..trunc."""
+    """Integer power series known exactly on exponents 0..trunc = len(coeffs) - 1."""
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, trunc: int, coeffs: tuple[int, ...]):
-        if trunc < 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not (coeffs := tuple(coeffs)):
             raise ValueError("truncation must be >= 0")
-        if len(coeffs) != trunc + 1:
-            raise ValueError(f"need {trunc + 1} coefficients, got {len(coeffs)}")
-        _set(self, "trunc", trunc)
-        _set(self, "coeffs", tuple(coeffs))
+        _set(self, "coeffs", coeffs)
+
+    @property
+    def trunc(self) -> int:
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
-        if not 0 <= n <= self.trunc:
+        if not 0 <= n < len(self.coeffs):
             raise IndexError(f"exponent {n} outside the known range 0..{self.trunc}")
         return self.coeffs[n]
 
@@ -282,7 +283,7 @@ def expand_factors(factors: Sequence[FactorSpec], n: int) -> ExactSeries:
     coeffs = [1] + [0] * n
     for f in sorted(factors, key=lambda f: f.sign == RECIPROCAL):
         _exact_sum_factor(coeffs, f)
-    return ExactSeries(n, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 def _chain_divide(g: int, d: int) -> int:
@@ -493,7 +494,7 @@ def copartition_series(params: CpParams, n: int) -> ExactSeries:
         _scaled_add(coeffs, k)
     for k in down:
         _divide(coeffs, k)
-    return ExactSeries(n, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 def copartition_parity(params: CpParams, n: int) -> ParitySeries:

@@ -111,7 +111,7 @@ def expand_factors_chain_reference(factors, n):
             if f.sign != RECIPROCAL:
                 break
             c, m = 2 * c, 2 * m
-    return ExactSeries(n, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 def _divide(coeffs: list, k: int):
@@ -148,7 +148,7 @@ def expand_factors_folded_reference(factors, n):
             _divide(coeffs, k)
         for _ in range(-power):
             _scaled_add(coeffs, k, -1)
-    return ExactSeries(n, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 def expand_factors_mod2_reference(factors, n):
@@ -433,7 +433,7 @@ def triple_product_theta(a, m, n):
         e = a * k + m * k * (k - 1) // 2
         if e <= n:
             coeffs[e] += -1 if k % 2 else 1
-    return ExactSeries(n, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 def theta_taps(c, step, n):
@@ -472,14 +472,14 @@ def mul(x, y, n: int):
         if c:
             for j in range(n + 1 - i):
                 out[i + j] += c * y.coeffs[j]
-    return ExactSeries(n, tuple(out))
+    return ExactSeries(tuple(out))
 
 
 def truncated(x, n: int):
     """The exact or parity series ``x`` on exponents 0..n alone."""
     if hasattr(x, "bits"):
         return type(x)(n, x.bits & ((1 << (n + 1)) - 1))
-    return type(x)(n, x.coeffs[: n + 1])
+    return type(x)(x.coeffs[: n + 1])
 
 
 def sweep_reference(row: dict, indices, left, right, count_key=None) -> tuple:

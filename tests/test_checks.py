@@ -55,7 +55,7 @@ def flipped(parity: ParitySeries, k: int) -> ParitySeries:
 def bumped(series: ExactSeries, k: int) -> ExactSeries:
     coeffs = list(series.coeffs)
     coeffs[k] += 1
-    return ExactSeries(series.trunc, tuple(coeffs))
+    return ExactSeries(tuple(coeffs))
 
 
 class TestCheckResult:
@@ -140,7 +140,10 @@ class TestMaskedComparisons:
             values = range(shift, brute_max + 1, unit)
             expected = merge_reference([expected, sweep_reference(
                 {"brute_max": brute_max}, values, represented, represented)])
-        assert result_fields(even_guarantee_check(family, n, brute_max, parity)) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(copartitions.parity, "copartition_parity",
+                          lambda params, top: ParitySeries(top, parity.bits & ((2 << top) - 1)))
+            assert result_fields(even_guarantee_check(family, n, brute_max)) == expected
         expected = sweep_reference({"residue": residue, "n": n}, range(residue, n + 1, modulus),
                                    parity.bit, lambda k: 0)
         check = verify_even_progression(params, modulus, residue, n, parity)
@@ -242,11 +245,13 @@ class TestCounterexamples:
         assert check.vacuous and check.checked == 0
         assert check.rows[0]["status"] == "vacuous"
 
-    def test_flipped_bit_under_a_guarantee(self):
+    def test_flipped_bit_under_a_guarantee(self, monkeypatch):
         n = 400
         k = [j for j in range(n + 1) if even_guarantee_314(j)][5]
-        parity = flipped(copartition_parity(CpParams(3, 1, 4), n), k)
-        check = even_guarantee_check("cp314", n, parity=parity)
+        true = copartition_parity(CpParams(3, 1, 4), n)
+        monkeypatch.setattr(copartitions.parity, "copartition_parity",
+                            lambda *args: flipped(true, k))
+        check = even_guarantee_check("cp314", n)
         assert not check.passed
         assert (check.counterexample, check.left, check.right) == (k, 1, 0)
         assert check.checked == 6
@@ -306,11 +311,11 @@ class TestCounterexamples:
         assert check.rows == ({"a": 2, "b": 1, "m": 3, "n_max": n, "status": "fail",
                                "counterexample": k},)
 
-    def test_guarantee_refuses_a_negative_n(self):
-        parity = copartition_parity(CpParams(3, 1, 4), 5)
-        for supplied in (None, parity):
-            with pytest.raises(ValueError, match="needs n >= 0"):
-                even_guarantee_check("cp314", -1, parity=supplied)
+    def test_guarantee_refuses_a_negative_n(self, monkeypatch):
+        # refused before any series is built
+        monkeypatch.setattr(copartitions.parity, "copartition_parity", None)
+        with pytest.raises(ValueError, match="needs n >= 0"):
+            even_guarantee_check("cp314", -1)
 
     def test_both_parities_failure_has_no_index(self):
         check = both_parities_prefix_check(1, 2, 28, 6)

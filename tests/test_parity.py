@@ -457,8 +457,11 @@ class TestOddTermCount:
         assert odd_term_count_check(3, 8, 1)
 
     def test_rejects_a_above_half(self):
-        with pytest.raises(ValueError):
-            odd_term_count_check(2, 3, 5)
+        # at 2a = m block N starts at m*N^2/2 itself, so the window through
+        # m*N^2/2 holds a*N^2 + 1 odd exponents and the count could never match
+        for a, m in [(2, 3), (1, 2), (3, 6)]:
+            with pytest.raises(ValueError, match="needs 1 <= a < m/2"):
+                odd_term_count_check(a, m, 5)
         with pytest.raises(ValueError):
             odd_term_count_check(1, 4, 0)
 

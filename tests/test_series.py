@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from math import isqrt
 
@@ -132,7 +134,7 @@ class TestExpandFactors:
             expand_factors([], -1)
 
     def test_factor_with_start_beyond_truncation_is_identity(self):
-        assert expand_factors([pochhammer(9, 2)], 5) == ExactSeries(5, (1, 0, 0, 0, 0, 0))
+        assert expand_factors([pochhammer(9, 2)], 5) == ExactSeries((1, 0, 0, 0, 0, 0))
 
     @given(st.lists(factor_strategy, max_size=4), st.integers(0, 100))
     @settings(max_examples=60, deadline=None)
@@ -143,7 +145,7 @@ class TestExpandFactors:
     @settings(max_examples=40, deadline=None)
     def test_reciprocal_then_pochhammer_is_identity(self, c, m, n):
         got = expand_factors([reciprocal(c, m), pochhammer(c, m)], n)
-        assert got == ExactSeries(n, (1,) + (0,) * n)
+        assert got == ExactSeries((1,) + (0,) * n)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 150))
     @settings(max_examples=40, deadline=None)
@@ -333,7 +335,7 @@ class TestExactPassCount:
 
     def test_cancelled_factors_give_one(self):
         n = 500
-        one = ExactSeries(n, (1,) + (0,) * n)
+        one = ExactSeries((1,) + (0,) * n)
         assert expand_factors([reciprocal(2, 3), pochhammer(2, 3)] * 3, n) == one
         assert expand_factors(copartition_factors(CpParams(2, 2, 2)), n) == \
             expand_factors([reciprocal(2, 2), reciprocal(2, 2), pochhammer(4, 2)], n)
@@ -823,7 +825,7 @@ class TestThetaSeries:
         n = 7
         theta = triple_product_theta(1, 2, n)
         inverse = expand_factors([reciprocal(1, 2), reciprocal(1, 2), reciprocal(2, 2)], n)
-        assert mul(theta, inverse, n) == ExactSeries(n, (1,) + (0,) * n)
+        assert mul(theta, inverse, n) == ExactSeries((1,) + (0,) * n)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 120))
     @settings(max_examples=30, deadline=None)
@@ -856,7 +858,7 @@ class TestThetaSeries:
                 coeffs = [0] * (n + 1)
                 for e, sign in series_module._signed_terms(a, m, n):
                     coeffs[e] += sign
-                assert ExactSeries(n, tuple(coeffs)) == triple_product_theta(a, m, n), (a, m)
+                assert ExactSeries(tuple(coeffs)) == triple_product_theta(a, m, n), (a, m)
 
     @given(theta_products())
     @example((3, 6, copartition_factors(CpParams(3, 3, 6)), 500))     # 2a = m: theta is 1 mod 2
@@ -899,8 +901,8 @@ class TestPentagonalSupport:
 
 class TestMulAndReduce:
     def test_difference_of_squares(self):
-        x = ExactSeries(2, (1, 1, 0))
-        y = ExactSeries(2, (1, -1, 0))
+        x = ExactSeries((1, 1, 0))
+        y = ExactSeries((1, -1, 0))
         assert mul(x, y, 2).coeffs == (1, 0, -1)
 
     def test_inverse_pair_parity(self):
@@ -911,16 +913,16 @@ class TestMulAndReduce:
 
     def test_truncation_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
-            mul(ExactSeries(5, (1, 0, 0, 0, 0, 0)), ExactSeries(6, (1, 0, 0, 0, 0, 0, 0)), 5)
+            mul(ExactSeries((1, 0, 0, 0, 0, 0)), ExactSeries((1, 0, 0, 0, 0, 0, 0)), 5)
         with pytest.raises(ValueError):
-            mul(ExactSeries(5, (1, 0, 0, 0, 0, 0)), ExactSeries(5, (1, 0, 0, 0, 0, 0)), 6)
+            mul(ExactSeries((1, 0, 0, 0, 0, 0)), ExactSeries((1, 0, 0, 0, 0, 0)), 6)
 
     def test_kind_mismatch_is_an_error(self):
         with pytest.raises(TypeError):
-            mul(ExactSeries(5, (1, 0, 0, 0, 0, 0)), ParitySeries(5, 1), 5)
+            mul(ExactSeries((1, 0, 0, 0, 0, 0)), ParitySeries(5, 1), 5)
 
     def test_reduce_examples(self):
-        assert reduce_mod2(ExactSeries(2, (1, 2, 3))).bits == 0b101
+        assert reduce_mod2(ExactSeries((1, 2, 3))).bits == 0b101
         assert reduce_mod2(copartition_series(CpParams(2, 1, 3), 9)).bit(9) == 1
         assert reduce_mod2(self_conjugate_series(1, 2, 12)).bit(12) == 0
 
@@ -929,7 +931,7 @@ class TestMulAndReduce:
     @example([-1, -2, -3, 4, -(1 << 89) - 1])
     @settings(max_examples=60, deadline=None)
     def test_reduce_is_the_parity_of_each_coefficient(self, coeffs):
-        got = reduce_mod2(ExactSeries(len(coeffs) - 1, tuple(coeffs)))
+        got = reduce_mod2(ExactSeries(tuple(coeffs)))
         assert got.bits == sum((c & 1) << i for i, c in enumerate(coeffs))
 
     @given(
@@ -941,8 +943,8 @@ class TestMulAndReduce:
         n = max(len(xs), len(ys)) - 1
         xs = xs + [0] * (n + 1 - len(xs))
         ys = ys + [0] * (n + 1 - len(ys))
-        x = ExactSeries(n, tuple(xs))
-        y = ExactSeries(n, tuple(ys))
+        x = ExactSeries(tuple(xs))
+        y = ExactSeries(tuple(ys))
         assert reduce_mod2(mul(x, y, n)) == mul(reduce_mod2(x), reduce_mod2(y), n)
 
 
@@ -997,10 +999,35 @@ class TestReversedBits:
 
 class TestSeriesTypes:
     def test_exact_series_validation(self):
-        with pytest.raises(ValueError):
-            ExactSeries(-1, ())
-        with pytest.raises(ValueError):
-            ExactSeries(2, (1, 2))
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            ExactSeries(())
+
+    @given(st.lists(st.integers(-(1 << 70), 1 << 70) | st.integers(-3, 3), min_size=1,
+                    max_size=40),
+           st.integers(0, 30), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+           st.lists(factor_strategy, max_size=3))
+    @example([0], 0, 1, 1, 1, [])
+    @settings(max_examples=60, deadline=None)
+    def test_the_coefficients_are_the_whole_series(self, coeffs, n, a, b, m, factors):
+        """The truncation, indexing, equality, hash and copies of an exact
+        series follow from its coefficients, and every builder's series at n
+        has truncation n."""
+        s = ExactSeries(coeffs)
+        assert s.coeffs == tuple(coeffs) and s.trunc == len(coeffs) - 1
+        for k in (-1, len(coeffs)):
+            with pytest.raises(IndexError) as err:
+                s[k]
+            assert str(err.value) == f"exponent {k} outside the known range 0..{s.trunc}"
+        assert s[s.trunc] == coeffs[-1]
+        twin = ExactSeries(tuple(coeffs))
+        assert twin == s and hash(twin) == hash(s) == hash((tuple(coeffs),))
+        assert ExactSeries(coeffs[:-1] + [coeffs[-1] + 1]) != s
+        assert ExactSeries(coeffs + [0]) != s            # a longer series knows more exponents
+        for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert again == s and again.trunc == s.trunc
+        for built in (copartition_series(CpParams(a, b, m), n), expand_factors(factors, n),
+                      self_conjugate_series(a, m, n)):
+            assert built.trunc == n and len(built.coeffs) == n + 1
 
     def test_parity_series_validation(self):
         with pytest.raises(ValueError):
@@ -1009,7 +1036,7 @@ class TestSeriesTypes:
             ParitySeries(1, -1)
 
     def test_indexing_bounds(self):
-        s = ExactSeries(3, (1, 0, 0, 0))
+        s = ExactSeries((1, 0, 0, 0))
         with pytest.raises(IndexError):
             s[4]
         p = ParitySeries(3, 1)
