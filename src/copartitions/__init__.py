@@ -55,7 +55,6 @@ from .parity import (
     oracle_check,
     parity_gf_check,
     progression_check,
-    progression_family,
     self_conjugate_check,
     theta_product_identity_check,
     verify_even_progression,

@@ -44,25 +44,28 @@ X2_PLUS_3Y2 = "x2_3y2"
 class CheckResult(Record):
     """Outcome of one verification.
 
-    ``checked`` counts the indices the check actually tested; a check that
-    tested none is ``vacuous``.  ``status``, the word each row and the CLI's
-    verdict print, is "fail" unless it passed, else "vacuous" or "pass".  On
-    failure ``counterexample`` is the first failing index and ``left`` and
-    ``right`` are the values the two sides of the claim take there.
-    ``rows`` are the report rows, one per check, in the shape the CLI prints
-    them.
+    ``checked`` counts the indices (sizes or exponents, unless a check says
+    otherwise) a check tested, through the first failing one; it fails
+    exactly when it names that ``counterexample`` (``passed`` is derived),
+    and ``left`` and ``right`` are the claim's two sides there.  None tested
+    is ``vacuous``.  ``status``, which each row and the CLI's verdict print,
+    is "fail" unless it passed, else "vacuous" or "pass".  ``rows`` are the
+    report rows, one per check, as the CLI prints them.
     """
 
-    __slots__ = ("passed", "checked", "counterexample", "left", "right", "rows")
+    __slots__ = ("checked", "counterexample", "left", "right", "rows")
 
-    def __init__(self, passed: bool, checked: int = 0, counterexample: int | None = None,
+    def __init__(self, checked: int = 0, counterexample: int | None = None,
                  left: object = None, right: object = None, rows: tuple[dict, ...] = ()):
-        _set(self, "passed", passed)
         _set(self, "checked", checked)
         _set(self, "counterexample", counterexample)
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "rows", rows)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None      # index 0 is a real counterexample
 
     @property
     def vacuous(self) -> bool:
@@ -83,7 +86,7 @@ def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None
     ``count_key`` if given, then the status and the counterexample."""
     if count_key:
         row[count_key] = checked
-    result = CheckResult(bad is None, checked, bad, left, right, (row,))
+    result = CheckResult(checked, bad, left, right, (row,))
     row.update(status=result.status, counterexample=bad)
     return result
 
@@ -134,14 +137,13 @@ def _parity_through(params: CpParams, n: int, parity: ParitySeries | None) -> Pa
 
 
 def merge_checks(results: Iterable[CheckResult]) -> CheckResult:
-    """One result for a sweep: it passes when all pass, reports the first
-    counterexample, concatenates the rows, and is vacuous when nothing was
-    checked."""
+    """One result for a sweep: the first failing result's counterexample and
+    values (so it passes when all pass), the checked counts summed, and the
+    rows concatenated; vacuous when nothing was checked."""
     results = list(results)
-    first = next((r for r in results if r.counterexample is not None), CheckResult(True))
-    checked = sum(r.checked for r in results)
-    return CheckResult(all(results), checked, first.counterexample, first.left, first.right,
-                       tuple(row for r in results for row in r.rows))
+    first = next((r for r in results if not r.passed), CheckResult())
+    return CheckResult(sum(r.checked for r in results), first.counterexample, first.left,
+                       first.right, tuple(row for r in results for row in r.rows))
 
 
 def is_prime(n: int) -> bool:
@@ -275,7 +277,7 @@ def _restricted_form(n: int) -> bool:
 def form_equivalence_check(n: int) -> CheckResult:
     """For n congruent to 1 mod 6: n = A^2 + 3B^2 is solvable exactly when
     4n = u^2 + 3v^2 is solvable with u and v both coprime to 6.  Both sides
-    are decided by brute search; passes when they agree."""
+    are decided by brute search, as ``left`` and ``right``, at the one index n."""
     if n < 1 or n % 6 != 1:
         raise ValueError("needs n >= 1 with n congruent to 1 mod 6")
     return _sweep({"n": n}, (n,), lambda k: brute_force_representable(k, X2_PLUS_3Y2),
@@ -284,26 +286,28 @@ def form_equivalence_check(n: int) -> CheckResult:
 
 def form_equivalence_sweep_check(n_max: int) -> CheckResult:
     """``form_equivalence_check`` at every n congruent to 1 mod 6 up to
-    n_max, reporting the first disagreement; each side is one brute search
-    that marks the values up to n_max its form represents, and the two are
-    compared as packed bits under the mask of 1 mod 6 (``left`` and ``right``
-    are the two bits at a counterexample)."""
-    top = max(n_max, 0)
-    direct = bytearray(top + 1)
-    threes = [3 * b * b for b in range(isqrt(top // 3) + 1)]
-    for a in range(isqrt(top) + 1):
-        square = a * a                  # b up to isqrt((top - a^2) / 3)
-        for t in threes[:isqrt((top - square) // 3) + 1]:
+    n_max, the indices checked; each side is one brute search that marks
+    the values up to n_max its form represents, and the two are compared as
+    packed bits under the mask of 1 mod 6 (``left`` and ``right`` are the
+    two bits at a counterexample)."""
+    if n_max < 0:
+        raise ValueError("needs n_max >= 0")
+    direct = bytearray(n_max + 1)
+    threes = [3 * b * b for b in range(isqrt(n_max // 3) + 1)]
+    for a in range(isqrt(n_max) + 1):
+        square = a * a                  # b up to isqrt((n_max - a^2) / 3)
+        for t in threes[:isqrt((n_max - square) // 3) + 1]:
             direct[square + t] = 1
-    coprime = [u for u in range(isqrt(4 * top) + 1) if u % 6 in (1, 5)]
+    coprime = [u for u in range(isqrt(4 * n_max) + 1) if u % 6 in (1, 5)]
     threes = [3 * v * v for v in coprime]
-    restricted = bytearray(top + 1)
+    restricted = bytearray(n_max + 1)
     for u in coprime:
-        square = u * u                  # v up to isqrt((4 top - u^2) / 3)
-        for t in threes[:bisect_right(coprime, isqrt((4 * top - square) // 3))]:
+        square = u * u                  # v up to isqrt((4 n_max - u^2) / 3)
+        for t in threes[:bisect_right(coprime, isqrt((4 * n_max - square) // 3))]:
             restricted[(square + t) // 4] = 1
     return _compare(ParitySeries.from_values(direct), ParitySeries.from_values(restricted),
-                    {"n_max": n_max}, ParitySeries(top, _progression_bits(1, 6, top)), "checked")
+                    {"n_max": n_max}, ParitySeries(n_max, _progression_bits(1, 6, n_max)),
+                    "checked")
 
 
 # family tag -> (unit, shift, parameters, form): the family's count at k is
@@ -342,13 +346,13 @@ def even_guarantee_516(n: int) -> bool:
 
 def even_guarantee_check(family: str, n: int, brute_max: int | None = None) -> CheckResult:
     """The family's count is even at every k <= n its guarantee covers
-    (``even_guarantee_314`` or ``even_guarantee_516``); ``checked`` counts
-    those k.  With ``brute_max``, also compares the sieve's verdict with
-    brute search on every value unit*k + shift <= brute_max; a
-    disagreement's counterexample is that value."""
+    (``even_guarantee_314`` or ``even_guarantee_516``): ``checked`` counts
+    those k, ``left`` is the parity bit and ``right`` 0.  With ``brute_max``,
+    also checks the sieve's verdict (``left``) against brute search on every
+    value unit*k + shift <= brute_max, which is then the index."""
     unit, shift, params, form = _family(family)
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    if n < 0 or brute_max is not None and brute_max < 0:
+        raise ValueError("needs n >= 0 and brute_max >= 0")
     parity = copartition_parity(params, n)
     count = n + 1 if brute_max is None else max(n + 1, (brute_max - shift) // unit + 1)
     flags = b"".join(_sieve(form, unit, shift, count))
@@ -363,8 +367,8 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None) -> C
 
 
 class ProgressionFamily(Record):
-    """One prime's worth of guaranteed-even arithmetic progressions:
-    residues r mod p^2 with the family count even on r, r+p^2, r+2p^2, ...
+    """One prime's worth of guaranteed-even arithmetic progressions: the
+    residues r mod p^2 with the family count always even on r, r+p^2, ...
 
     p must be a prime of the bad class of the family's form that does not
     divide the unit, so that ``delta``, the inverse of the unit mod p^2,
@@ -399,17 +403,13 @@ class ProgressionFamily(Record):
         return tuple(sorted((self.p * t - shift * delta) % self.modulus for t in range(1, self.p)))
 
 
-def progression_family(family: str, p: int) -> ProgressionFamily:
-    """Residue classes mod p^2 on which the family's count is always even
-    (see ``ProgressionFamily`` for the primes each family takes)."""
-    return ProgressionFamily(family, p)
-
-
 def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int,
                             parity: ParitySeries | None = None) -> CheckResult:
-    """Confirm the parity bit is 0 at every index congruent to ``residue``
-    mod ``modulus`` up to n: one packed comparison under the mask of that
-    class.  A range with no such index reports vacuous."""
+    """Confirm the parity bit (``left``; ``right`` is 0) is 0 at every index
+    congruent to ``residue`` mod ``modulus`` up to n, each one checked, by
+    one packed comparison under the mask of that class."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
     row = {"residue": residue, "n": n}
@@ -422,14 +422,16 @@ def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int
 
 def progression_check(family: str, p: int, n: int) -> CheckResult:
     """``verify_even_progression`` on every residue class of
-    ``progression_family(family, p)`` up to n, after a row describing the
-    family; the classes share one parity series, and each builds its mask
-    in O(log n) big-int operations."""
-    fam = progression_family(family, p)
+    ``ProgressionFamily(family, p)`` up to n, after a row describing the
+    family, merged by ``merge_checks``; the classes share one parity series,
+    and each builds its mask in O(log n) big-int operations."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
+    fam = ProgressionFamily(family, p)
     parity = copartition_parity(fam.params, n)
     header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,
               "delta": fam.delta, "residues": list(fam.residues)}
-    return merge_checks([CheckResult(True, rows=(header,))] + [
+    return merge_checks([CheckResult(rows=(header,))] + [
         verify_even_progression(fam.params, fam.modulus, r, n, parity) for r in fam.residues])
 
 
@@ -504,7 +506,8 @@ def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
 
 def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     """Mod 2, the (a, m-a, m) counting series times the signed theta series
-    of its denominator equals the indicator of {m * k * (3k - 1)} through n."""
+    of its denominator (``left``) equals the indicator of {m * k * (3k - 1)}
+    (``right``) through n."""
     if not 1 <= a < m:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
     if n < 0:
@@ -513,8 +516,10 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
 
 
 def parity_gf_check(a: int, m: int, n: int) -> CheckResult:
-    """The exact (a, a, m) counting series reduced mod 2 equals the parity of
-    the self-conjugate series (-q^(m+2a); q^(2m)) through n."""
+    """The exact (a, a, m) counting series mod 2 (``left``) equals the parity
+    of the self-conjugate series (-q^(m+2a); q^(2m)) (``right``) through n."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
     left = reduce_mod2(copartition_series(CpParams(a, a, m), n))
     return _compare(left, self_conjugate_parity(a, m, n), {"a": a, "m": m, "n": n})
 
@@ -524,6 +529,8 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     as many as the self-conjugate series says, and each one survives the
     round trip through its hook sizes.  At a counterexample ``left`` is the
     enumerated count and ``right`` the coefficient."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
     series = self_conjugate_series(a, m, n)
     params = CpParams(a, a, m)
     found = [[] for _ in range(n + 1)]
@@ -544,6 +551,8 @@ def oracle_check(params: CpParams, n: int) -> CheckResult:
     parity series is those coefficients mod 2.  At a counterexample ``left``
     and ``right`` are the count and the coefficient, or, when all counts
     agree, the packed bit and the coefficient's."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
     series, counts = copartition_series(params, n), size_counts(params, n)
     row = {"a": params.a, "b": params.b, "m": params.m, "n_max": n}
     check = _sweep(dict(row), range(n + 1), counts.__getitem__, series.__getitem__)
@@ -560,8 +569,9 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     Verifies that expansion bit for bit against the series product, then
     checks that exponents 0..floor(m*N^2/2) hold exactly a*N^2 odd terms for
     every N <= n_max.  Requires 1 <= a < m/2.  The counterexample is the
-    first exponent where the expansion fails, or else the first N whose
-    count is off (``left`` the count, ``right`` a*N^2).
+    first exponent where the expansion fails (``left`` the product's bit,
+    ``right`` the blocks'), or else the first N whose count is off, checked
+    after all the exponents (``left`` the count, ``right`` a*N^2).
     """
     if not (1 <= a and 2 * a < m):
         raise ValueError(f"needs 1 <= a < m/2, got a={a}, m={m}")
@@ -590,17 +600,18 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
 
 
 def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> CheckResult:
-    """Both parities occur at least ``witness_min`` times among the
-    (a, m-a, m) counts at indices 0..n."""
+    """Both parities occur at least ``witness_min`` (``right``) times among the
+    (a, m-a, m) counts at indices 0..n, all checked; else the counterexample
+    is n and ``left`` the count of the scarcer parity."""
     if not 1 <= a < m:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
     if witness_min < 0 or n < 0:
         raise ValueError("needs n >= 0 and witness_min >= 0")
-    parity = copartition_parity(CpParams(a, m - a, m), n)
-    odd = parity.bits.bit_count()
-    even = (n + 1) - odd
+    odd = copartition_parity(CpParams(a, m - a, m), n).bits.bit_count()
+    scarcer = min(odd, n + 1 - odd)
     row = {"a": a, "m": m, "n": n, "witness_min": witness_min}
-    result = CheckResult(odd >= witness_min and even >= witness_min, n + 1, rows=(row,))
+    failure = (n, scarcer, witness_min) if scarcer < witness_min else ()
+    result = CheckResult(n + 1, *failure, rows=(row,))
     row["status"] = result.status
     return result
 
@@ -609,10 +620,11 @@ ENUMERABLE_CRANK_SIZES = (4, 9, 14, 19, 24)
 
 
 def andrews_mod5_check(n: int, enum_sizes: Iterable[int]) -> CheckResult:
-    """The (1, 1, 2) count at 5k+4 is divisible by 5 for all 5k+4 <= n
-    (checked on the exact path), and the crank is equidistributed mod 5 at
-    each requested enumerable size.  A congruence counterexample carries the
-    count mod 5 as ``left``; a crank one is the size."""
+    """The (1, 1, 2) count at 5k+4 is divisible by 5 for all 5k+4 <= n, on the
+    exact path (``left`` the count mod 5, ``right`` 0), and the crank is
+    equidistributed mod 5 at each requested enumerable size, one index each:
+    the size, with ``left`` and ``right`` the fewest and the most copartitions
+    in one crank class mod 5, where an absent class counts 0."""
     sizes = tuple(enum_sizes)
     if not set(sizes) <= set(ENUMERABLE_CRANK_SIZES):
         raise ValueError(f"enumerable sizes are {ENUMERABLE_CRANK_SIZES}, got {sizes}")
@@ -622,8 +634,9 @@ def andrews_mod5_check(n: int, enum_sizes: Iterable[int]) -> CheckResult:
     results = [_sweep({"n": n}, range(4, n + 1, 5), lambda k: series[k] % 5, lambda k: 0)]
     for s in sizes:
         dist = crank_distribution(CpParams(1, 1, 2), s, 5)
-        uniform = set(dist) == set(range(5)) and len(set(dist.values())) == 1
+        counts = [dist.get(r, 0) for r in range(5)]
         row = {"size": s, "distribution": {str(k): v for k, v in dist.items()}}
-        results.append(crank := CheckResult(uniform, 1, None if uniform else s, rows=(row,)))
+        failure = () if 0 < min(counts) == max(counts) else (s, min(counts), max(counts))
+        results.append(crank := CheckResult(1, *failure, rows=(row,)))
         row["status"] = crank.status
     return merge_checks(results)

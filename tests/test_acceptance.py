@@ -18,6 +18,7 @@ import pytest
 
 from copartitions import (
     CpParams,
+    ProgressionFamily,
     andrews_mod5_check,
     both_parities_prefix_check,
     brute_force_representable,
@@ -37,7 +38,6 @@ from copartitions import (
     lacunary_odd_support_check,
     odd_term_count_check,
     pentagonal_support,
-    progression_family,
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
@@ -274,7 +274,7 @@ def test_criterion_10_even_guarantees_314():
         if even_guarantee_314(n):
             assert parity.bit(n) == 0, n
     for p in (7, 11):
-        family = progression_family("cp314", p)
+        family = ProgressionFamily("cp314", p)
         assert family.residues == PROGRESSION_RESIDUES[("cp314", p)]
         for r in family.residues:
             check = verify_even_progression(family.params, family.modulus, r, 12100, parity)
@@ -291,7 +291,7 @@ def test_criterion_11_even_guarantees_516():
         if even_guarantee_516(n):
             assert parity.bit(n) == 0, n
     for p in (5, 11):
-        family = progression_family("cp516", p)
+        family = ProgressionFamily("cp516", p)
         assert family.residues == PROGRESSION_RESIDUES[("cp516", p)]
         for r in family.residues:
             check = verify_even_progression(family.params, family.modulus, r, 12100, parity)

@@ -1,13 +1,16 @@
 """The CheckResult contract: what each check tested, where it failed, the
 rows the CLI prints, and the vacuous verdict of runs that tested nothing."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from functools import cache
 from math import gcd, isqrt
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,21 +22,25 @@ from copartitions import (
     CpParams,
     ExactSeries,
     ParitySeries,
+    ProgressionFamily,
+    X2_PLUS_3Y2,
     andrews_mod5_check,
     both_parities_prefix_check,
+    brute_force_representable,
     cli,
     copartition_parity,
     copartition_series,
     enumerate_copartitions,
     even_guarantee_314,
+    even_guarantee_516,
     even_guarantee_check,
     form_equivalence_sweep_check,
     lacunary_odd_support_check,
     merge_checks,
+    odd_term_count_check,
     oracle_check,
     parity_gf_check,
     progression_check,
-    progression_family,
     self_conjugate_check,
     self_conjugate_series,
     theta_product_identity_check,
@@ -60,13 +67,16 @@ def bumped(series: ExactSeries, k: int) -> ExactSeries:
 
 class TestCheckResult:
     def test_truth_is_the_verdict(self):
-        assert CheckResult(passed=True, checked=3)
-        assert not CheckResult(passed=False, checked=3, counterexample=2)
+        # passed is derived: a result fails exactly when it names a counterexample
+        assert CheckResult(checked=3) and CheckResult(checked=3).passed
+        assert not CheckResult(checked=3, counterexample=2)
+        assert not CheckResult(checked=1, counterexample=0).passed     # index 0 is real
+        assert isinstance(CheckResult.passed, property) and "passed" not in CheckResult.__slots__
 
     def test_merge_keeps_the_first_counterexample(self):
-        ok = CheckResult(True, checked=4, rows=({"x": 1},))
-        bad1 = CheckResult(False, checked=2, counterexample=7, left=1, right=0, rows=({"x": 2},))
-        bad2 = CheckResult(False, checked=5, counterexample=3, left=0, right=1, rows=({"x": 3},))
+        ok = CheckResult(checked=4, rows=({"x": 1},))
+        bad1 = CheckResult(checked=2, counterexample=7, left=1, right=0, rows=({"x": 2},))
+        bad2 = CheckResult(checked=5, counterexample=3, left=0, right=1, rows=({"x": 3},))
         merged = merge_checks([ok, bad1, bad2])
         assert not merged.passed and not merged.vacuous
         assert (merged.counterexample, merged.left, merged.right) == (7, 1, 0)
@@ -76,16 +86,16 @@ class TestCheckResult:
     def test_merge_of_nothing_is_vacuous(self):
         merged = merge_checks([])
         assert merged.passed and merged.vacuous and merged.checked == 0
-        merged = merge_checks([CheckResult(True, 0), CheckResult(True, 0)])
+        merged = merge_checks([CheckResult(0), CheckResult(0)])
         assert merged.passed and merged.vacuous
 
     def test_vacuous_is_nothing_checked(self):
         # the default result checked nothing, so it cannot read as a plain pass
-        assert CheckResult(True).vacuous is True
-        assert CheckResult(True, checked=1).vacuous is False
+        assert CheckResult().vacuous is True
+        assert CheckResult(checked=1).vacuous is False
         # the one status rule: a failure is "fail" even when nothing was checked
-        cases = [(True, 0), (True, 1), (False, 0), (False, 1)]
-        assert [CheckResult(passed, checked).status for passed, checked in cases] == \
+        cases = [(0, None), (1, None), (0, 0), (1, 0)]
+        assert [CheckResult(checked, bad).status for checked, bad in cases] == \
             ["vacuous", "pass", "fail", "fail"]
 
 
@@ -204,7 +214,7 @@ class TestPackedProgressions:
     @example(("cp516", 5), 8, (0, 0))       # every class vacuous
     def test_progression_check_is_the_per_residue_rule(self, progression, n, flip):
         family, p = progression
-        fam = progression_family(family, p)
+        fam = ProgressionFamily(family, p)
         parity = copartition_parity(fam.params, n)
         if flip is not None:                # one bit on a residue class, if it is <= n
             r = fam.residues[flip[0] % len(fam.residues)]
@@ -223,7 +233,7 @@ class TestPackedProgressions:
             [(True, 0, None, None, None, (header,))] + expected)
 
     def test_lemma13_is_the_per_index_rule(self):
-        for n_max in range(-2, 301):
+        for n_max in range(301):
             assert result_fields(form_equivalence_sweep_check(n_max)) == \
                 lemma13_reference(n_max), n_max
 
@@ -317,9 +327,217 @@ class TestCounterexamples:
         with pytest.raises(ValueError, match="needs n >= 0"):
             even_guarantee_check("cp314", -1)
 
-    def test_both_parities_failure_has_no_index(self):
+    def test_both_parities_failure_names_n(self):
+        # (1, 1, 2) through 28 has 5 odd counts: the scarcer parity, below 6
         check = both_parities_prefix_check(1, 2, 28, 6)
-        assert not check.passed and check.counterexample is None and check.checked == 29
+        assert not check.passed and check.checked == 29
+        assert (check.counterexample, check.left, check.right) == (28, 5, 6)
+
+
+class Corruption(NamedTuple):
+    """A check run with ``copartitions.parity.<name>`` replaced by ``patched``,
+    whose result is wrong at index k: the run must fail at k, with ``checked``,
+    ``left`` and ``right`` as the check's docstring defines them, and so must
+    ``verify`` with ``argv``, where the check is a CLI target."""
+    argv: list[str] | None
+    run: Callable
+    name: str
+    patched: Callable
+    k: int
+    checked: int
+    left: object
+    right: object
+
+
+def wrapped(name, change):
+    # the real copartitions.parity.<name>, its result passed through change
+    real = getattr(copartitions.parity, name)
+    return lambda *args: change(real(*args))
+
+
+def corrupt_selfconj(draw):
+    n = draw(st.integers(0, 30))
+    k = draw(st.integers(0, n))
+    true = self_conjugate_series(1, 2, n)
+    return Corruption(["selfconj", "--amax", "1", "--mmax", "2", "--nmax", str(n)],
+                      lambda: self_conjugate_check(1, 2, n), "self_conjugate_series",
+                      lambda *_: bumped(true, k), k, k + 1, true[k], true[k] + 1)
+
+
+def corrupt_parity_gf(draw):
+    n = draw(st.integers(0, 300))
+    k = draw(st.integers(0, n))
+    true = copartition_series(CpParams(1, 1, 2), n)
+    return Corruption(["parity-gf", "--amax", "1", "--mmax", "2", "--N", str(n)],
+                      lambda: parity_gf_check(1, 2, n), "copartition_series",
+                      lambda *_: bumped(true, k), k, k + 1, (true[k] + 1) % 2, true[k] % 2)
+
+
+def corrupt_theta_product(argv, check, m):
+    # eq4 and lacunary: the product's bit at k flipped; right is the indicator of {m*j*(3j - 1)}
+    def corrupt(draw):
+        n = draw(st.integers(0, 600))
+        k = draw(st.integers(0, n))
+        right = int(any(m * j * (3 * j - 1) == k for j in range(-k - 1, k + 2)))
+        return Corruption([*argv, "--N", str(n)], lambda: check(n), "_theta_times_mod2",
+                          wrapped("_theta_times_mod2", lambda s: flipped(s, k)), k, k + 1,
+                          1 - right, right)
+    return corrupt
+
+
+def corrupt_progression(draw):
+    fam = ProgressionFamily("cp314", 7)
+    r = draw(st.sampled_from(fam.residues))
+    n = draw(st.integers(r, 1500))
+    j = draw(st.integers(0, (n - r) // fam.modulus))
+    k = r + fam.modulus * j
+    others = sum(len(range(s, n + 1, fam.modulus)) for s in fam.residues if s != r)
+    return Corruption(["progression", "--family", "cp314", "--p", "7", "--N", str(n)],
+                      lambda: progression_check("cp314", 7, n), "copartition_parity",
+                      wrapped("copartition_parity", lambda s: flipped(s, k)), k,
+                      others + j + 1, 1, 0)
+
+
+def corrupt_lemma13(draw):
+    # both sides are built inside the check, so the direct side is flipped on its way to _compare
+    n_max = draw(st.integers(1, 600))
+    k = draw(st.sampled_from(range(1, n_max + 1, 6)))
+    real = copartitions.parity._compare
+    right = int(brute_force_representable(k, X2_PLUS_3Y2))
+    return Corruption(["lemma13", "--Nmax", str(n_max)],
+                      lambda: form_equivalence_sweep_check(n_max), "_compare",
+                      lambda left, *rest: real(flipped(left, k), *rest), k, (k - 1) // 6 + 1,
+                      1 - right, right)
+
+
+def corrupt_guarantee(family, guaranteed):
+    def corrupt(draw):
+        n = draw(st.integers(60, 400))
+        covered = [j for j in range(n + 1) if guaranteed(j)]
+        k = draw(st.sampled_from(covered))
+        return Corruption([f"guarantees-{family[2:]}", "--N", str(n)],
+                          lambda: even_guarantee_check(family, n), "copartition_parity",
+                          wrapped("copartition_parity", lambda s: flipped(s, k)), k,
+                          covered.index(k) + 1, 1, 0)
+    return corrupt
+
+
+def corrupt_both_parities(draw):
+    # every count even: the scarcer parity, odd, occurs 0 times, below the default witness_min
+    n = draw(st.integers(0, 400))
+    return Corruption(["both-parities", "--a", "1", "--m", "4", "--N", str(n)],
+                      lambda: both_parities_prefix_check(1, 4, n, 10), "copartition_parity",
+                      lambda params, top: ParitySeries(top, 0), n, n + 1, 0, 10)
+
+
+def corrupt_andrews(draw):
+    n = draw(st.integers(4, 600))
+    j = draw(st.integers(0, (n - 4) // 5))
+    k = 5 * j + 4
+    true = copartition_series(CpParams(1, 1, 2), n)
+    return Corruption(["andrews", "--N", str(n)], lambda: andrews_mod5_check(n, (4, 9, 14)),
+                      "copartition_series", lambda *_: bumped(true, k), k, j + 1 + 3,
+                      (true[k] + 1) % 5, 0)
+
+
+def corrupt_oracle(draw):
+    n = draw(st.integers(0, 25))
+    k = draw(st.integers(0, n))
+    true = copartition_series(CpParams(1, 1, 1), n)
+    return Corruption(["oracle", "--amax", "1", "--bmax", "1", "--mmax", "1", "--nmax", str(n)],
+                      lambda: oracle_check(CpParams(1, 1, 1), n), "copartition_series",
+                      lambda *_: bumped(true, k), k, k + 1, true[k], true[k] + 1)
+
+
+def corrupt_odd_term(draw):
+    a, m = 1, 3
+    n_max = draw(st.integers(1, 6))
+    k = draw(st.integers(0, m * n_max * n_max // 2))
+    starts = [m * j * (j + 1) // 2 - a * j for j in range(k + 1)]
+    right = int(any(start <= k < start + a * (2 * j + 1) for j, start in enumerate(starts)))
+    return Corruption(None, lambda: odd_term_count_check(a, m, n_max), "_theta_times_mod2",
+                      wrapped("_theta_times_mod2", lambda s: flipped(s, k)), k, k + 1,
+                      1 - right, right)
+
+
+# each verify target, and odd_term_count_check, with one corrupted input
+CORRUPTIONS = {
+    "selfconj": corrupt_selfconj,
+    "parity-gf": corrupt_parity_gf,
+    "eq4": corrupt_theta_product(["eq4", "--a", "1", "--m", "4"],
+                                 lambda n: theta_product_identity_check(1, 4, n), 4),
+    "lacunary": corrupt_theta_product(["lacunary", "--a", "3"],
+                                      lambda n: lacunary_odd_support_check(3, n), 6),
+    "progression": corrupt_progression,
+    "lemma13": corrupt_lemma13,
+    "guarantees-314": corrupt_guarantee("cp314", even_guarantee_314),
+    "guarantees-516": corrupt_guarantee("cp516", even_guarantee_516),
+    "both-parities": corrupt_both_parities,
+    "andrews": corrupt_andrews,
+    "oracle": corrupt_oracle,
+    "odd_term_count_check": corrupt_odd_term,
+}
+
+
+def test_the_corruption_table_covers_every_target():
+    assert CORRUPTIONS.keys() - {"odd_term_count_check"} == cli.TARGETS.keys()
+
+
+@pytest.mark.parametrize("target", list(CORRUPTIONS))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_a_corrupted_input_fails_where_it_was_corrupted(target, data):
+    case = CORRUPTIONS[target](data.draw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(copartitions.parity, case.name, case.patched)
+        check = case.run()
+        assert (check.passed, check.counterexample, check.checked, check.left, check.right) == \
+            (False, case.k, case.checked, case.left, case.right)
+        if case.argv is not None:
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["verify", *case.argv]) == 1
+            assert out.getvalue().splitlines()[-1] == "FAIL"
+
+
+def test_a_skewed_crank_fails_at_its_size(monkeypatch):
+    # left and right are the fewest and the most copartitions in one class; an absent class is 0
+    real = copartitions.parity.crank_distribution
+    skewed = {9: {0: 3, 1: 5, 2: 4, 3: 4, 4: 4}, 14: {0: 15, 1: 15, 2: 15, 3: 15}}
+    monkeypatch.setattr(copartitions.parity, "crank_distribution",
+                        lambda params, size, mod: skewed.get(size) or real(params, size, mod))
+    for sizes, failure in [((4, 9), (9, 3, 5)), ((4, 14, 9), (14, 0, 15))]:
+        check = andrews_mod5_check(20, sizes)
+        assert (check.counterexample, check.left, check.right) == failure
+        assert not check.passed and check.checked == 4 + len(sizes)     # 4, 9, 14 and 19
+        assert [row["status"] for row in check.rows[1:]] == \
+            ["pass" if size == 4 else "fail" for size in sizes]
+
+
+# check -> its arguments with one size negative, and the argument the refusal names
+NEGATIVE_SIZES = [
+    ("form_equivalence_check", (-5,), "n"),
+    ("form_equivalence_sweep_check", (-1,), "n_max"),
+    ("even_guarantee_check", ("cp314", -1), "n"),
+    ("even_guarantee_check", ("cp314", 10, -7), "brute_max"),
+    ("verify_even_progression", (CpParams(3, 1, 4), 4, 0, -1), "n"),
+    ("progression_check", ("cp314", 7, -1), "n"),
+    ("lacunary_odd_support_check", (1, -1), "n"),
+    ("theta_product_identity_check", (1, 4, -1), "n"),
+    ("parity_gf_check", (1, 2, -1), "n"),
+    ("self_conjugate_check", (1, 2, -1), "n"),
+    ("oracle_check", (CpParams(1, 1, 1), -1), "n"),
+    ("odd_term_count_check", (1, 3, -1), "n_max"),
+    ("both_parities_prefix_check", (1, 4, -1, 3), "n"),
+    ("both_parities_prefix_check", (1, 4, 3, -1), "witness_min"),
+    ("andrews_mod5_check", (-1, ()), "n"),
+]
+
+
+@pytest.mark.parametrize("check, args, argument", NEGATIVE_SIZES,
+                         ids=[f"{check}-{argument}" for check, _, argument in NEGATIVE_SIZES])
+def test_every_check_refuses_a_negative_size(check, args, argument):
+    with pytest.raises(ValueError, match=rf"needs .*\b{argument} >= "):
+        getattr(copartitions, check)(*args)
 
 
 coprime = st.integers(2, 16).flatmap(

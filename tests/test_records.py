@@ -30,8 +30,8 @@ RECORDS = [
     (ParitySeries, (2, 5), (2, 4), "ParitySeries(trunc=2, bits=5)"),
     (Copartition, ((4, 1), (2,), P), ((1,), (2,), P),
      "Copartition(ground=(4, 1), sky=(2,), params=CpParams(a=1, b=2, m=3))"),
-    (CheckResult, (False, 3, 2, 1, 0, ()), (False, 3, 2, 1, 1, ()),
-     "CheckResult(passed=False, checked=3, counterexample=2, left=1, right=0, rows=())"),
+    (CheckResult, (3, 2, 1, 0, ()), (3, 2, 1, 1, ()),
+     "CheckResult(checked=3, counterexample=2, left=1, right=0, rows=())"),
     (ProgressionFamily, ("cp314", 19), ("cp314", 23),
      "ProgressionFamily(family='cp314', p=19)"),
     (DensityReport, (P, (1, 2), (0, 1)), (P, (1, 2), (0, 2)),
@@ -110,13 +110,12 @@ def test_record_validation_text(cls, args, text):
 
 
 def test_check_result_keywords_defaults_and_truth():
-    assert CheckResult(True) == CheckResult(passed=True, checked=0, counterexample=None,
-                                            left=None, right=None, rows=())
-    failed = CheckResult(False, checked=4, rows=({"n": 4},))
-    assert (failed.vacuous, failed.counterexample, failed.left, failed.right) == (False, None,
-                                                                                 None, None)
+    assert CheckResult() == CheckResult(checked=0, counterexample=None, left=None, right=None,
+                                        rows=())
+    failed = CheckResult(checked=4, counterexample=0, rows=({"n": 4},))
+    assert (failed.passed, failed.vacuous, failed.left, failed.right) == (False, False, None, None)
     assert failed.checked == 4 and failed.rows == ({"n": 4},)
-    assert bool(CheckResult(True)) is True and bool(failed) is False
+    assert bool(CheckResult()) is True and bool(failed) is False
 
 
 def test_sequence_fields_are_stored_as_tuples():
