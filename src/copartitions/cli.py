@@ -168,11 +168,11 @@ def _grid(o):
 # for a count, 1 for a parameter or a grid bound; limit None where the value
 # does not grow the work.  --family and --sizes are no sizes (low None).  With
 # every flag at its limit, each target ran within 4 s on a 2-core host
-# (BENCH_27.json).
+# (BENCH_27.json; parity-gf's --N BENCH_32.json).
 TARGETS = {
     "selfconj": ({"amax": (3, 1, 8), "mmax": (5, 1, 12), "nmax": (40, 0, 150)},
                  lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
-    "parity-gf": ({"amax": (3, 1, 4), "mmax": (6, 1, 8), "N": (2000, 0, EXACT_CAP)},
+    "parity-gf": ({"amax": (3, 1, 4), "mmax": (6, 1, 8), "N": (2000, 0, 5 * 10 ** 5)},
                   lambda o: (parity_gf_check(a, m, o.N) for a, m in _grid(o))),
     "eq4": ({"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
              "N": (2000, 0, 10 ** 5)},

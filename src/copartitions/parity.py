@@ -2,9 +2,9 @@
 
 The density reports and the parity checks read the packed GF(2) path.  The
 oracle and self-conjugate checks compare the exact series with the
-enumeration, and the oracle also with the packed path; parity-gf reduces the
-exact series mod 2, andrews reads it mod 5 and the enumeration's cranks, and
-the form checks (Lemma 13) read no series.
+enumeration, and the oracle also with the packed path; parity-gf runs the
+GF(2) sums of the counting product, andrews reads the exact series mod 5 and
+the enumeration's cranks, and the form checks (Lemma 13) read no series.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .series import (
     copartition_factors,
     copartition_parity,
     copartition_series,
+    expand_factors_mod2,
     pentagonal_support,
     reciprocal,
     reduce_mod2,
@@ -516,11 +517,15 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
 
 
 def parity_gf_check(a: int, m: int, n: int) -> CheckResult:
-    """The exact (a, a, m) counting series mod 2 (``left``) equals the parity
-    of the self-conjugate series (-q^(m+2a); q^(2m)) (``right``) through n."""
+    """The (a, a, m) counting series mod 2 (``left``) equals the parity of the
+    self-conjugate series (-q^(m+2a); q^(2m)) (``right``) through n.  ``left``
+    is the GF(2) sums of the three factors, not ``copartition_parity``, whose
+    route 3 starts from ``right``; the sums' f(q)^2 = f(q^2) step is checked
+    over Z by ``test_three_paths_match_the_log_derivative_recurrence`` and by
+    ``oracle_check`` (n <= 35)."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    left = reduce_mod2(copartition_series(CpParams(a, a, m), n))
+    left = expand_factors_mod2(copartition_factors(CpParams(a, a, m)), n)
     return _compare(left, self_conjugate_parity(a, m, n), {"a": a, "m": m, "n": n})
 
 

@@ -28,12 +28,14 @@ from copartitions import (
     both_parities_prefix_check,
     brute_force_representable,
     cli,
+    copartition_factors,
     copartition_parity,
     copartition_series,
     enumerate_copartitions,
     even_guarantee_314,
     even_guarantee_516,
     even_guarantee_check,
+    expand_factors_mod2,
     form_equivalence_sweep_check,
     lacunary_odd_support_check,
     merge_checks,
@@ -41,11 +43,13 @@ from copartitions import (
     oracle_check,
     parity_gf_check,
     progression_check,
+    reduce_mod2,
     self_conjugate_check,
     self_conjugate_series,
     theta_product_identity_check,
     verify_even_progression,
 )
+from copartitions import stats
 
 from oracles import form_values, merge_reference, sweep_reference
 
@@ -369,8 +373,9 @@ def corrupt_parity_gf(draw):
     k = draw(st.integers(0, n))
     true = copartition_series(CpParams(1, 1, 2), n)
     return Corruption(["parity-gf", "--amax", "1", "--mmax", "2", "--N", str(n)],
-                      lambda: parity_gf_check(1, 2, n), "copartition_series",
-                      lambda *_: bumped(true, k), k, k + 1, (true[k] + 1) % 2, true[k] % 2)
+                      lambda: parity_gf_check(1, 2, n), "expand_factors_mod2",
+                      wrapped("expand_factors_mod2", lambda s: flipped(s, k)), k, k + 1,
+                      (true[k] + 1) % 2, true[k] % 2)
 
 
 def corrupt_theta_product(argv, check, m):
@@ -551,6 +556,25 @@ def test_identities_hold_on_random_coprime_pairs(pair, n):
     for check in (theta_product_identity_check(a, m, n), parity_gf_check(a, m, n)):
         assert check.passed and not check.vacuous
         assert check.checked == n + 1
+
+
+@given(st.integers(0, 600))
+@example(600)
+@settings(max_examples=8, deadline=None)
+def test_parity_gf_left_side_is_the_exact_series_mod_2(n):
+    # the GF(2) sums take f(q)^2 = f(q^2) as given; over Z on every (a, m) that verify admits
+    for a in range(1, 5):
+        for m in range(1, 9):
+            params = CpParams(a, a, m)
+            assert expand_factors_mod2(copartition_factors(params), n) == \
+                reduce_mod2(copartition_series(params, n)), (a, m, n)
+
+
+def test_parity_gf_runs_no_exact_pass():
+    with stats.recording() as counts:
+        assert parity_gf_check(4, 8, 2000).passed
+    assert counts["exact_passes"] == counts["theta_taps"] == 0
+    assert counts["sums_passes"] > 0
 
 
 CLI_VS_LIBRARY = [
