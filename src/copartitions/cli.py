@@ -1,7 +1,9 @@
 """Command-line front end: coefficients, enumeration, verification, tables.
 
-Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage errors, including an --out that cannot be written: ``error:
+Exit codes, all set by ``main``: 1 when the document's verdict is "fail"
+(only verify's has one), 2 on a refusal, else 0.  Every refusal is a
+ValueError (an OSError writing stdout alike) that ``main`` prints as one
+``error:`` line.  Among them are an --out that cannot be written: ``error:
 cannot write --out PATH: REASON``, PATH as given (plus ``.meta.json`` for
 the tables sidecar), and a size outside its bounds: before any command
 runs, one check reads each size flag's (low, limit) from one table and
@@ -42,10 +44,6 @@ from .tables import generate_table
 EXACT_CAP = 8000           # n of an exact series: coeffs --mode exact, enumerate
 PARITY_CAP = 10 ** 6       # n of a mod-2 series
 WALK_CAP = 500_000         # copartitions of size <= n that enumerate may walk
-
-
-class UsageError(Exception):
-    pass
 
 
 def _sizes(text: str) -> str:
@@ -130,7 +128,7 @@ def _cmd_coeffs(args):
     params = CpParams(args.a, args.b, args.m)
     values = (copartition_series(params, args.n).coeffs if args.mode == "exact"
               else copartition_parity(params, args.n).bit_values())
-    return 0, {
+    return {
         "params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n, "mode": args.mode},
         "rows": values,     # rendered as [n, value] rows
     }
@@ -140,7 +138,7 @@ def _cmd_enumerate(args):
     params = CpParams(args.a, args.b, args.m)
     walked = sum(copartition_series(params, args.n).coeffs)
     if walked > WALK_CAP:
-        raise UsageError(f"n = {args.n} would walk {walked} copartitions (limit {WALK_CAP})")
+        raise ValueError(f"n = {args.n} would walk {walked} copartitions (limit {WALK_CAP})")
     rows = []
     for cp in enumerate_copartitions(params, args.n):
         row = _triple(cp)
@@ -149,7 +147,7 @@ def _cmd_enumerate(args):
         if args.show_conjugate:
             row["conjugate"] = _triple(cp.conjugate())
         rows.append(row)
-    return 0, {"params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n}, "rows": rows}
+    return {"params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n}, "rows": rows}
 
 
 def _pairs(o):
@@ -167,8 +165,9 @@ def _grid(o):
 # it runs); a default of None means none.  A size lies in low..limit: low 0
 # for a count, 1 for a parameter or a grid bound; limit None where the value
 # does not grow the work.  --family and --sizes are no sizes (low None).  With
-# every flag at its limit, each target ran within 4 s on a 2-core host
-# (BENCH_27.json; parity-gf's --N BENCH_32.json).
+# every flag at its limit, each target ran within 4 s and 60 MB as a whole
+# process on a 2-core host (BENCH_27.json; parity-gf's --N BENCH_32.json;
+# progression's --N and lemma13's --Nmax BENCH_33.json).
 TARGETS = {
     "selfconj": ({"amax": (3, 1, 8), "mmax": (5, 1, 12), "nmax": (40, 0, 150)},
                  lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
@@ -181,9 +180,9 @@ TARGETS = {
                  lambda o: (lacunary_odd_support_check(a, o.N)
                             for a in ([o.a] if o.a is not None else [1, 3, 5]))),
     "progression": ({"family": (None, None, None), "p": (None, 1, 1000),
-                     "N": (12100, 0, 2 * 10 ** 5)},
+                     "N": (12100, 0, 5 * 10 ** 6)},
                     lambda o: [progression_check(o.family, o.p, o.N)]),
-    "lemma13": ({"Nmax": (10000, 0, 10 ** 6)},
+    "lemma13": ({"Nmax": (10000, 0, 10 ** 7)},
                 lambda o: [form_equivalence_sweep_check(o.Nmax)]),
     **{f"guarantees-{family.removeprefix('cp')}": (
         {"N": (5000, 0, PARITY_CAP), "brute_max": (None, 0, 2 * 10 ** 5)},
@@ -215,28 +214,28 @@ def _check_sizes(args):
         name = "n" if args.subcommand == "enumerate" else "--" + key.replace("_", "-")
         if value < low or limit is not None and value > limit:
             within = f">= {low}" if limit is None else f"between {low} and {limit}"
-            raise UsageError(f"{name} must be {within}, got {value}")
+            raise ValueError(f"{name} must be {within}, got {value}")
 
 
 def _cmd_verify(args):
     if args.format == "csv":
-        raise UsageError("verify reports are text or json only")
+        raise ValueError("verify reports are text or json only")
     flags, checks = TARGETS[args.target]
     given = {k: v for k, v in vars(args).items()
              if k not in ("subcommand", "format", "out", "target") and v is not None}
     stray = ["--" + k.replace("_", "-") for k in given if k not in flags]
     if stray:
-        raise UsageError(f"verify {args.target} does not read {', '.join(stray)}")
+        raise ValueError(f"verify {args.target} does not read {', '.join(stray)}")
     if "m" in flags and ("a" in given) != ("m" in given):
-        raise UsageError(f"verify {args.target} takes --a and --m together")
+        raise ValueError(f"verify {args.target} takes --a and --m together")
     if "m" in given and "mmax" in given:
-        raise UsageError(f"verify {args.target} takes --a and --m or --mmax, not both")
+        raise ValueError(f"verify {args.target} takes --a and --m or --mmax, not both")
     if args.target == "progression" and (args.family is None or args.p is None):
-        raise UsageError("progression needs --family and --p")
+        raise ValueError("progression needs --family and --p")
     # an empty --sizes also means the default
     unset = {k: spec[0] for k, spec in flags.items() if getattr(args, k) in (None, "")}
     result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
-    return (0 if result.passed else 1), {
+    return {
         "params": {"target": args.target, **given},
         "rows": list(result.rows),
         "verdict": result.status,
@@ -245,7 +244,7 @@ def _cmd_verify(args):
 
 def _cmd_tables(args):
     data = generate_table(args.which)
-    return 0, {
+    return {
         "params": {"which": args.which},
         "rows": data.rows(),
         "columns": ["n"] + list(data.labels),
@@ -316,7 +315,7 @@ def _write(path, text):
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
 def _write_output(args, doc, payload):
@@ -333,7 +332,7 @@ def _write_output(args, doc, payload):
         }
         try:
             _write(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
-        except UsageError:      # no table without its sidecar; never remove a device or link
+        except ValueError:      # no table without its sidecar; never remove a device or link
             if os.path.isfile(args.out) and not os.path.islink(args.out):
                 os.remove(args.out)
             raise
@@ -346,12 +345,11 @@ def main(argv=None) -> int:
         _check_sizes(args)
         commands = {"coeffs": _cmd_coeffs, "enumerate": _cmd_enumerate,
                     "verify": _cmd_verify, "tables": _cmd_tables}
-        code, body = commands[args.subcommand](args)
-        doc = {"subcommand": args.subcommand, **body}
+        doc = {"subcommand": args.subcommand, **commands[args.subcommand](args)}
         doc.setdefault("verdict", None)     # only verify has one
         _write_output(args, doc, _render(doc, args))
-        return code
-    except (UsageError, ValueError, OSError) as exc:   # OSError: stdout
+        return 1 if doc["verdict"] == "fail" else 0
+    except (ValueError, OSError) as exc:   # OSError: stdout
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,8 @@ class CheckResult(Record):
     and ``left`` and ``right`` are the claim's two sides there.  None tested
     is ``vacuous``.  ``status``, which each row and the CLI's verdict print,
     is "fail" unless it passed, else "vacuous" or "pass".  ``rows`` are the
-    report rows, one per check, as the CLI prints them.
+    report rows, one per check, as the CLI prints them, stored as a tuple;
+    rows holding dicts, as every check's do, make a result unhashable.
     """
 
     __slots__ = ("checked", "counterexample", "left", "right", "rows")
@@ -62,7 +63,7 @@ class CheckResult(Record):
         _set(self, "counterexample", counterexample)
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "rows", rows)
+        _set(self, "rows", tuple(rows))
 
     @property
     def passed(self) -> bool:
@@ -408,14 +409,13 @@ def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int
                             parity: ParitySeries | None = None) -> CheckResult:
     """Confirm the parity bit (``left``; ``right`` is 0) is 0 at every index
     congruent to ``residue`` mod ``modulus`` up to n, each one checked, by
-    one packed comparison under the mask of that class."""
+    one packed comparison under the mask of that class.  A supplied
+    ``parity`` must reach n, even when no index up to n lies in the class."""
     if n < 0:
         raise ValueError("needs n >= 0")
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
     row = {"residue": residue, "n": n}
-    if n < residue:
-        return _scan(row, 0)
     parity = _parity_through(params, n, parity)
     mask = ParitySeries(n, _progression_bits(residue, modulus, n))
     return _compare(parity, ParitySeries(n, 0), row, mask)

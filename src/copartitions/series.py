@@ -331,8 +331,6 @@ _SPREAD_HIGH = bytes(s for s in _NIBBLE_SPREAD for _ in range(16))
 def _spread(x: int, n: int) -> int:
     """Move bit k of x to bit 2k, dropping every bit that would land above n."""
     x &= (1 << (n // 2 + 1)) - 1
-    if not x:
-        return 0
     raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
     out = bytearray(2 * len(raw))
     out[0::2] = raw.translate(_SPREAD_LOW)

@@ -644,7 +644,7 @@ def refused(argv):
     """The one check's message for argv, or None when it admits every size."""
     try:
         cli._check_sizes(cli.build_parser().parse_args(argv))
-    except cli.UsageError as exc:
+    except ValueError as exc:
         return str(exc)
     return None
 

@@ -314,6 +314,11 @@ class TestProgressionFamilies:
         check = verify_even_progression(CpParams(3, 1, 4), 49, 45, 10)
         assert check.passed and check.vacuous
 
+    def test_a_supplied_series_must_reach_n_even_for_an_empty_class(self):
+        short = copartition_parity(CpParams(3, 1, 4), 2)
+        with pytest.raises(ValueError, match="^supplied parity series stops at 2 < 3$"):
+            verify_even_progression(CpParams(3, 1, 4), 49, 45, 3, short)
+
     def test_residue_bounds(self):
         with pytest.raises(ValueError):
             verify_even_progression(CpParams(3, 1, 4), 49, 49, 100)

@@ -127,6 +127,7 @@ def test_sequence_fields_are_stored_as_tuples():
         (DensityReport(P, [1, 2], [0, 1]), ("checkpoints", "even_counts")),
         (TableData([REPORT]), ("reports",)),
         (Copartition([4, 1], [2], P), ("ground", "rectangle", "sky")),
+        (CheckResult(3, None, None, None, []), ("rows",)),
     ]
     for record, names in built:
         for name in names:

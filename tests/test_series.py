@@ -21,6 +21,10 @@ from copartitions import (
     pentagonal_support,
     pochhammer,
     reciprocal,
+    TWO_SQUARES,
+    brute_force_representable,
+    even_guarantee_314,
+    is_sum_of_two_squares,
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
@@ -988,6 +992,17 @@ class TestReversedBits:
         assert rev >> (n + 1) == 0
         assert all((rev >> (n - e)) & 1 == (x >> e) & 1 for e in range(n + 1))
 
+    @given(st.integers(0, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n + 1)) - 1))))
+    @example((0, 0))
+    @example((3000, 0))
+    @example((9, 0b111111))             # bit 5 would land on 10 > n
+    @settings(max_examples=80)
+    def test_spread_moves_bit_k_to_2k_through_n(self, n_x):
+        n, x = n_x
+        spread = sum(1 << 2 * k for k in range(n // 2 + 1) if x >> k & 1)
+        assert series_module._spread(x, n) == spread
+
     @given(ragged_parity_pairs())
     @example((ParitySeries(9, 0b1111111111), ParitySeries(9, 0b1000000000), 3))
     @example((ParitySeries(16, 1 << 16), ParitySeries(16, 1 << 16), 0))
@@ -1068,3 +1083,26 @@ class TestSeriesTypes:
     def test_bit_values_are_the_bits(self, trunc_bits):
         p = ParitySeries(*trunc_bits)
         assert list(p.bit_values()) == [p.bit(n) for n in range(p.trunc + 1)]
+
+
+# the series functions, and the representability predicates behind the
+# guarantees, with one argument outside its range, and the refusal's message
+REFUSALS = [
+    (copartition_series, (CpParams(1, 1, 2), -1), "truncation must be >= 0"),
+    (copartition_parity, (CpParams(1, 1, 2), -1), "truncation must be >= 0"),
+    (expand_factors_mod2, (copartition_factors(CpParams(1, 1, 2)), -1),
+     "truncation must be >= 0"),
+    (self_conjugate_series, (0, 2, 5), "need a >= 1 and m >= 1"),
+    (self_conjugate_parity, (1, 0, 5), "need a >= 1 and m >= 1"),
+    (pentagonal_support, (0, 5), "scale must be >= 1"),
+    (is_sum_of_two_squares, (0,), "needs n >= 1"),
+    (even_guarantee_314, (-1,), "needs n >= 0"),
+    (brute_force_representable, (-1, TWO_SQUARES), "needs n >= 0"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", REFUSALS,
+                         ids=[function.__name__ for function, _, _ in REFUSALS])
+def test_every_series_function_refuses_an_argument_outside_its_range(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
