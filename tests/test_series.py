@@ -12,19 +12,19 @@ from copartitions import (
     ExactSeries,
     FactorSpec,
     ParitySeries,
+    TWO_SQUARES,
+    brute_force_representable,
     copartition_parity,
     copartition_series,
     count_copartitions,
+    even_guarantee_314,
     expand_factors,
     expand_factors_mod2,
+    is_sum_of_two_squares,
     negated_pochhammer,
     pentagonal_support,
     pochhammer,
     reciprocal,
-    TWO_SQUARES,
-    brute_force_representable,
-    even_guarantee_314,
-    is_sum_of_two_squares,
     reduce_mod2,
     self_conjugate_parity,
     self_conjugate_series,
