@@ -130,14 +130,6 @@ def _sweep(row: dict, indices: Iterable[int], left, right) -> CheckResult:
     return _scan(row, checked)
 
 
-def _parity_through(params: CpParams, n: int, parity: ParitySeries | None) -> ParitySeries:
-    if parity is None:
-        return copartition_parity(params, n)
-    if parity.trunc < n:
-        raise ValueError(f"supplied parity series stops at {parity.trunc} < {n}")
-    return parity
-
-
 def merge_checks(results: Iterable[CheckResult]) -> CheckResult:
     """One result for a sweep: the first failing result's counterexample and
     values (so it passes when all pass), the checked counts summed, and the
@@ -405,20 +397,20 @@ class ProgressionFamily(Record):
         return tuple(sorted((self.p * t - shift * delta) % self.modulus for t in range(1, self.p)))
 
 
-def verify_even_progression(params: CpParams, modulus: int, residue: int, n: int,
-                            parity: ParitySeries | None = None) -> CheckResult:
-    """Confirm the parity bit (``left``; ``right`` is 0) is 0 at every index
-    congruent to ``residue`` mod ``modulus`` up to n, each one checked, by
-    one packed comparison under the mask of that class.  A supplied
-    ``parity`` must reach n, even when no index up to n lies in the class."""
+def verify_even_progression(parity: ParitySeries, modulus: int, residue: int,
+                            n: int) -> CheckResult:
+    """Confirm the ``parity`` bit (``left``; ``right`` is 0) is 0 at every
+    index congruent to ``residue`` mod ``modulus`` up to n, each one checked,
+    by one packed comparison under the mask of that class.  ``parity`` must
+    reach n, even when no index up to n lies in the class."""
     if n < 0:
         raise ValueError("needs n >= 0")
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
-    row = {"residue": residue, "n": n}
-    parity = _parity_through(params, n, parity)
+    if parity.trunc < n:
+        raise ValueError(f"supplied parity series stops at {parity.trunc} < {n}")
     mask = ParitySeries(n, _progression_bits(residue, modulus, n))
-    return _compare(parity, ParitySeries(n, 0), row, mask)
+    return _compare(parity, ParitySeries(n, 0), {"residue": residue, "n": n}, mask)
 
 
 def progression_check(family: str, p: int, n: int) -> CheckResult:
@@ -433,7 +425,7 @@ def progression_check(family: str, p: int, n: int) -> CheckResult:
     header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,
               "delta": fam.delta, "residues": list(fam.residues)}
     return merge_checks([CheckResult(rows=(header,))] + [
-        verify_even_progression(fam.params, fam.modulus, r, n, parity) for r in fam.residues])
+        verify_even_progression(parity, fam.modulus, r, n) for r in fam.residues])
 
 
 def format_proportion(num: int, den: int) -> str:
@@ -484,7 +476,10 @@ def density_report(params: CpParams, checkpoints: Sequence[int],
                    parity: ParitySeries | None = None) -> DensityReport:
     """Proportion of even counts among indices 1..n at each checkpoint n."""
     cs = _increasing_checkpoints(checkpoints)
-    parity = _parity_through(params, cs[-1], parity)
+    if parity is None:
+        parity = copartition_parity(params, cs[-1])
+    elif parity.trunc < cs[-1]:
+        raise ValueError(f"supplied parity series stops at {parity.trunc} < {cs[-1]}")
     return DensityReport(params, cs, tuple(n - parity.count_odd(1, n) for n in cs))
 
 
@@ -533,7 +528,8 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     """At every size k <= n, the self-conjugate (a, a, m)-copartitions are
     as many as the self-conjugate series says, and each one survives the
     round trip through its hook sizes.  At a counterexample ``left`` is the
-    enumerated count and ``right`` the coefficient."""
+    enumerated count and ``right`` the coefficient, equal to it when only
+    the round trip failed."""
     if n < 0:
         raise ValueError("needs n >= 0")
     series = self_conjugate_series(a, m, n)
@@ -543,7 +539,7 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
         if (size := 2 * total + m * len(ground) ** 2) <= n:
             found[size].append(Copartition(ground, ground, params))
     for k in range(n + 1):
-        round_trips = all(cp.is_self_conjugate() and sum(hooks := hooks_to_distinct_parts(cp)) == k
+        round_trips = all(sum(hooks := hooks_to_distinct_parts(cp)) == k
                           and distinct_parts_to_hooks(hooks, a, m) == cp for cp in found[k])
         if not round_trips or len(found[k]) != series[k]:
             return _scan({"a": a, "m": m, "n_max": n}, k + 1, k, len(found[k]), series[k])
@@ -569,20 +565,20 @@ def oracle_check(params: CpParams, n: int) -> CheckResult:
 def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     """Quantitative check on the theta series divided by (1 - q), mod 2.
 
-    The quotient expands into non-overlapping blocks of consecutive odd
-    exponents (block j has a*(2j+1) of them starting at -a*j + m*j*(j+1)/2).
-    Verifies that expansion bit for bit against the series product, then
-    checks that exponents 0..floor(m*N^2/2) hold exactly a*N^2 odd terms for
-    every N <= n_max.  Requires 1 <= a < m/2.  The counterexample is the
-    first exponent where the expansion fails (``left`` the product's bit,
-    ``right`` the blocks'), or else the first N whose count is off, checked
-    after all the exponents (``left`` the count, ``right`` a*N^2).
+    The quotient expands into blocks of consecutive odd exponents: block j
+    has a*(2j+1) of them from -a*j + m*j*(j+1)/2, then a gap of
+    (j+1)*(m - 2a) + 1.  With 1 <= a < m/2 (required), blocks j < N end at
+    or below floor(m*N^2/2) and block N starts above it, so exponents
+    0..floor(m*N^2/2) hold exactly a*N^2 odd terms for every N.  Compares
+    the expansion bit for bit with the series product through
+    m*n_max^2//2, every exponent checked (m*n_max^2//2 + 1 on a pass); the
+    only counterexample is the first exponent where they differ, ``left``
+    the product's bit and ``right`` the blocks'.
     """
     if not (1 <= a and 2 * a < m):
         raise ValueError(f"needs 1 <= a < m/2, got a={a}, m={m}")
     if n_max < 1:
         raise ValueError("needs n_max >= 1")
-    row = {"a": a, "m": m, "n_max": n_max}
     top = m * n_max * n_max // 2
     blocks = 0
     j = 0
@@ -594,14 +590,7 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
         blocks |= ((1 << clipped) - 1) << start
         j += 1
     quotient = _theta_times_mod2(a, m, [reciprocal(1, top + 1)], top)     # 1/(1 - q)
-    expansion = _compare(quotient, ParitySeries(top, blocks), dict(row))
-    if not expansion:
-        return expansion
-    for n in range(1, n_max + 1):
-        odd = (blocks & ((1 << (m * n * n // 2 + 1)) - 1)).bit_count()
-        if odd != a * n * n:
-            return _scan(row, top + 1 + n, n, odd, a * n * n)
-    return _scan(row, top + 1 + n_max)
+    return _compare(quotient, ParitySeries(top, blocks), {"a": a, "m": m, "n_max": n_max})
 
 
 def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> CheckResult:

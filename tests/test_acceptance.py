@@ -277,7 +277,7 @@ def test_criterion_10_even_guarantees_314():
         family = ProgressionFamily("cp314", p)
         assert family.residues == PROGRESSION_RESIDUES[("cp314", p)]
         for r in family.residues:
-            check = verify_even_progression(family.params, family.modulus, r, 12100, parity)
+            check = verify_even_progression(parity, family.modulus, r, 12100)
             assert check.passed and not check.vacuous, (p, r)
     _report(10, "quadratic-form guarantee and congruence families for (3,1,4)", t0)
 
@@ -294,7 +294,7 @@ def test_criterion_11_even_guarantees_516():
         family = ProgressionFamily("cp516", p)
         assert family.residues == PROGRESSION_RESIDUES[("cp516", p)]
         for r in family.residues:
-            check = verify_even_progression(family.params, family.modulus, r, 12100, parity)
+            check = verify_even_progression(parity, family.modulus, r, 12100)
             assert check.passed and not check.vacuous, (p, r)
     for n in range(5, 10 ** 5 + 1, 24):
         assert is_sum_of_two_squares(n) == brute_force_representable(n, TWO_SQUARES), n

@@ -160,7 +160,7 @@ class TestMaskedComparisons:
             assert result_fields(even_guarantee_check(family, n, brute_max)) == expected
         expected = sweep_reference({"residue": residue, "n": n}, range(residue, n + 1, modulus),
                                    parity.bit, lambda k: 0)
-        check = verify_even_progression(params, modulus, residue, n, parity)
+        check = verify_even_progression(parity, modulus, residue, n)
         assert result_fields(check) == expected
 
 
@@ -228,7 +228,7 @@ class TestPackedProgressions:
                   "residues": list(fam.residues)}
         expected = [progression_reference(parity, fam.modulus, r, n) for r in fam.residues]
         for r, want in zip(fam.residues, expected):
-            check = verify_even_progression(fam.params, fam.modulus, r, n, parity)
+            check = verify_even_progression(parity, fam.modulus, r, n)
             assert result_fields(check) == want
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(copartitions.parity, "copartition_parity", lambda *_: parity)
@@ -246,16 +246,16 @@ class TestCounterexamples:
     def test_flipped_bit_in_a_progression(self):
         params, n = CpParams(3, 1, 4), 2500
         k = 3 + 49 * 10
-        check = verify_even_progression(params, 49, 3, n, flipped(copartition_parity(params, n), k))
+        check = verify_even_progression(flipped(copartition_parity(params, n), k), 49, 3, n)
         assert not check.passed and not check.vacuous
         assert (check.counterexample, check.left, check.right) == (k, 1, 0)
         assert check.checked == 11
         assert check.rows[0]["status"] == "fail"
 
     def test_progression_counts_its_indices(self):
-        check = verify_even_progression(CpParams(3, 1, 4), 49, 3, 2500)
+        check = verify_even_progression(copartition_parity(CpParams(3, 1, 4), 2500), 49, 3, 2500)
         assert check.passed and check.checked == len(range(3, 2501, 49))
-        check = verify_even_progression(CpParams(3, 1, 4), 49, 45, 10)
+        check = verify_even_progression(copartition_parity(CpParams(3, 1, 4), 10), 49, 45, 10)
         assert check.vacuous and check.checked == 0
         assert check.rows[0]["status"] == "vacuous"
 
@@ -524,7 +524,7 @@ NEGATIVE_SIZES = [
     ("form_equivalence_sweep_check", (-1,), "n_max"),
     ("even_guarantee_check", ("cp314", -1), "n"),
     ("even_guarantee_check", ("cp314", 10, -7), "brute_max"),
-    ("verify_even_progression", (CpParams(3, 1, 4), 4, 0, -1), "n"),
+    ("verify_even_progression", (ParitySeries(0, 0), 4, 0, -1), "n"),
     ("progression_check", ("cp314", 7, -1), "n"),
     ("lacunary_odd_support_check", (1, -1), "n"),
     ("theta_product_identity_check", (1, 4, -1), "n"),

@@ -302,26 +302,26 @@ class TestProgressionFamilies:
     def test_verify_even_progression(self):
         n = 2500
         parity = copartition_parity(CpParams(3, 1, 4), n)
-        check = verify_even_progression(CpParams(3, 1, 4), 49, 3, n, parity)
+        check = verify_even_progression(parity, 49, 3, n)
         assert check.passed and not check.vacuous
         # residue 0 mod 49 carries odd values
-        check = verify_even_progression(CpParams(3, 1, 4), 49, 0, n, parity)
+        check = verify_even_progression(parity, 49, 0, n)
         assert not check.passed and check.counterexample is not None
         assert check.counterexample % 49 == 0
         assert parity.bit(check.counterexample) == 1
 
     def test_vacuous_range(self):
-        check = verify_even_progression(CpParams(3, 1, 4), 49, 45, 10)
+        check = verify_even_progression(copartition_parity(CpParams(3, 1, 4), 10), 49, 45, 10)
         assert check.passed and check.vacuous
 
     def test_a_supplied_series_must_reach_n_even_for_an_empty_class(self):
         short = copartition_parity(CpParams(3, 1, 4), 2)
         with pytest.raises(ValueError, match="^supplied parity series stops at 2 < 3$"):
-            verify_even_progression(CpParams(3, 1, 4), 49, 45, 3, short)
+            verify_even_progression(short, 49, 45, 3)
 
     def test_residue_bounds(self):
         with pytest.raises(ValueError):
-            verify_even_progression(CpParams(3, 1, 4), 49, 49, 100)
+            verify_even_progression(copartition_parity(CpParams(3, 1, 4), 100), 49, 49, 100)
 
 
 class TestDensityReport:
