@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import copartitions
 from copartitions import (
     CheckResult,
+    Copartition,
     CpParams,
     ExactSeries,
     ParitySeries,
@@ -488,11 +489,7 @@ def test_the_corruption_table_covers_every_target():
     assert CORRUPTIONS.keys() - {"odd_term_count_check"} == cli.TARGETS.keys()
 
 
-@pytest.mark.parametrize("target", list(CORRUPTIONS))
-@given(data=st.data())
-@settings(max_examples=6, deadline=None)
-def test_a_corrupted_input_fails_where_it_was_corrupted(target, data):
-    case = CORRUPTIONS[target](data.draw)
+def assert_fails_where_corrupted(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(copartitions.parity, case.name, case.patched)
         check = case.run()
@@ -502,6 +499,46 @@ def test_a_corrupted_input_fails_where_it_was_corrupted(target, data):
             with redirect_stdout(io.StringIO()) as out:
                 assert cli.main(["verify", *case.argv]) == 1
             assert out.getvalue().splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("target", list(CORRUPTIONS))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_a_corrupted_input_fails_where_it_was_corrupted(target, data):
+    assert_fails_where_corrupted(CORRUPTIONS[target](data.draw))
+
+
+def corrupt_round_trip(name, patch_at):
+    # selfconj with the hook round trip broken at a size k >= 1 that has a self-conjugate
+    # copartition; the counts still agree there, so left and right are both the count
+    def corrupt(draw):
+        n = draw(st.integers(4, 30))
+        true = self_conjugate_series(1, 2, n)
+        k = draw(st.sampled_from([j for j in range(1, n + 1) if true[j]]))
+        return Corruption(["selfconj", "--amax", "1", "--mmax", "2", "--nmax", str(n)],
+                          lambda: self_conjugate_check(1, 2, n), name, patch_at(k),
+                          k, k + 1, true[k], true[k])
+    return corrupt
+
+
+def rebuilt_empty(k):
+    # the hooks of size k rebuild the empty copartition, not the one they came from
+    real, empty = copartitions.parity.distinct_parts_to_hooks, Copartition((), (), CpParams(1, 1, 2))
+    return lambda hooks, a, m: empty if sum(hooks) == k else real(hooks, a, m)
+
+
+ROUND_TRIPS = {
+    "distinct_parts_to_hooks": corrupt_round_trip("distinct_parts_to_hooks", rebuilt_empty),
+    "hooks_to_distinct_parts": corrupt_round_trip("hooks_to_distinct_parts", lambda k: wrapped(
+        "hooks_to_distinct_parts", lambda hooks: hooks + (1,) if sum(hooks) == k else hooks)),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_a_broken_hook_round_trip_fails_at_its_size(name, data):
+    assert_fails_where_corrupted(ROUND_TRIPS[name](data.draw))
 
 
 def test_a_skewed_crank_fails_at_its_size(monkeypatch):
@@ -536,6 +573,31 @@ NEGATIVE_SIZES = [
     ("both_parities_prefix_check", (1, 4, 3, -1), "witness_min"),
     ("andrews_mod5_check", (-1, ()), "n"),
 ]
+
+
+# a passing run of each public check -> the number of indices it tested
+PASSING_CHECKED = [
+    ("form_equivalence_check", (13,), 1),
+    ("form_equivalence_sweep_check", (1000,), 167),
+    ("even_guarantee_check", ("cp314", 400), 127),
+    ("verify_even_progression", (copartition_parity(CpParams(3, 1, 4), 2500), 49, 3, 2500), 51),
+    ("progression_check", ("cp314", 7, 12100), 1482),
+    ("lacunary_odd_support_check", (1, 300), 301),
+    ("theta_product_identity_check", (1, 4, 300), 301),
+    ("parity_gf_check", (1, 2, 300), 301),
+    ("self_conjugate_check", (1, 2, 30), 31),
+    ("oracle_check", (CpParams(1, 1, 1), 20), 21),
+    ("odd_term_count_check", (3, 8, 30), 3601),       # 8 * 30^2 // 2 + 1 exponents
+    ("both_parities_prefix_check", (1, 4, 300, 10), 301),
+    ("andrews_mod5_check", (504, (4, 9, 14)), 104),   # 101 sizes 5k+4, then 3 crank sizes
+]
+
+
+@pytest.mark.parametrize("check, args, checked", PASSING_CHECKED,
+                         ids=[check for check, _, _ in PASSING_CHECKED])
+def test_a_passing_check_counts_the_indices_it_tested(check, args, checked):
+    result = getattr(copartitions, check)(*args)
+    assert result.passed and result.checked == checked
 
 
 @pytest.mark.parametrize("check, args, argument", NEGATIVE_SIZES,

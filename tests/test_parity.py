@@ -460,6 +460,16 @@ class TestOddTermCount:
         # the count at N=1 is a * 1: block 0 holds exponents 0..a-1
         assert odd_term_count_check(3, 8, 1)
 
+    def test_the_product_holds_a_n_squared_odd_terms(self):
+        # the count the check derives from its block layout, read once from the library's
+        # theta(a, m)/(1 - q): a*N^2 odd terms through q^floor(m*N^2/2), every 2a < m <= 12
+        for m in range(3, 13):
+            top = m * 12 * 12 // 2
+            for a in range(1, (m + 1) // 2):
+                quotient = series._theta_times_mod2(a, m, [series.reciprocal(1, top + 1)], top)
+                for n in range(1, 13):
+                    assert quotient.count_odd(0, m * n * n // 2) == a * n * n, (a, m, n)
+
     def test_rejects_a_above_half(self):
         # at 2a = m block N starts at m*N^2/2 itself, so the window through
         # m*N^2/2 holds a*N^2 + 1 odd exponents and the count could never match
