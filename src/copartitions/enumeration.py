@@ -66,7 +66,8 @@ class Copartition(Record):
         return Copartition(self.sky, self.ground, self.params.swapped())
 
     def is_self_conjugate(self) -> bool:
-        return self.conjugate() == self
+        """``conjugate() == self``, read from the fields."""
+        return self.ground == self.sky and self.params.a == self.params.b
 
 
 def _partitions_upto(budget: int, base: int, step: int,

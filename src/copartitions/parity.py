@@ -81,6 +81,13 @@ class CheckResult(Record):
         return self.passed
 
 
+def _needs(low: int, **sizes: int | None) -> None:
+    """Refuses sizes below ``low``: when any of ``sizes`` that is not None
+    is, raises ValueError naming them all, as "needs n >= 0 and brute_max >= 0"."""
+    if any(size is not None and size < low for size in sizes.values()):
+        raise ValueError("needs " + " and ".join(f"{k} >= {low}" for k in sizes))
+
+
 def _scan(row: dict, checked: int, bad: int | None = None, left=None, right=None,
           count_key: str | None = None) -> CheckResult:
     """Result of a scan that tested ``checked`` indices and failed at ``bad``
@@ -207,8 +214,7 @@ def _sieve(form: str, unit: int, shift: int, count: int) -> Iterator[bytes]:
 def _represents(form: str, n: int) -> bool:
     """The sieve's criterion on one value, by trial division up to the root of
     the cofactor left, which is then 1 or a prime."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
+    _needs(1, n=n)
     _, modulus, residue = _FORMS[form]
     p = 2
     while p * p <= n:
@@ -237,8 +243,7 @@ def is_x2_plus_3y2(n: int) -> bool:
 def brute_force_representable(n: int, form: str) -> bool:
     """Exhaustive search for n = A^2 + C*B^2 with A, B >= 0 (C from the form
     table); the independent check on the sieve's verdicts."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
     coef = _FORMS[form][0]
@@ -284,8 +289,7 @@ def form_equivalence_sweep_check(n_max: int) -> CheckResult:
     the values up to n_max its form represents, and the two are compared as
     packed bits under the mask of 1 mod 6 (``left`` and ``right`` are the
     two bits at a counterexample)."""
-    if n_max < 0:
-        raise ValueError("needs n_max >= 0")
+    _needs(0, n_max=n_max)
     direct = bytearray(n_max + 1)
     threes = [3 * b * b for b in range(isqrt(n_max // 3) + 1)]
     for a in range(isqrt(n_max) + 1):
@@ -320,8 +324,7 @@ def _family(family: str) -> tuple[int, int, CpParams, str]:
 
 
 def _forced_even(family: str, k: int) -> bool:
-    if k < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=k)
     unit, shift, _, form = _FAMILIES[family]
     return not _represents(form, unit * k + shift)
 
@@ -345,8 +348,7 @@ def even_guarantee_check(family: str, n: int, brute_max: int | None = None) -> C
     also checks the sieve's verdict (``left``) against brute search on every
     value unit*k + shift <= brute_max, which is then the index."""
     unit, shift, params, form = _family(family)
-    if n < 0 or brute_max is not None and brute_max < 0:
-        raise ValueError("needs n >= 0 and brute_max >= 0")
+    _needs(0, n=n, brute_max=brute_max)
     parity = copartition_parity(params, n)
     count = n + 1 if brute_max is None else max(n + 1, (brute_max - shift) // unit + 1)
     flags = b"".join(_sieve(form, unit, shift, count))
@@ -403,8 +405,7 @@ def verify_even_progression(parity: ParitySeries, modulus: int, residue: int,
     index congruent to ``residue`` mod ``modulus`` up to n, each one checked,
     by one packed comparison under the mask of that class.  ``parity`` must
     reach n, even when no index up to n lies in the class."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} outside 0..{modulus - 1}")
     if parity.trunc < n:
@@ -418,8 +419,7 @@ def progression_check(family: str, p: int, n: int) -> CheckResult:
     ``ProgressionFamily(family, p)`` up to n, after a row describing the
     family, merged by ``merge_checks``; the classes share one parity series,
     and each builds its mask in O(log n) big-int operations."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     fam = ProgressionFamily(family, p)
     parity = copartition_parity(fam.params, n)
     header = {"family": fam.family, "p": fam.p, "modulus": fam.modulus,
@@ -495,8 +495,7 @@ def lacunary_odd_support_check(a: int, n: int) -> CheckResult:
     ``theta_product_identity_check`` at m = 2a, where theta(a, 2a) is 1 mod 2."""
     if a < 1 or a % 2 == 0:
         raise ValueError(f"needs odd a >= 1, got {a}")
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     return _pentagonal_identity(a, 2 * a, n, {"a": a, "n": n})
 
 
@@ -506,8 +505,7 @@ def theta_product_identity_check(a: int, m: int, n: int) -> CheckResult:
     (``right``) through n."""
     if not 1 <= a < m:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     return _pentagonal_identity(a, m, n, {"a": a, "m": m, "n": n})
 
 
@@ -518,8 +516,7 @@ def parity_gf_check(a: int, m: int, n: int) -> CheckResult:
     route 3 starts from ``right``; the sums' f(q)^2 = f(q^2) step is checked
     over Z by ``test_three_paths_match_the_log_derivative_recurrence`` and by
     ``oracle_check`` (n <= 35)."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     left = expand_factors_mod2(copartition_factors(CpParams(a, a, m)), n)
     return _compare(left, self_conjugate_parity(a, m, n), {"a": a, "m": m, "n": n})
 
@@ -530,13 +527,15 @@ def self_conjugate_check(a: int, m: int, n: int) -> CheckResult:
     round trip through its hook sizes.  At a counterexample ``left`` is the
     enumerated count and ``right`` the coefficient, equal to it when only
     the round trip failed."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     series = self_conjugate_series(a, m, n)
     params = CpParams(a, a, m)
     found = [[] for _ in range(n + 1)]
-    for total, ground in _partitions_upto(n // 2, a, m, 0):     # ground == sky
-        if (size := 2 * total + m * len(ground) ** 2) <= n:
+    # ground == sky with s parts has size 2*sum + m*s^2 <= n; as s^2 >= 2s - 1,
+    # its cost sum + m*s is at most (n + m) // 2, and so is every prefix's
+    for cost, ground in _partitions_upto((n + m) // 2, a, m, m):
+        s = len(ground)
+        if (size := 2 * cost + m * s * (s - 2)) <= n:
             found[size].append(Copartition(ground, ground, params))
     for k in range(n + 1):
         round_trips = all(sum(hooks := hooks_to_distinct_parts(cp)) == k
@@ -552,8 +551,7 @@ def oracle_check(params: CpParams, n: int) -> CheckResult:
     parity series is those coefficients mod 2.  At a counterexample ``left``
     and ``right`` are the count and the coefficient, or, when all counts
     agree, the packed bit and the coefficient's."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     series, counts = copartition_series(params, n), size_counts(params, n)
     row = {"a": params.a, "b": params.b, "m": params.m, "n_max": n}
     check = _sweep(dict(row), range(n + 1), counts.__getitem__, series.__getitem__)
@@ -577,8 +575,7 @@ def odd_term_count_check(a: int, m: int, n_max: int) -> CheckResult:
     """
     if not (1 <= a and 2 * a < m):
         raise ValueError(f"needs 1 <= a < m/2, got a={a}, m={m}")
-    if n_max < 1:
-        raise ValueError("needs n_max >= 1")
+    _needs(1, n_max=n_max)
     top = m * n_max * n_max // 2
     blocks = 0
     j = 0
@@ -599,8 +596,7 @@ def both_parities_prefix_check(a: int, m: int, n: int, witness_min: int) -> Chec
     is n and ``left`` the count of the scarcer parity."""
     if not 1 <= a < m:
         raise ValueError(f"needs 1 <= a < m, got a={a}, m={m}")
-    if witness_min < 0 or n < 0:
-        raise ValueError("needs n >= 0 and witness_min >= 0")
+    _needs(0, n=n, witness_min=witness_min)
     odd = copartition_parity(CpParams(a, m - a, m), n).bits.bit_count()
     scarcer = min(odd, n + 1 - odd)
     row = {"a": a, "m": m, "n": n, "witness_min": witness_min}
@@ -622,8 +618,7 @@ def andrews_mod5_check(n: int, enum_sizes: Iterable[int]) -> CheckResult:
     sizes = tuple(enum_sizes)
     if not set(sizes) <= set(ENUMERABLE_CRANK_SIZES):
         raise ValueError(f"enumerable sizes are {ENUMERABLE_CRANK_SIZES}, got {sizes}")
-    if n < 0:
-        raise ValueError("needs n >= 0")
+    _needs(0, n=n)
     series = copartition_series(CpParams(1, 1, 2), n)
     results = [_sweep({"n": n}, range(4, n + 1, 5), lambda k: series[k] % 5, lambda k: 0)]
     for s in sizes:

@@ -24,6 +24,8 @@ from copartitions import (
     ExactSeries,
     ParitySeries,
     ProgressionFamily,
+    TWO_SQUARES,
+    TableData,
     X2_PLUS_3Y2,
     andrews_mod5_check,
     both_parities_prefix_check,
@@ -32,6 +34,8 @@ from copartitions import (
     copartition_factors,
     copartition_parity,
     copartition_series,
+    density_report,
+    distinct_parts_to_hooks,
     enumerate_copartitions,
     even_guarantee_314,
     even_guarantee_516,
@@ -555,24 +559,53 @@ def test_a_skewed_crank_fails_at_its_size(monkeypatch):
             ["pass" if size == 4 else "fail" for size in sizes]
 
 
-# check -> its arguments with one size negative, and the argument the refusal names
+# check -> its arguments with a size too small, the argument made so, and the
+# whole refusal; a refusal names every size it tests, whichever one failed
 NEGATIVE_SIZES = [
-    ("form_equivalence_check", (-5,), "n"),
-    ("form_equivalence_sweep_check", (-1,), "n_max"),
-    ("even_guarantee_check", ("cp314", -1), "n"),
-    ("even_guarantee_check", ("cp314", 10, -7), "brute_max"),
-    ("verify_even_progression", (ParitySeries(0, 0), 4, 0, -1), "n"),
-    ("progression_check", ("cp314", 7, -1), "n"),
-    ("lacunary_odd_support_check", (1, -1), "n"),
-    ("theta_product_identity_check", (1, 4, -1), "n"),
-    ("parity_gf_check", (1, 2, -1), "n"),
-    ("self_conjugate_check", (1, 2, -1), "n"),
-    ("oracle_check", (CpParams(1, 1, 1), -1), "n"),
-    ("odd_term_count_check", (1, 3, -1), "n_max"),
-    ("both_parities_prefix_check", (1, 4, -1, 3), "n"),
-    ("both_parities_prefix_check", (1, 4, 3, -1), "witness_min"),
-    ("andrews_mod5_check", (-1, ()), "n"),
+    ("is_sum_of_two_squares", (0,), "n", "needs n >= 1"),
+    ("is_x2_plus_3y2", (-3,), "n", "needs n >= 1"),
+    ("brute_force_representable", (-1, TWO_SQUARES), "n", "needs n >= 0"),
+    ("even_guarantee_314", (-1,), "n", "needs n >= 0"),
+    ("form_equivalence_check", (-5,), "n", "needs n >= 1 with n congruent to 1 mod 6"),
+    ("form_equivalence_sweep_check", (-1,), "n_max", "needs n_max >= 0"),
+    ("even_guarantee_check", ("cp314", -1), "n", "needs n >= 0 and brute_max >= 0"),
+    ("even_guarantee_check", ("cp314", 10, -7), "brute_max", "needs n >= 0 and brute_max >= 0"),
+    ("even_guarantee_check", ("cp314", -1, -7), "n,brute_max",
+     "needs n >= 0 and brute_max >= 0"),
+    ("verify_even_progression", (ParitySeries(0, 0), 4, 0, -1), "n", "needs n >= 0"),
+    ("progression_check", ("cp314", 7, -1), "n", "needs n >= 0"),
+    ("lacunary_odd_support_check", (1, -1), "n", "needs n >= 0"),
+    ("theta_product_identity_check", (1, 4, -1), "n", "needs n >= 0"),
+    ("parity_gf_check", (1, 2, -1), "n", "needs n >= 0"),
+    ("self_conjugate_check", (1, 2, -1), "n", "needs n >= 0"),
+    ("oracle_check", (CpParams(1, 1, 1), -1), "n", "needs n >= 0"),
+    ("odd_term_count_check", (1, 3, -1), "n_max", "needs n_max >= 1"),
+    ("odd_term_count_check", (1, 3, 0), "n_max=0", "needs n_max >= 1"),
+    ("both_parities_prefix_check", (1, 4, -1, 3), "n", "needs n >= 0 and witness_min >= 0"),
+    ("both_parities_prefix_check", (1, 4, 3, -1), "witness_min",
+     "needs n >= 0 and witness_min >= 0"),
+    ("andrews_mod5_check", (-1, ()), "n", "needs n >= 0"),
 ]
+
+# refusals that a later step would replace by a ValueError of its own, had
+# the guard gone: a call -> the exception and its whole text
+HIDDEN_REFUSALS = {
+    "theta identity a = m": (lambda: theta_product_identity_check(4, 4, 10),
+                             ValueError, "needs 1 <= a < m, got a=4, m=4"),
+    "both parities a = m": (lambda: both_parities_prefix_check(4, 4, 10, 1),
+                            ValueError, "needs 1 <= a < m, got a=4, m=4"),
+    "theta identity a = m before n": (lambda: theta_product_identity_check(4, 4, -1),
+                                      ValueError, "needs 1 <= a < m, got a=4, m=4"),
+    "repeated hook": (lambda: distinct_parts_to_hooks((8, 8), 1, 2),
+                      ValueError, "hook parts must be distinct"),
+    "support beyond trunc": (lambda: ParitySeries.from_support([7], 6),
+                             ValueError, "exponent 7 outside 0..6"),
+    "short supplied series": (lambda: density_report(CpParams(1, 1, 2), (100,),
+                                                     copartition_parity(CpParams(1, 1, 2), 50)),
+                              ValueError, "supplied parity series stops at 50 < 100"),
+    "unknown table column": (lambda: TableData((density_report(CpParams(3, 3, 4), (10,)),))
+                             .column("cp_9_9_9"), KeyError, "'cp_9_9_9'"),
+}
 
 
 # a passing run of each public check -> the number of indices it tested
@@ -600,11 +633,19 @@ def test_a_passing_check_counts_the_indices_it_tested(check, args, checked):
     assert result.passed and result.checked == checked
 
 
-@pytest.mark.parametrize("check, args, argument", NEGATIVE_SIZES,
-                         ids=[f"{check}-{argument}" for check, _, argument in NEGATIVE_SIZES])
-def test_every_check_refuses_a_negative_size(check, args, argument):
-    with pytest.raises(ValueError, match=rf"needs .*\b{argument} >= "):
+@pytest.mark.parametrize("check, args, message", [(c, a, m) for c, a, _, m in NEGATIVE_SIZES],
+                         ids=[f"{check}-{argument}" for check, _, argument, _ in NEGATIVE_SIZES])
+def test_every_check_refuses_a_negative_size(check, args, message):
+    with pytest.raises(ValueError) as refusal:
         getattr(copartitions, check)(*args)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", HIDDEN_REFUSALS.values(), ids=list(HIDDEN_REFUSALS))
+def test_a_refusal_keeps_its_text_where_a_later_step_would_refuse_too(call, error, message):
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error and str(refusal.value) == message
 
 
 coprime = st.integers(2, 16).flatmap(

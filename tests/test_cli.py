@@ -322,6 +322,17 @@ class TestTables:
         assert err == f"error: cannot write --out {str(tmp_path / blocked)!r}: Is a directory\n"
         assert [path.name for path in tmp_path.iterdir()] == [blocked]
 
+    def test_a_failed_sidecar_keeps_a_linked_out(self, tmp_path, capsys):
+        # the table went through the link before the sidecar failed; the link is not removed
+        _, printed, _ = run(capsys, "tables", "1")
+        (tmp_path / "file").write_text("old contents\n")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "file")
+        (tmp_path / "link.meta.json").mkdir()
+        code, out, _ = run(capsys, "tables", "1", "--out", str(link))
+        assert (code, out) == (2, "")
+        assert link.is_symlink() and (tmp_path / "file").read_text() == printed
+
     @pytest.mark.parametrize("which", ["1", "2", "3"])
     def test_out_file_holds_what_stdout_prints(self, which, tmp_path, capsys):
         target = tmp_path / f"table{which}.csv"

@@ -357,6 +357,13 @@ class TestDensityReport:
         with pytest.raises(ValueError):
             density_report(CpParams(1, 1, 2), (0, 10))
 
+    @pytest.mark.parametrize("abm", [(3, 3, 4), (1, 13, 14)])
+    def test_a_supplied_series_gives_the_default_report(self, abm):
+        params, checkpoints = CpParams(*abm), (1000, 2000)
+        default = density_report(params, checkpoints)
+        for trunc in (2000, 2005):
+            assert density_report(params, checkpoints, copartition_parity(params, trunc)) == default
+
     def test_supplied_parity_must_cover(self):
         p = copartition_parity(CpParams(1, 1, 2), 50)
         with pytest.raises(ValueError):
