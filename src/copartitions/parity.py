@@ -82,8 +82,8 @@ class CheckResult(Record):
 
 
 def _needs(low: int, **sizes: int | None) -> None:
-    """Refuses sizes below ``low``: when any of ``sizes`` that is not None
-    is, raises ValueError naming them all, as "needs n >= 0 and brute_max >= 0"."""
+    """Refuses a size below ``low``: when any of ``sizes`` but None is, the
+    ValueError names them all, as "needs n >= 0 and brute_max >= 0"."""
     if any(size is not None and size < low for size in sizes.values()):
         raise ValueError("needs " + " and ".join(f"{k} >= {low}" for k in sizes))
 
