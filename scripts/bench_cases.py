@@ -107,6 +107,10 @@ CASES = {
     "cli enumerate 1 1 2 19 crank conjugate csv": (
         "cli", "cli", ("enumerate", "1", "1", "2", "19", "--show-crank", "--show-conjugate",
                        "--format", "csv")),
+    "cli verify eq4 mmax=12 N=2000": (
+        "cli", "cli", ("verify", "eq4", "--mmax", "12", "--N", "2000")),
+    "cli verify both-parities mmax=12 N=2000": (
+        "cli", "cli", ("verify", "both-parities", "--mmax", "12", "--N", "2000")),
 }
 PROCESS_CASE = "process import copartitions.cli"
 COUNTERS = ("exact_passes", "coeff_bits", "theta_taps", "mod2_passes", "sums_passes",

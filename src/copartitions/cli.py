@@ -2,8 +2,9 @@
 
 Exit codes, all set by ``main``: 1 when the document's verdict is "fail"
 (only verify's has one), 2 on a refusal, else 0.  Every refusal is a
-ValueError (an OSError writing stdout alike) that ``main`` prints as one
-``error:`` line.  Among them are an --out that cannot be written: ``error:
+ValueError (an OSError writing stdout, or a closed stdout, alike) that
+``main`` prints as one ``error:`` line, or drops when stderr is closed.
+Among them are an --out that cannot be written: ``error:
 cannot write --out PATH: REASON``, PATH as given (plus ``.meta.json`` for
 the tables sidecar), and a size outside its bounds: before any command
 runs, one check reads each size flag's (low, limit) from one table and
@@ -13,31 +14,18 @@ names the flag, its bounds and the value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 from functools import cache
 from itertools import chain
-from math import gcd
 
 from . import __version__
 from .enumeration import enumerate_copartitions
 from .params import CpParams
-from .parity import (
-    FAMILIES,
-    andrews_mod5_check,
-    both_parities_prefix_check,
-    even_guarantee_check,
-    form_equivalence_sweep_check,
-    lacunary_odd_support_check,
-    merge_checks,
-    oracle_check,
-    parity_gf_check,
-    progression_check,
-    self_conjugate_check,
-    theta_product_identity_check,
-)
+from .parity import FAMILIES, VERIFY_TARGETS
 from .series import copartition_parity, copartition_series
 from .tables import generate_table
 
@@ -90,17 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one verification target")
     p.add_argument("target", choices=TARGETS)
-    p.add_argument("--a", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--Nmax", type=int)
+    for flag in ("--a", "--m", "--p", "--N", "--Nmax"):
+        p.add_argument(flag, type=int)
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--amax", type=int)
-    p.add_argument("--bmax", type=int)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--witness-min", type=int)
+    for flag in ("--amax", "--bmax", "--mmax", "--nmax", "--witness-min"):
+        p.add_argument(flag, type=int)
     p.add_argument("--sizes", type=_sizes, help="comma-separated crank sizes, e.g. 4,9,14")
     p.add_argument("--brute-max", type=int,
                    help="also sweep predicate vs brute search up to this bound")
@@ -150,54 +132,31 @@ def _cmd_enumerate(args):
     return {"params": {"a": params.a, "b": params.b, "m": params.m, "n": args.n}, "rows": rows}
 
 
-def _pairs(o):
-    """The (a, m) pair given by --a and --m, or every coprime pair up to --mmax."""
-    if o.a is not None and o.m is not None:
-        return [(o.a, o.m)]
-    return [(a, m) for m in range(2, o.mmax + 1) for a in range(1, m) if gcd(a, m) == 1]
-
-
-def _grid(o):
-    return [(a, m) for a in range(1, o.amax + 1) for m in range(2, o.mmax + 1)]
-
-
-# target -> ({each flag it reads: (default, low, limit)}, the library checks
-# it runs); a default of None means none.  A size lies in low..limit: low 0
-# for a count, 1 for a parameter or a grid bound; limit None where the value
-# does not grow the work.  --family and --sizes are no sizes (low None).  With
-# every flag at its limit, each target ran within 4 s and 60 MB as a whole
-# process on a 2-core host (BENCH_27.json; parity-gf's --N BENCH_32.json;
-# progression's --N and lemma13's --Nmax BENCH_33.json).
-TARGETS = {
-    "selfconj": ({"amax": (3, 1, 8), "mmax": (5, 1, 12), "nmax": (40, 0, 150)},
-                 lambda o: (self_conjugate_check(a, m, o.nmax) for a, m in _grid(o))),
-    "parity-gf": ({"amax": (3, 1, 4), "mmax": (6, 1, 8), "N": (2000, 0, 5 * 10 ** 5)},
-                  lambda o: (parity_gf_check(a, m, o.N) for a, m in _grid(o))),
-    "eq4": ({"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
-             "N": (2000, 0, 10 ** 5)},
-            lambda o: (theta_product_identity_check(a, m, o.N) for a, m in _pairs(o))),
-    "lacunary": ({"a": (None, 1, None), "N": (5000, 0, PARITY_CAP)},
-                 lambda o: (lacunary_odd_support_check(a, o.N)
-                            for a in ([o.a] if o.a is not None else [1, 3, 5]))),
-    "progression": ({"family": (None, None, None), "p": (None, 1, 1000),
-                     "N": (12100, 0, 5 * 10 ** 6)},
-                    lambda o: [progression_check(o.family, o.p, o.N)]),
-    "lemma13": ({"Nmax": (10000, 0, 10 ** 7)},
-                lambda o: [form_equivalence_sweep_check(o.Nmax)]),
-    **{f"guarantees-{family.removeprefix('cp')}": (
-        {"N": (5000, 0, PARITY_CAP), "brute_max": (None, 0, 2 * 10 ** 5)},
-        lambda o, family=family: [even_guarantee_check(family, o.N, o.brute_max)])
+# target -> ({each flag it reads: (default, low, limit)}, its library call
+# in parity.VERIFY_TARGETS, which takes those flags by name); a default of
+# None means none.  A size lies in low..limit: low 0 for a count, 1 for a
+# parameter or a grid bound; limit None where the value does not grow the
+# work.  --family and --sizes are no sizes (low None).  With every flag at
+# its limit, each target ran within 4 s and 60 MB as a whole process on a
+# 2-core host (BENCH_27.json; parity-gf's --N BENCH_32.json; progression's
+# --N and lemma13's --Nmax BENCH_33.json).
+TARGETS = {target: (flags, VERIFY_TARGETS[target]) for target, flags in {
+    "selfconj": {"amax": (3, 1, 8), "mmax": (5, 1, 12), "nmax": (40, 0, 150)},
+    "parity-gf": {"amax": (3, 1, 4), "mmax": (6, 1, 8), "N": (2000, 0, 5 * 10 ** 5)},
+    "eq4": {"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
+            "N": (2000, 0, 10 ** 5)},
+    "lacunary": {"a": (None, 1, None), "N": (5000, 0, PARITY_CAP)},
+    "progression": {"family": (None, None, None), "p": (None, 1, 1000),
+                    "N": (12100, 0, 5 * 10 ** 6)},
+    "lemma13": {"Nmax": (10000, 0, 10 ** 7)},
+    **{f"guarantees-{family.removeprefix('cp')}":
+       {"N": (5000, 0, PARITY_CAP), "brute_max": (None, 0, 2 * 10 ** 5)}
        for family in FAMILIES},
-    "both-parities": ({"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
-                       "N": (2000, 0, 2 * 10 ** 5), "witness_min": (10, 0, None)},
-                      lambda o: (both_parities_prefix_check(a, m, o.N, o.witness_min)
-                                 for a, m in _pairs(o))),
-    "andrews": ({"N": (504, 0, 20000), "sizes": ("4,9,14", None, None)},
-                lambda o: [andrews_mod5_check(o.N, map(int, o.sizes.split(",")))]),
-    "oracle": ({"amax": (4, 1, 8), "bmax": (4, 1, 8), "mmax": (5, 1, 10), "nmax": (25, 0, 35)},
-               lambda o: (oracle_check(CpParams(a, b, m), o.nmax) for a in range(1, o.amax + 1)
-                          for b in range(1, o.bmax + 1) for m in range(1, o.mmax + 1))),
-}
+    "both-parities": {"a": (None, 1, None), "m": (None, 1, None), "mmax": (12, 1, 20),
+                      "N": (2000, 0, 2 * 10 ** 5), "witness_min": (10, 0, None)},
+    "andrews": {"N": (504, 0, 20000), "sizes": ("4,9,14", None, None)},
+    "oracle": {"amax": (4, 1, 8), "bmax": (4, 1, 8), "mmax": (5, 1, 10), "nmax": (25, 0, 35)},
+}.items()}
 
 
 def _check_sizes(args):
@@ -220,7 +179,7 @@ def _check_sizes(args):
 def _cmd_verify(args):
     if args.format == "csv":
         raise ValueError("verify reports are text or json only")
-    flags, checks = TARGETS[args.target]
+    flags, run = TARGETS[args.target]
     given = {k: v for k, v in vars(args).items()
              if k not in ("subcommand", "format", "out", "target") and v is not None}
     stray = ["--" + k.replace("_", "-") for k in given if k not in flags]
@@ -233,8 +192,8 @@ def _cmd_verify(args):
     if args.target == "progression" and (args.family is None or args.p is None):
         raise ValueError("progression needs --family and --p")
     # an empty --sizes also means the default
-    unset = {k: spec[0] for k, spec in flags.items() if getattr(args, k) in (None, "")}
-    result = merge_checks(checks(argparse.Namespace(**{**vars(args), **unset})))
+    result = run(**{k: default if getattr(args, k) in (None, "") else getattr(args, k)
+                    for k, (default, *_) in flags.items()})
     return {
         "params": {"target": args.target, **given},
         "rows": list(result.rows),
@@ -320,6 +279,8 @@ def _write(path, text):
 
 def _write_output(args, doc, payload):
     if args.out is None:
+        if sys.stdout is None:          # fd 1 closed
+            raise OSError("stdout is closed")
         sys.stdout.write(payload)
         return
     _write(args.out, payload)
@@ -350,7 +311,8 @@ def main(argv=None) -> int:
         _write_output(args, doc, _render(doc, args))
         return 1 if doc["verdict"] == "fail" else 0
     except (ValueError, OSError) as exc:   # OSError: stdout
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(AttributeError, OSError):  # fd 2 closed: None, or a bad fd
+            sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

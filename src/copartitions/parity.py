@@ -5,13 +5,14 @@ oracle and self-conjugate checks compare the exact series with the
 enumeration, and the oracle also with the packed path; parity-gf runs the
 GF(2) sums of the counting product, andrews reads the exact series mod 5 and
 the enumeration's cranks, and the form checks (Lemma 13) read no series.
+``VERIFY_TARGETS`` runs each verify target of the CLI as one call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from . import stats
@@ -629,3 +630,47 @@ def andrews_mod5_check(n: int, enum_sizes: Iterable[int]) -> CheckResult:
         results.append(crank := CheckResult(1, *failure, rows=(row,)))
         row["status"] = crank.status
     return merge_checks(results)
+
+
+def _per_conjugate_pair(a: int | None, m: int | None, mmax: int, check) -> CheckResult:
+    """``check(a, m)`` on the (a, m - a, m) family at the pair given, or else at
+    each coprime 1 <= a < m <= mmax in turn, merged.  Conjugation swaps ground
+    and sky, so the check computes the same from the same inputs at (m - a, m)
+    as at (a, m): the same three factors in another order, theta(m - a, m) =
+    theta(a, m) and the same route.  So (m - a, m) takes (a, m)'s result with
+    ``a`` replaced in its row.  The oracle never shares (a, b, m) and
+    (b, a, m): they are two brute-force walks whose agreement checks conjugation."""
+    pairs = [(a, m)] if m is not None else [
+        (a, m) for m in range(2, mmax + 1) for a in range(1, m) if gcd(a, m) == 1]
+    results = {}
+    for a, m in pairs:
+        r = results.get((m - a, m))
+        results[a, m] = check(a, m) if r is None else CheckResult(
+            r.checked, r.counterexample, r.left, r.right, ({**r.rows[0], "a": a},))
+    return merge_checks(results.values())
+
+
+# verify target -> the one call that runs it on the target's flag values, by
+# their names in the CLI, into one merged result; None is a flag not given
+# that has no default
+VERIFY_TARGETS = {
+    "selfconj": lambda amax, mmax, nmax: merge_checks(
+        self_conjugate_check(a, m, nmax) for a in range(1, amax + 1) for m in range(2, mmax + 1)),
+    "parity-gf": lambda amax, mmax, N: merge_checks(
+        parity_gf_check(a, m, N) for a in range(1, amax + 1) for m in range(2, mmax + 1)),
+    "eq4": lambda a, m, mmax, N: _per_conjugate_pair(
+        a, m, mmax, lambda a, m: theta_product_identity_check(a, m, N)),
+    "lacunary": lambda a, N: merge_checks(
+        lacunary_odd_support_check(a, N) for a in ([a] if a is not None else [1, 3, 5])),
+    "progression": lambda family, p, N: progression_check(family, p, N),
+    "lemma13": lambda Nmax: form_equivalence_sweep_check(Nmax),
+    **{f"guarantees-{family.removeprefix('cp')}":
+       lambda N, brute_max, family=family: even_guarantee_check(family, N, brute_max)
+       for family in FAMILIES},
+    "both-parities": lambda a, m, mmax, N, witness_min: _per_conjugate_pair(
+        a, m, mmax, lambda a, m: both_parities_prefix_check(a, m, N, witness_min)),
+    "andrews": lambda N, sizes: andrews_mod5_check(N, map(int, sizes.split(","))),
+    "oracle": lambda amax, bmax, mmax, nmax: merge_checks(
+        oracle_check(CpParams(a, b, m), nmax) for a in range(1, amax + 1)
+        for b in range(1, bmax + 1) for m in range(1, mmax + 1)),
+}

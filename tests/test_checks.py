@@ -55,6 +55,7 @@ from copartitions import (
     verify_even_progression,
 )
 from copartitions import stats
+from copartitions.parity import VERIFY_TARGETS
 
 from oracles import form_values, merge_reference, sweep_reference
 
@@ -671,6 +672,55 @@ def test_parity_gf_left_side_is_the_exact_series_mod_2(n):
             params = CpParams(a, a, m)
             assert expand_factors_mod2(copartition_factors(params), n) == \
                 reduce_mod2(copartition_series(params, n)), (a, m, n)
+
+
+def every_pair(a, m, mmax):
+    # the pairs eq4 and both-parities sweep, in their order
+    if m is not None:
+        return [(a, m)]
+    return [(a, m) for m in range(2, mmax + 1) for a in range(1, m) if gcd(a, m) == 1]
+
+
+sweeps = st.one_of(st.tuples(st.none(), st.none(), st.integers(1, 20)),
+                   st.integers(2, 20).flatmap(lambda m: st.tuples(
+                       st.integers(1, m - 1), st.just(m), st.none())))
+
+
+@given(sweeps, st.integers(0, 3000), st.integers(0, 40))
+@example((1, 2, None), 40, 40)
+@example((None, None, 2), 3000, 40)
+@example((None, None, 12), 30, 6)
+@settings(max_examples=10, deadline=None)
+def test_a_sweep_over_conjugate_pairs_equals_the_check_at_every_pair(sweep, n, witness_min):
+    # (m - a, m) reuses the result of (a, m); failing draws share their counterexample too
+    a, m, mmax = sweep
+    fields = lambda r: (r.checked, r.counterexample, r.left, r.right, r.rows)
+    eq4 = VERIFY_TARGETS["eq4"](a=a, m=m, mmax=mmax, N=n)
+    assert fields(eq4) == fields(merge_checks(
+        theta_product_identity_check(*pair, n) for pair in every_pair(a, m, mmax)))
+    both = VERIFY_TARGETS["both-parities"](a=a, m=m, mmax=mmax, N=n, witness_min=witness_min)
+    assert fields(both) == fields(merge_checks(
+        both_parities_prefix_check(*pair, n, witness_min) for pair in every_pair(a, m, mmax)))
+
+
+@pytest.mark.parametrize("target, check, extra", [
+    ("eq4", "theta_product_identity_check", {}),
+    ("both-parities", "both_parities_prefix_check", {"witness_min": 1})])
+def test_a_sweep_runs_each_conjugate_pair_once(monkeypatch, target, check, extra):
+    calls, real = [], getattr(copartitions.parity, check)
+    monkeypatch.setattr(copartitions.parity, check,
+                        lambda a, m, *rest: calls.append((a, m)) or real(a, m, *rest))
+    assert VERIFY_TARGETS[target](a=None, m=None, mmax=12, N=100, **extra).passed
+    assert calls == [(a, m) for a, m in every_pair(None, None, 12) if 2 * a <= m]
+
+
+def test_the_oracle_walks_each_conjugate_family(monkeypatch):
+    # (a, b, m) and (b, a, m) are two walks, and their agreement checks conjugation
+    calls, real = [], copartitions.parity.size_counts
+    monkeypatch.setattr(copartitions.parity, "size_counts",
+                        lambda params, n: calls.append(params) or real(params, n))
+    assert VERIFY_TARGETS["oracle"](amax=2, bmax=2, mmax=2, nmax=5).passed
+    assert calls == [CpParams(a, b, m) for a in (1, 2) for b in (1, 2) for m in (1, 2)]
 
 
 def test_parity_gf_runs_no_exact_pass():

@@ -369,6 +369,38 @@ def test_the_cached_parser_prints_what_fresh_processes_print(capsys, first, seco
                                                             fresh_process(second)]
 
 
+def closed_fd_process(argv, fd, at_start):
+    """fresh_process with fd 1 or 2 closed: before Python starts, so that its
+    sys.stdout or sys.stderr is None, or after, so that it writes to a closed fd."""
+    env = {**os.environ, "PYTHONPATH": str(Path(copartitions.__file__).resolve().parents[1])}
+    if at_start:
+        cmd, close = [sys.executable, "-m", "copartitions.cli", *argv], lambda: os.close(fd)
+    else:
+        cmd, close = [sys.executable, "-c", f"import os, sys; os.close({fd}); from copartitions."
+                      f"cli import main; sys.exit(main({argv!r}))"], None
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, preexec_fn=close)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("at_start", [True, False])
+@pytest.mark.parametrize("argv", [["coeffs", "1", "1", "1", "--n", "3"],
+                                  ["verify", "eq4", "--mmax", "3", "--N", "50"]], ids=" ".join)
+def test_a_closed_stdout_is_a_refusal(argv, at_start):
+    code, stdout, stderr = closed_fd_process(argv, 1, at_start)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    if at_start:
+        assert stderr == "error: stdout is closed\n"
+
+
+@pytest.mark.parametrize("at_start", [True, False])
+@pytest.mark.parametrize("argv", [["coeffs", "1", "1", "1", "--n", "-3"],
+                                  ["verify", "eq4", "--N", "-1"],
+                                  ["verify", "eq4", "--format", "csv"]], ids=" ".join)
+def test_a_refusal_with_stderr_closed_still_exits_2(argv, at_start):
+    assert closed_fd_process(argv, 2, at_start) == (2, "", "")
+
+
 def flag_values(top):
     """Flag texts: in range up to top, zero, negative, or not a number."""
     return st.one_of(st.integers(-3, top).map(str),
